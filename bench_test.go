@@ -154,16 +154,15 @@ func BenchmarkFigure7AppsSampled(b *testing.B) {
 		for _, cfg := range Figure7Configs {
 			a, cfg := a, cfg
 			b.Run(fmt.Sprintf("%s/%s", a, cfg), func(b *testing.B) {
-				key := traceKey{app: true, name: a, isa: cfg.ISA, scale: ScaleTest}
-				if cachedTrace(key) == nil {
+				if CaptureWorkloadTrace(true, a, cfg.ISA, ScaleTest) == nil {
 					b.Fatal("capture failed")
 				}
 				b.ResetTimer()
 				var est int64
 				for n := 0; n < b.N; n++ {
-					r, ok, err := runTraced(key, 4, DetailedMemory(cfg.Cache), DefaultSampleSpec)
-					if err != nil || !ok {
-						b.Fatalf("sampled replay: ok=%v err=%v", ok, err)
+					r, err := RunAppSampled(a, cfg.ISA, 4, DetailedMemory(cfg.Cache), ScaleTest, DefaultSampleSpec)
+					if err != nil {
+						b.Fatal(err)
 					}
 					est = r.Sampled.EstCycles
 				}
@@ -183,25 +182,20 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.Run("live", func(b *testing.B) {
 		var insts uint64
 		for n := 0; n < b.N; n++ {
-			r, err := RunKernel(kernel, MOM, 4, PerfectMemory(1), ScaleTest)
-			if err != nil {
-				b.Fatal(err)
-			}
-			insts = r.Insts
+			insts = runLive(b, false, kernel, MOM, 4, PerfectMemory(1)).Insts
 		}
 		b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds(), "dyninsts/s")
 	})
 	b.Run("replay", func(b *testing.B) {
-		key := traceKey{name: kernel, isa: MOM, scale: ScaleTest}
-		if cachedTrace(key) == nil {
+		if CaptureWorkloadTrace(false, kernel, MOM, ScaleTest) == nil {
 			b.Fatal("capture failed")
 		}
 		b.ResetTimer()
 		var insts uint64
 		for n := 0; n < b.N; n++ {
-			r, ok, err := runTraced(key, 4, PerfectMemory(1), SampleSpec{})
-			if err != nil || !ok {
-				b.Fatalf("replay: ok=%v err=%v", ok, err)
+			r, err := RunKernel(kernel, MOM, 4, PerfectMemory(1), ScaleTest)
+			if err != nil {
+				b.Fatal(err)
 			}
 			insts = r.Insts
 		}

@@ -160,7 +160,7 @@ func main() {
 			ts := mom.ReadTraceStats()
 			logger.Info("trace store at exit", "entries", s.Entries, "bytes", s.Bytes,
 				"disk_hits", ts.DiskHits, "disk_writes", ts.DiskWrites,
-				"peer_fetches", ts.PeerFetches, "stream_replays", ts.StreamReplays)
+				"peer_fetches", ts.PeerFetches)
 		}
 		logger.Info("drained cleanly")
 	}

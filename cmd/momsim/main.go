@@ -363,24 +363,17 @@ func runExperiment(ctx context.Context, exp string, sc mom.Scale, i mom.ISA, wid
 }
 
 // printTraceStats reports what the trace layer did during one experiment:
-// captures and replays with their wall-clock totals, any live-emulation
-// fall-backs, and the current cache occupancy.
+// captures and replays with their wall-clock totals, and the current cache
+// occupancy.
 func printTraceStats(exp string, before, after mom.TraceStats) {
-	captures := after.Captures - before.Captures
-	discarded := after.Discarded - before.Discarded
-	replays := after.Replays - before.Replays
-	live := after.LiveRuns - before.LiveRuns
-	fmt.Printf("# %s traces: %d captured (%v), %d discarded, %d replayed (%v), %d live runs (%d budget, %d fault); cache holds %d traces, %.1f MB\n",
-		exp, captures, (after.CaptureTime - before.CaptureTime).Round(time.Millisecond),
-		discarded,
-		replays, (after.ReplayTime - before.ReplayTime).Round(time.Millisecond),
-		live, after.LiveBudget-before.LiveBudget, after.LiveFault-before.LiveFault,
+	fmt.Printf("# %s traces: %d captured (%v), %d replayed (%v); cache holds %d traces, %.1f MB\n",
+		exp, after.Captures-before.Captures, (after.CaptureTime - before.CaptureTime).Round(time.Millisecond),
+		after.Replays-before.Replays, (after.ReplayTime - before.ReplayTime).Round(time.Millisecond),
 		after.CachedTraces, float64(after.CachedBytes)/(1<<20))
 	if st, ok := mom.TraceArtifactStats(); ok {
-		fmt.Printf("# %s artifacts: %d disk hits, %d disk misses, %d disk writes, %d stream replays; store holds %d artifacts, %.1f MB\n",
+		fmt.Printf("# %s artifacts: %d disk hits, %d disk misses, %d disk writes; store holds %d artifacts, %.1f MB\n",
 			exp, after.DiskHits-before.DiskHits, after.DiskMisses-before.DiskMisses,
-			after.DiskWrites-before.DiskWrites, after.StreamReplays-before.StreamReplays,
-			st.Entries, float64(st.Bytes)/(1<<20))
+			after.DiskWrites-before.DiskWrites, st.Entries, float64(st.Bytes)/(1<<20))
 	}
 }
 

@@ -4,15 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/cpu"
-	"repro/internal/emu"
 	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/par"
 	"repro/internal/regfile"
-	"repro/internal/trace"
 )
 
 // This file contains the drivers that regenerate every table and figure of
@@ -40,7 +36,9 @@ type KernelSpeedup struct {
 // relative to the 1-way Alpha machine.
 func Figure5(ctx context.Context, sc Scale) ([]KernelSpeedup, error) {
 	names := KernelNames()
-	warmTraces(ctx, false, names, AllISAs, sc)
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
 	type job struct {
 		kernel string
 		isa    ISA
@@ -57,7 +55,7 @@ func Figure5(ctx context.Context, sc Scale) ([]KernelSpeedup, error) {
 	rows := make([]KernelSpeedup, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, j.width, PerfectMemory(1), sc, SampleSpec{})
+		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, j.width, PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
@@ -100,7 +98,9 @@ type LatencyRow struct {
 // slow-downs of 3-9x for Alpha, 4-8x for MMX/MDMX and only 2-4x for MOM.
 func LatencyStudy(ctx context.Context, sc Scale, width int) ([]LatencyRow, error) {
 	names := KernelNames()
-	warmTraces(ctx, false, names, AllISAs, sc)
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
 	var jobs []struct {
 		kernel string
 		isa    ISA
@@ -116,11 +116,12 @@ func LatencyStudy(ctx context.Context, sc Scale, width int) ([]LatencyRow, error
 	rows := make([]LatencyRow, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		r1, err := runKernelCached(j.kernel, j.isa, width, PerfectMemory(1), sc, SampleSpec{})
+		key := traceKey{name: j.kernel, isa: j.isa, scale: sc}
+		r1, err := runWorkload(key, width, PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
-		r50, err := runKernelCached(j.kernel, j.isa, width, PerfectMemory(50), sc, SampleSpec{})
+		r50, err := runWorkload(key, width, PerfectMemory(50), SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
@@ -194,7 +195,9 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 			uniq = append(uniq, i)
 		}
 	}
-	warmTraces(ctx, true, names, uniq, sc)
+	if err := warmTraces(ctx, true, names, uniq, sc); err != nil {
+		return nil, err
+	}
 	widths := []int{4, 8}
 	type job struct {
 		app   string
@@ -212,7 +215,7 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 	rows := make([]AppSpeedup, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runAppCached(j.app, j.cfg.ISA, j.width, DetailedMemory(j.cfg.Cache), sc, sp)
+		res, err := runWorkload(traceKey{app: true, name: j.app, isa: j.cfg.ISA, scale: sc}, j.width, DetailedMemory(j.cfg.Cache), sp, nil)
 		if err != nil {
 			return err
 		}
@@ -280,7 +283,9 @@ func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 		return nil, err
 	}
 	names := KernelNames()
-	warmTraces(ctx, false, names, AllISAs, sc)
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
 	mems := []MemModel{PerfectMemory(1), PerfectMemory(50)}
 	type job struct {
 		kernel string
@@ -298,7 +303,7 @@ func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 	rows := make([]ProfileRow, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, width, j.mem, sc, sp)
+		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, width, j.mem, sp, nil)
 		if err != nil {
 			return err
 		}
@@ -330,7 +335,9 @@ type FetchRow struct {
 // magnitude more operations per instruction" argument.
 func FetchPressure(ctx context.Context, sc Scale) ([]FetchRow, error) {
 	names := KernelNames()
-	warmTraces(ctx, false, names, AllISAs, sc)
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
 	var jobs []struct {
 		kernel string
 		isa    ISA
@@ -346,7 +353,7 @@ func FetchPressure(ctx context.Context, sc Scale) ([]FetchRow, error) {
 	rows := make([]FetchRow, len(jobs))
 	err := par.For(ctx, len(jobs), func(idx int) error {
 		j := jobs[idx]
-		res, err := runKernelCached(j.kernel, j.isa, 4, PerfectMemory(1), sc, SampleSpec{})
+		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, 4, PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
@@ -472,14 +479,14 @@ type RegSweepRow struct {
 // variantCycles is the shared core of the resource ablations
 // (RegisterSweep, MemorySweep): run one traced workload across n machine
 // variants on a bounded pool and report each variant's cycle count. The
-// trace is captured once and replayed for every variant — it is width-
-// and resource-independent — with mk rebuilding the machine for the live
-// fallback; build returns variant i's processor and memory configuration.
-func variantCycles(ctx context.Context, n int, tr *trace.Trace, cause liveCause, mk func() *emu.Machine, build func(i int) (cpu.Config, mem.Model)) ([]int64, error) {
+// trace is acquired once and replayed for every variant — it is width-
+// and resource-independent; build returns variant i's processor and
+// memory configuration.
+func variantCycles(ctx context.Context, key traceKey, n int, build func(i int) (cpu.Config, mem.Model)) ([]int64, error) {
 	cycles := make([]int64, n)
 	err := par.For(ctx, n, func(i int) error {
 		cfg, model := build(i)
-		res, err := runConfig(cfg, model, tr, cause, mk)
+		res, err := replayTrace(key, cfg, model, SampleSpec{}, nil)
 		if err != nil {
 			return err
 		}
@@ -496,14 +503,8 @@ func variantCycles(ctx context.Context, n int, tr *trace.Trace, cause liveCause,
 // 4-way MOM machine and reports the cycle cost, showing performance
 // saturating around the paper's choice of 20.
 func RegisterSweep(ctx context.Context, sc Scale, kernel string) ([]RegSweepRow, error) {
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
-	if err != nil {
-		return nil, err
-	}
-	tr, cause := cachedTraceCause(traceKey{name: kernel, isa: MOM, scale: sc})
 	sizes := []int{17, 18, 20, 24, 32}
-	cycles, err := variantCycles(ctx, len(sizes), tr, cause,
-		func() *emu.Machine { return emu.New(k.Build(isa.ExtMOM)) },
+	cycles, err := variantCycles(ctx, traceKey{name: kernel, isa: MOM, scale: sc}, len(sizes),
 		func(i int) (cpu.Config, mem.Model) {
 			cfg := cpu.NewConfig(4, isa.ExtMOM)
 			cfg.MomPhys = sizes[i]
@@ -544,13 +545,7 @@ func MemorySweep(ctx context.Context, sc Scale, app string) ([]MemSweepRow, erro
 		{8, 2},
 		{8, 1},
 	}
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return nil, err
-	}
-	tr, cause := cachedTraceCause(traceKey{app: true, name: app, isa: MOM, scale: sc})
-	cycles, err := variantCycles(ctx, len(variants), tr, cause,
-		func() *emu.Machine { return emu.New(a.Build(isa.ExtMOM)) },
+	cycles, err := variantCycles(ctx, traceKey{app: true, name: app, isa: MOM, scale: sc}, len(variants),
 		func(i int) (cpu.Config, mem.Model) {
 			return cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{
 				Width: 4, Mode: mem.ModeMultiAddress, MSHRs: variants[i].mshrs, L1Banks: variants[i].banks,

@@ -5,14 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/apps"
-	"repro/internal/cpu"
-	"repro/internal/emu"
-	"repro/internal/isa"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/trace"
 )
 
 // HotspotRow attributes a run's cycles to one static instruction: its
@@ -82,73 +76,19 @@ func (h HotspotReport) CheckInvariants() error {
 	return nil
 }
 
-// runObserved times one workload with an observer attached to the pipeline,
-// replaying the cached trace when one is available and falling back to live
-// emulation otherwise (both paths publish identical event streams).
-// Under a sampling regime the observer sees measured-interval instructions
-// only, so per-PC aggregations still sum exactly to the (measured-interval)
-// run profile.
-func runObserved(app bool, name string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec, o obs.Observer) (Result, error) {
-	key := traceKey{app: app, name: name, isa: i, scale: sc}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	sim.Obs = o
-	var src trace.Source
-	tr, cause := cachedTraceCause(key)
-	switch {
-	case tr != nil:
-		traceStats.replays.Add(1)
-		src = tr.Reader()
-	default:
-		if cause == liveBudget {
-			// The trace would not fit RAM but may be persisted: stream it.
-			if st, closer, ok := openArtifactStream(key); ok {
-				defer closer.Close()
-				traceStats.replays.Add(1)
-				traceStats.streamReplays.Add(1)
-				src = st
-			}
-		}
-		if src == nil {
-			countLiveRun(cause)
-			var mk *emu.Machine
-			if app {
-				a, err := apps.ByName(name, apps.Scale(sc))
-				if err != nil {
-					return Result{}, err
-				}
-				mk = emu.New(a.Build(i.ext()))
-			} else {
-				k, err := kernels.ByName(name, kernels.Scale(sc))
-				if err != nil {
-					return Result{}, err
-				}
-				mk = emu.New(k.Build(i.ext()))
-			}
-			src = trace.NewLive(mk)
-		}
-	}
-	res, err := sim.RunSampled(src, maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", name, i, width, err)
-	}
-	return fromCPU(name, i, width, m.Name(), res), nil
-}
-
 // hotspotReport times one workload with a Hotspot aggregator attached and
 // assembles the per-PC report, rows sorted by attributed cycles (then PC).
+// Under a sampling regime the observer sees measured-interval instructions
+// only, so the per-PC rows still sum exactly to the (measured-interval) run
+// profile.
 func hotspotReport(app bool, name string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (HotspotReport, error) {
-	var p *isa.Program
-	var err error
-	if app {
-		p, err = BuildApp(name, i, sc)
-	} else {
-		p, err = BuildKernel(name, i, sc)
-	}
+	key := traceKey{app: app, name: name, isa: i, scale: sc}
+	p, err := key.program()
 	if err != nil {
 		return HotspotReport{}, err
 	}
 	hot := obs.NewHotspot(len(p.Insts))
-	res, err := runObserved(app, name, i, width, m, sc, sp, hot)
+	res, err := runWorkload(key, width, m, sp, hot)
 	if err != nil {
 		return HotspotReport{}, err
 	}
@@ -223,7 +163,9 @@ func HotspotStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 		return nil, err
 	}
 	names := KernelNames()
-	warmTraces(ctx, false, names, AllISAs, sc)
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
 	type job struct {
 		name string
 		isa  ISA

@@ -302,13 +302,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP momserved_trace_replays_total Timing runs fed from a recorded trace.")
 	fmt.Fprintln(w, "# TYPE momserved_trace_replays_total counter")
 	fmt.Fprintf(w, "momserved_trace_replays_total %d\n", ts.Replays)
-	fmt.Fprintln(w, "# HELP momserved_trace_live_runs_total Timing runs that fell back to live emulation, by cause.")
-	fmt.Fprintln(w, "# TYPE momserved_trace_live_runs_total counter")
-	fmt.Fprintf(w, "momserved_trace_live_runs_total{cause=\"budget\"} %d\n", ts.LiveBudget)
-	fmt.Fprintf(w, "momserved_trace_live_runs_total{cause=\"fault\"} %d\n", ts.LiveFault)
-	fmt.Fprintln(w, "# HELP momserved_trace_discarded_total Trace captures discarded by the cache budget.")
-	fmt.Fprintln(w, "# TYPE momserved_trace_discarded_total counter")
-	fmt.Fprintf(w, "momserved_trace_discarded_total %d\n", ts.Discarded)
 	fmt.Fprintln(w, "# HELP momserved_trace_capture_seconds_total Wall-clock spent capturing traces.")
 	fmt.Fprintln(w, "# TYPE momserved_trace_capture_seconds_total counter")
 	fmt.Fprintf(w, "momserved_trace_capture_seconds_total %g\n", ts.CaptureTime.Seconds())
@@ -335,9 +328,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# HELP momserved_trace_fetches_total Traces filled from a peer's artifact store.")
 	fmt.Fprintln(w, "# TYPE momserved_trace_fetches_total counter")
 	fmt.Fprintf(w, "momserved_trace_fetches_total %d\n", ts.PeerFetches)
-	fmt.Fprintln(w, "# HELP momserved_trace_stream_replays_total Replays streamed straight from a disk artifact.")
-	fmt.Fprintln(w, "# TYPE momserved_trace_stream_replays_total counter")
-	fmt.Fprintf(w, "momserved_trace_stream_replays_total %d\n", ts.StreamReplays)
 
 	// Trace artifact store occupancy.
 	if s.cfg.TraceStore != nil {

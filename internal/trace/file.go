@@ -14,10 +14,10 @@ package trace
 // chunk frame is a 16-byte little-endian prelude — record count, effective-
 // address count, stride count, CRC32 of the frame payload — followed by the
 // chunk's columns (si, meta, ea, stride) packed little-endian. Per-frame
-// checksums instead of one trailing digest are what make streaming replay
-// safe: a decoder can hand records to the timing model as soon as a frame
-// verifies, while any corruption — bit rot, truncation, a record-count lie —
-// is caught no later than the frame it occurs in.
+// checksums instead of one trailing digest let the decoder verify each
+// frame as it reads it, through one frame of scratch memory, so any
+// corruption — bit rot, truncation, a record-count lie — is caught no later
+// than the frame it occurs in.
 //
 // The static program is deliberately NOT serialized: workload builders are
 // deterministic, so the loader rebuilds the program from (workload, ISA,
@@ -36,7 +36,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
@@ -168,9 +167,8 @@ func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, e
 	return records, chunks, nil
 }
 
-// readFrame reads and verifies one chunk frame into c, reusing its column
-// capacity. last marks the final chunk, the only one allowed fewer than
-// chunkRecords records.
+// readFrame reads and verifies one chunk frame into c. last marks the final
+// chunk, the only one allowed fewer than chunkRecords records.
 func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -195,10 +193,10 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	if crc32.ChecksumIEEE(buf) != crc {
 		return fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
 	}
-	c.si = grow(c.si, nrec)
-	c.meta = grow(c.meta, nrec)
-	c.ea = grow(c.ea, nea)
-	c.stride = grow(c.stride, nstr)
+	c.si = make([]int32, nrec)
+	c.meta = make([]uint8, nrec)
+	c.ea = make([]uint64, nea)
+	c.stride = make([]int64, nstr)
 	for i := 0; i < nrec; i++ {
 		c.si[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
@@ -212,14 +210,6 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 		c.stride[i] = int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
 	}
 	return nil
-}
-
-// grow returns s resized to n, reallocating only when capacity is short.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // checkChunk validates a decoded chunk's cross-column consistency against
@@ -251,176 +241,35 @@ func checkChunk(c *chunk, static []sinst) error {
 // the given program. Any mismatch — version, fingerprint, framing,
 // checksum, truncation — is an error wrapping ErrFormat.
 func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
-	tr, _, err := DecodeGranted(r, p, nil)
-	return tr, err
-}
-
-// DecodeGranted is Decode drawing the decoded trace's memory from an
-// external budget, exactly like CaptureGranted: reserve is called with the
-// in-memory byte cost of each chunk before it is materialised and may
-// refuse, which aborts the decode with an error wrapping ErrTooLarge (the
-// artifact itself is fine — the caller may stream it instead). granted
-// reports the total bytes reserved; on success it equals tr.Bytes(), and
-// releasing it back to the budget is the caller's responsibility. A nil
-// reserve admits everything.
-func DecodeGranted(r io.Reader, p *isa.Program, reserve func(int64) bool) (tr *Trace, granted int64, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	records, chunks, err := readHeader(br, p)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	t := &Trace{prog: p, n: records, chunks: make([]chunk, chunks)}
 	var scratch []byte
 	for i := 0; i < chunks; i++ {
 		c := &t.chunks[i]
 		if err := readFrame(br, c, &scratch, i == chunks-1); err != nil {
-			return nil, granted, err
+			return nil, err
 		}
-		cost := frameSize(len(c.si), len(c.ea), len(c.stride))
-		if reserve != nil && !reserve(cost) {
-			return nil, granted, fmt.Errorf("%w: %s needs %d more bytes", ErrTooLarge, p.Name, cost)
-		}
-		granted += cost
-		t.bytes += cost
+		t.bytes += frameSize(len(c.si), len(c.ea), len(c.stride))
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, granted, fmt.Errorf("%w: trailing bytes after %d chunks", ErrFormat, chunks)
+		return nil, fmt.Errorf("%w: trailing bytes after %d chunks", ErrFormat, chunks)
 	}
 	var got uint64
 	for i := range t.chunks {
 		got += uint64(len(t.chunks[i].si))
 	}
 	if got != records {
-		return nil, granted, fmt.Errorf("%w: %d records decoded, header says %d", ErrFormat, got, records)
+		return nil, fmt.Errorf("%w: %d records decoded, header says %d", ErrFormat, got, records)
 	}
 	t.static = buildStatic(p)
 	for i := range t.chunks {
 		if err := checkChunk(&t.chunks[i], t.static); err != nil {
-			return nil, granted, err
+			return nil, err
 		}
 	}
-	return t, granted, nil
-}
-
-// Stream replays an artifact directly from an io.Reader as a Source,
-// decoding one verified chunk frame at a time: the timing simulator starts
-// consuming records after the first ~330 KB frame lands instead of waiting
-// for the whole file, and peak decoder memory is one chunk regardless of
-// trace size. Corruption discovered mid-stream ends the stream (Next
-// returns false) and surfaces through Err, which cpu.Sim.Run/RunSampled
-// check at end of stream — a half-replayed damaged artifact can never
-// produce a silently wrong result.
-type Stream struct {
-	prog    *isa.Program
-	static  []sinst
-	br      *bufio.Reader
-	scratch []byte
-
-	records uint64 // header-declared total
-	chunks  int    // header-declared frame count
-	read    int    // frames consumed so far
-
-	cur           chunk
-	ri, eaI, strI int
-	pos           uint64
-	err           error
-}
-
-// NewStream opens a streaming decoder over an artifact for the given
-// program. The header is read and verified eagerly, so version skew,
-// fingerprint mismatch and garbage files fail here — before the caller has
-// committed a timing run to the stream.
-func NewStream(r io.Reader, p *isa.Program) (*Stream, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	records, chunks, err := readHeader(br, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{prog: p, static: buildStatic(p), br: br, records: records, chunks: chunks}, nil
-}
-
-// Program returns the program the stream replays.
-func (s *Stream) Program() *isa.Program { return s.prog }
-
-// Records returns the header-declared record count.
-func (s *Stream) Records() uint64 { return s.records }
-
-// Pos returns how many records have been reconstructed so far.
-func (s *Stream) Pos() uint64 { return s.pos }
-
-// Err reports the corruption or I/O fault that terminated the stream, if
-// any. It is nil after a complete, verified replay.
-func (s *Stream) Err() error { return s.err }
-
-// advance loads and verifies the next chunk frame.
-func (s *Stream) advance() bool {
-	if s.err != nil {
-		return false
-	}
-	if s.read == s.chunks {
-		if s.pos != s.records {
-			s.err = fmt.Errorf("%w: stream ended at record %d of %d", ErrFormat, s.pos, s.records)
-		} else if _, err := s.br.ReadByte(); err != io.EOF {
-			s.err = fmt.Errorf("%w: trailing bytes after %d chunks", ErrFormat, s.chunks)
-		}
-		return false
-	}
-	if err := readFrame(s.br, &s.cur, &s.scratch, s.read == s.chunks-1); err != nil {
-		s.err = err
-		return false
-	}
-	want := chunkRecords
-	if s.read == s.chunks-1 {
-		want = int(s.records - uint64(s.chunks-1)*chunkRecords)
-	}
-	if len(s.cur.si) != want {
-		s.err = fmt.Errorf("%w: frame %d holds %d records, header implies %d", ErrFormat, s.read, len(s.cur.si), want)
-		return false
-	}
-	if err := checkChunk(&s.cur, s.static); err != nil {
-		s.err = err
-		return false
-	}
-	s.read++
-	s.ri, s.eaI, s.strI = 0, 0, 0
-	return true
-}
-
-// Next reconstructs the next dynamic instruction, decoding the next frame
-// when the current one is exhausted.
-func (s *Stream) Next() (emu.Dyn, bool) {
-	if s.ri >= len(s.cur.si) {
-		if !s.advance() {
-			return emu.Dyn{}, false
-		}
-	}
-	c := &s.cur
-	si := c.si[s.ri]
-	meta := c.meta[s.ri]
-	s.ri++
-	s.pos++
-	st := &s.static[si]
-	d := emu.Dyn{
-		SI:    int(si),
-		Op:    st.op,
-		Class: st.class,
-		Taken: meta&metaTaken != 0,
-		VL:    int(meta &^ metaTaken),
-	}
-	if st.class == isa.ClassBranch {
-		d.Target = int(st.target)
-	}
-	switch st.mem {
-	case memScalar:
-		d.EA = c.ea[s.eaI]
-		s.eaI++
-		d.NElem, d.Size = 1, int(st.size)
-	case memVector:
-		d.EA = c.ea[s.eaI]
-		s.eaI++
-		d.Stride = c.stride[s.strI]
-		s.strI++
-		d.NElem, d.Size = d.VL, int(st.size)
-	}
-	return d, true
+	return t, nil
 }

@@ -61,8 +61,7 @@ func drain(t *testing.T, src Source) []emu.Dyn {
 }
 
 // TestArtifactRoundTrip checks encode → decode → re-encode byte identity and
-// record-for-record replay equality, for both the materialising decoder and
-// the streaming one, across kernels and ISAs.
+// record-for-record replay equality across kernels and ISAs.
 func TestArtifactRoundTrip(t *testing.T) {
 	for _, name := range []string{"idct", "motion1"} {
 		for _, ext := range []isa.Ext{isa.ExtAlpha, isa.ExtMOM} {
@@ -86,24 +85,13 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 				want := drain(t, tr.Reader())
 				got := drain(t, dec.Reader())
-				st, err := NewStream(bytes.NewReader(blob), p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				streamed := drain(t, st)
-				if len(got) != len(want) || len(streamed) != len(want) {
-					t.Fatalf("replay lengths: capture %d, decode %d, stream %d", len(want), len(got), len(streamed))
+				if len(got) != len(want) {
+					t.Fatalf("replay lengths: capture %d, decode %d", len(want), len(got))
 				}
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("record %d: decoded %+v != captured %+v", i, got[i], want[i])
 					}
-					if streamed[i] != want[i] {
-						t.Fatalf("record %d: streamed %+v != captured %+v", i, streamed[i], want[i])
-					}
-				}
-				if st.Pos() != st.Records() {
-					t.Fatalf("stream consumed %d of %d records", st.Pos(), st.Records())
 				}
 			})
 		}
@@ -121,18 +109,6 @@ func TestArtifactCorruption(t *testing.T) {
 		t.Helper()
 		if _, err := Decode(bytes.NewReader(data), p); !errors.Is(err, ErrFormat) {
 			t.Fatalf("Decode accepted damaged artifact (err=%v)", err)
-		}
-		st, err := NewStream(bytes.NewReader(data), p)
-		if err == nil {
-			for {
-				if _, ok := st.Next(); !ok {
-					break
-				}
-			}
-			err = st.Err()
-		}
-		if !errors.Is(err, ErrFormat) {
-			t.Fatalf("Stream accepted damaged artifact (err=%v)", err)
 		}
 	}
 
@@ -162,7 +138,7 @@ func TestArtifactCorruption(t *testing.T) {
 	})
 	t.Run("record count lie", func(t *testing.T) {
 		// Rewrite the header to claim one record fewer; framing no longer
-		// adds up and both decoders must notice.
+		// adds up and the decoder must notice.
 		var fp string
 		var records uint64
 		var chunks int
@@ -172,90 +148,4 @@ func TestArtifactCorruption(t *testing.T) {
 		hdr := []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, fp, records-1, chunks))
 		check(t, append(hdr, blob[headerLen:]...))
 	})
-}
-
-// TestStreamEarlyError verifies a mid-file flip stops the stream with an
-// error only after the verified prefix replayed intact: streaming hands out
-// no unverified records.
-func TestStreamEarlyError(t *testing.T) {
-	// Any kernel with a multi-chunk trace will do; Alpha traces are the
-	// longest (no vector compression of the dynamic stream).
-	var tr *Trace
-	var p *isa.Program
-	for _, k := range kernels.All(kernels.ScaleTest) {
-		tr, p = captureKernel(t, k.Name, isa.ExtAlpha)
-		if tr.Chunks() >= 2 {
-			break
-		}
-	}
-	if tr == nil || tr.Chunks() < 2 {
-		t.Skip("no multi-chunk trace available at test scale")
-	}
-	blob := encode(t, tr)
-	headerLen := bytes.IndexByte(blob, '\n') + 1
-	// Damage a byte inside the SECOND frame; the first frame must replay.
-	firstFrame := headerLen + frameHeaderLen + int(frameSize(chunkRecords, len(tr.chunks[0].ea), len(tr.chunks[0].stride)))
-	data := append([]byte(nil), blob...)
-	data[firstFrame+frameHeaderLen+10] ^= 1
-
-	st, err := NewStream(bytes.NewReader(data), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drain(t, tr.Reader())
-	var n int
-	for {
-		d, ok := st.Next()
-		if !ok {
-			break
-		}
-		if d != want[n] {
-			t.Fatalf("record %d: streamed %+v != captured %+v", n, d, want[n])
-		}
-		n++
-	}
-	if n != chunkRecords {
-		t.Fatalf("stream yielded %d records before the damaged frame, want %d", n, chunkRecords)
-	}
-	if !errors.Is(st.Err(), ErrFormat) {
-		t.Fatalf("stream ended without surfacing the corruption: %v", st.Err())
-	}
-}
-
-// TestDecodeGrantedBudget: a refused reservation aborts with ErrTooLarge and
-// reports exactly the bytes granted so far; an exact budget succeeds with
-// granted == Bytes().
-func TestDecodeGrantedBudget(t *testing.T) {
-	tr, p := captureKernel(t, "idct", isa.ExtMOM)
-	blob := encode(t, tr)
-
-	var granted int64
-	trDec, got, err := DecodeGranted(bytes.NewReader(blob), p, func(n int64) bool {
-		if granted+n > tr.Bytes() {
-			return false
-		}
-		granted += n
-		return true
-	})
-	if err != nil || trDec == nil {
-		t.Fatalf("exact budget refused: %v", err)
-	}
-	if got != tr.Bytes() || granted != tr.Bytes() {
-		t.Fatalf("granted %d/%d, want %d", got, granted, tr.Bytes())
-	}
-
-	var small int64
-	_, got, err = DecodeGranted(bytes.NewReader(blob), p, func(n int64) bool {
-		if small+n > tr.Bytes()/2 {
-			return false
-		}
-		small += n
-		return true
-	})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("half budget: err=%v, want ErrTooLarge", err)
-	}
-	if got != small {
-		t.Fatalf("reported granted %d, reserved %d", got, small)
-	}
 }

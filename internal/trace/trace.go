@@ -6,11 +6,12 @@
 // instruction stream in a compact chunked encoding, and any number of
 // Readers replay it — concurrently — into cpu.Sim.Run.
 //
-// The timing model consumes the Source interface, which both a live
-// emulator (Live) and a recorded trace (Reader) implement, so correctness
-// never depends on a trace being available. The equivalence extends to the
-// observability layer: a timing run publishes the identical obs.Event
-// stream whether it is fed live or from a recording (enforced by
+// The timing model consumes the Source interface. A recorded trace (Reader)
+// feeds every timing run of a registered workload; the live emulator (Live)
+// implements Source too, as the oracle the tests check replay against and
+// for programs outside the workload set. Replay and live emulation agree
+// record for record, and a timing run publishes the identical obs.Event
+// stream from either (enforced by TestTraceReplayEquivalence and
 // TestTraceReplayEventEquivalence in the root package).
 package trace
 
@@ -139,7 +140,7 @@ func (t *Trace) SetAux(key, val any) {
 }
 
 // ErrTooLarge is returned by Capture when the encoded trace would exceed
-// the byte budget; callers fall back to live interleaved emulation.
+// the caller's maxBytes bound.
 var ErrTooLarge = errors.New("trace: exceeds memory budget")
 
 // memSize returns the element size in bytes of a memory opcode.
@@ -173,35 +174,10 @@ func buildStatic(p *isa.Program) []sinst {
 	return st
 }
 
-// Capture runs the machine to completion, recording its dynamic stream.
-// It fails if the program faults, exceeds maxSteps dynamic instructions, or
-// (when maxBytes > 0) the encoding grows past maxBytes.
-func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
-	var have int64
-	tr, _, err := CaptureGranted(m, maxSteps, func(n int64) bool {
-		if maxBytes > 0 && have+n > maxBytes {
-			return false
-		}
-		have += n
-		return true
-	})
-	return tr, err
-}
-
-// Grant sizes of CaptureGranted: memory is reserved a quantum at a time so
-// concurrent captures sharing one budget interleave small reservations
-// instead of each claiming the whole remainder up front; near exhaustion
-// the requests drop to the fine quantum so a trace that fits the leftover
-// budget (to within grantFine bytes) is still admitted.
-const (
-	grantQuantum = 256 << 10
-	grantFine    = 4 << 10
-)
-
 // CaptureInfo describes one finished capture attempt to an observer
 // registered with SetCaptureHook: which program was recorded, when the
 // capture started and how long it ran, and — on success — the encoded
-// size and record count. Err is non-nil for faults and budget discards.
+// size and record count. Err is non-nil when the capture failed.
 type CaptureInfo struct {
 	Program  string
 	Start    time.Time
@@ -216,10 +192,10 @@ type CaptureInfo struct {
 var captureHook atomic.Pointer[func(CaptureInfo)]
 
 // SetCaptureHook registers a process-wide observer called after every
-// capture attempt (trace.Capture and trace.CaptureGranted alike) with its
-// span: start time, wall-clock duration, outcome. The momserved flight
-// recorder uses it to attribute trace-capture time inside job timelines.
-// Pass nil to remove the hook. The hook must be safe for concurrent calls.
+// Capture with its span: start time, wall-clock duration, outcome. The
+// momserved flight recorder uses it to attribute trace-capture time inside
+// job timelines. Pass nil to remove the hook. The hook must be safe for
+// concurrent calls.
 func SetCaptureHook(h func(CaptureInfo)) {
 	if h == nil {
 		captureHook.Store(nil)
@@ -228,13 +204,10 @@ func SetCaptureHook(h func(CaptureInfo)) {
 	captureHook.Store(&h)
 }
 
-// CaptureGranted is Capture drawing its memory from an external budget:
-// reserve is called with grant requests as the encoding grows, and may
-// refuse, which aborts the capture with an error wrapping ErrTooLarge.
-// granted reports the total bytes reserved — surplus over tr.Bytes() on
-// success, everything on failure; releasing it back to the budget is the
-// caller's responsibility.
-func CaptureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (tr *Trace, granted int64, err error) {
+// Capture runs the machine to completion, recording its dynamic stream.
+// It fails if the program faults, exceeds maxSteps dynamic instructions, or
+// (when maxBytes > 0) the encoding grows past maxBytes.
+func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err error) {
 	if h := captureHook.Load(); h != nil {
 		start := time.Now()
 		defer func() {
@@ -245,10 +218,10 @@ func CaptureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 			(*h)(info)
 		}()
 	}
-	return captureGranted(m, maxSteps, reserve)
+	return capture(m, maxSteps, maxBytes)
 }
 
-func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (tr *Trace, granted int64, err error) {
+func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 	t := &Trace{prog: m.Prog}
 	var c *chunk
 	var bytes int64
@@ -258,7 +231,7 @@ func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 			break
 		}
 		if t.n >= maxSteps {
-			return nil, granted, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
+			return nil, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
 		}
 		if c == nil || len(c.si) == chunkRecords {
 			t.chunks = append(t.chunks, chunk{
@@ -283,23 +256,16 @@ func captureGranted(m *emu.Machine, maxSteps uint64, reserve func(int64) bool) (
 			}
 		}
 		t.n++
-		for bytes > granted {
-			switch {
-			case reserve(grantQuantum):
-				granted += grantQuantum
-			case reserve(grantFine):
-				granted += grantFine
-			default:
-				return nil, granted, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, granted)
-			}
+		if maxBytes > 0 && bytes > maxBytes {
+			return nil, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, maxBytes)
 		}
 	}
 	if m.Err != nil {
-		return nil, granted, m.Err
+		return nil, m.Err
 	}
 	t.static = buildStatic(m.Prog)
 	t.bytes = bytes
-	return t, granted, nil
+	return t, nil
 }
 
 // Program returns the traced program.

@@ -25,11 +25,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cpu"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // ISA selects the instruction-set level of a program and machine.
@@ -264,19 +262,10 @@ func KernelNames() []string {
 // maxDynInsts is the safety cap on dynamic instructions per run.
 const maxDynInsts = 400_000_000
 
-// RunKernel times one kernel on one machine configuration.
+// RunKernel times one kernel on one machine configuration, replaying the
+// kernel's trace from the process trace cache (captured on first use).
 func RunKernel(kernel string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	p := k.Build(i.ext())
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.Run(trace.NewLive(emu.New(p)), maxDynInsts)
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", kernel, i, width, err)
-	}
-	return fromCPU(kernel, i, width, m.Name(), res), nil
+	return runWorkload(traceKey{name: kernel, isa: i, scale: sc}, width, m, SampleSpec{}, nil)
 }
 
 // VerifyKernel runs a kernel functionally and checks bit-exactness against
@@ -292,19 +281,10 @@ func VerifyKernel(kernel string, i ISA, sc Scale) error {
 // AppNames lists the five applications of the program-level study.
 func AppNames() []string { return apps.Names() }
 
-// RunApp times one full application on one machine configuration.
+// RunApp times one full application on one machine configuration, like
+// RunKernel.
 func RunApp(app string, i ISA, width int, m MemModel, sc Scale) (Result, error) {
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	p := a.Build(i.ext())
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.Run(trace.NewLive(emu.New(p)), maxDynInsts)
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", app, i, width, err)
-	}
-	return fromCPU(app, i, width, m.Name(), res), nil
+	return runWorkload(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, SampleSpec{}, nil)
 }
 
 // VerifyApp runs an application functionally and checks its outputs.

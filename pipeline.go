@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/isa"
 	"repro/internal/obs"
 )
 
@@ -31,13 +30,8 @@ func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scal
 	if opt.Konata == nil && opt.Chrome == nil {
 		return PipelineExport{}, fmt.Errorf("mom: pipeline export needs at least one output (Konata or Chrome)")
 	}
-	var p *isa.Program
-	var err error
-	if app {
-		p, err = BuildApp(name, i, sc)
-	} else {
-		p, err = BuildKernel(name, i, sc)
-	}
+	key := traceKey{app: app, name: name, isa: i, scale: sc}
+	p, err := key.program()
 	if err != nil {
 		return PipelineExport{}, err
 	}
@@ -56,7 +50,7 @@ func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scal
 		cw = obs.NewChrome(opt.Chrome, opt.Start, opt.Count, disasm)
 		observers = append(observers, cw)
 	}
-	res, err := runObserved(app, name, i, width, m, sc, SampleSpec{}, obs.Multi(observers...))
+	res, err := runWorkload(key, width, m, SampleSpec{}, obs.Multi(observers...))
 	if err != nil {
 		return PipelineExport{}, err
 	}

@@ -143,16 +143,15 @@ func estOrExactCycles(r Result) int64 {
 	return r.Cycles
 }
 
-// RunKernelSampled times one kernel under the sampling regime. Unlike the
-// always-live RunKernel it routes through the trace cache: functional
-// fast-forward only wins wall-clock when it skips over a recording instead
-// of re-emulating, so sampled runs capture once and sample the replay. A
-// disabled spec reproduces RunKernel's result exactly.
+// RunKernelSampled times one kernel under the sampling regime, sampling the
+// replay of the kernel's trace: functional fast-forward skips over the
+// recording instead of re-emulating. A disabled spec reproduces RunKernel's
+// result exactly.
 func RunKernelSampled(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
 	if err := sp.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runKernelCached(kernel, i, width, m, sc, sp)
+	return runWorkload(traceKey{name: kernel, isa: i, scale: sc}, width, m, sp, nil)
 }
 
 // RunAppSampled is RunKernelSampled for a full application.
@@ -160,5 +159,5 @@ func RunAppSampled(app string, i ISA, width int, m MemModel, sc Scale, sp Sample
 	if err := sp.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runAppCached(app, i, width, m, sc, sp)
+	return runWorkload(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, sp, nil)
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/emu"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -26,11 +25,35 @@ var equivConfigs = []struct {
 	{8, DetailedMemory(MultiAddress)},
 }
 
+// liveSource is a fresh emulator for one test-scale workload: the source
+// of the live oracle, stepped in lockstep with the timing model.
+func liveSource(t testing.TB, app bool, name string, i ISA) trace.Source {
+	t.Helper()
+	p, err := traceKey{app: app, name: name, isa: i, scale: ScaleTest}.program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.NewLive(emu.New(p))
+}
+
+// runLive is the live oracle the replay tests check against: it times one
+// test-scale workload by interleaving emulation and timing (cpu.Sim.Run
+// over trace.NewLive), with no recording and no trace cache in between.
+func runLive(t testing.TB, app bool, name string, i ISA, width int, m MemModel) Result {
+	t.Helper()
+	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
+	res, err := sim.Run(liveSource(t, app, name, i), maxDynInsts)
+	if err != nil {
+		t.Fatalf("live %s on %s/%d-way %s: %v", name, i, width, m.Name(), err)
+	}
+	return fromCPU(name, i, width, m.Name(), res)
+}
+
 // TestTraceReplayEquivalence is the contract of the capture/replay engine:
-// timing a workload from its recorded trace must produce a Result
-// field-for-field identical to the live interleaved emulate-and-time path,
-// for every kernel on every ISA, at a narrow and a wide machine, under both
-// the idealised and the detailed memory system.
+// timing a workload from its recorded trace (RunKernel) must produce a
+// Result field-for-field identical to the live interleaved
+// emulate-and-time oracle, for every kernel on every ISA, at a narrow and a
+// wide machine, under both the idealised and the detailed memory system.
 func TestTraceReplayEquivalence(t *testing.T) {
 	for _, k := range KernelNames() {
 		for _, i := range AllISAs {
@@ -38,17 +61,10 @@ func TestTraceReplayEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", k, i), func(t *testing.T) {
 				t.Parallel()
 				for _, c := range equivConfigs {
-					live, err := RunKernel(k, i, c.width, c.model, ScaleTest)
-					if err != nil {
-						t.Fatalf("live %d-way %s: %v", c.width, c.model.Name(), err)
-					}
-					key := traceKey{name: k, isa: i, scale: ScaleTest}
-					replay, ok, err := runTraced(key, c.width, c.model, SampleSpec{})
+					live := runLive(t, false, k, i, c.width, c.model)
+					replay, err := RunKernel(k, i, c.width, c.model, ScaleTest)
 					if err != nil {
 						t.Fatalf("replay %d-way %s: %v", c.width, c.model.Name(), err)
-					}
-					if !ok {
-						t.Fatalf("no trace captured for %s/%s", k, i)
 					}
 					if !reflect.DeepEqual(live, replay) {
 						t.Errorf("%d-way %s: replay diverges from live\nlive:   %+v\nreplay: %+v",
@@ -105,13 +121,6 @@ func TestTraceReplayEventEquivalence(t *testing.T) {
 		_, err := sim.Run(src, maxDynInsts)
 		return d, err
 	}
-	liveSource := func(k string, i ISA) trace.Source {
-		kk, err := kernels.ByName(k, kernels.Scale(ScaleTest))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trace.NewLive(emu.New(kk.Build(i.ext())))
-	}
 	for _, k := range KernelNames() {
 		for _, i := range AllISAs {
 			k, i := k, i
@@ -125,7 +134,7 @@ func TestTraceReplayEventEquivalence(t *testing.T) {
 					width int
 					model MemModel
 				}{{4, PerfectMemory(1)}, {4, DetailedMemory(MultiAddress)}} {
-					live, err := runDigest(k, i, c.width, c.model, liveSource(k, i))
+					live, err := runDigest(k, i, c.width, c.model, liveSource(t, false, k, i))
 					if err != nil {
 						t.Fatalf("live %s: %v", c.model.Name(), err)
 					}
@@ -157,7 +166,7 @@ func TestTraceReplayEventEquivalence(t *testing.T) {
 		}
 		return rec.Events
 	}
-	live := record(liveSource("idct", MOM))
+	live := record(liveSource(t, false, "idct", MOM))
 	replay := record(tr.Reader())
 	if !reflect.DeepEqual(live, replay) {
 		for n := range live {
@@ -178,17 +187,10 @@ func TestTraceReplayEquivalenceApps(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s", a, i), func(t *testing.T) {
 			t.Parallel()
 			for _, c := range equivConfigs {
-				live, err := RunApp(a, i, c.width, c.model, ScaleTest)
-				if err != nil {
-					t.Fatalf("live %d-way %s: %v", c.width, c.model.Name(), err)
-				}
-				key := traceKey{app: true, name: a, isa: i, scale: ScaleTest}
-				replay, ok, err := runTraced(key, c.width, c.model, SampleSpec{})
+				live := runLive(t, true, a, i, c.width, c.model)
+				replay, err := RunApp(a, i, c.width, c.model, ScaleTest)
 				if err != nil {
 					t.Fatalf("replay %d-way %s: %v", c.width, c.model.Name(), err)
-				}
-				if !ok {
-					t.Fatalf("no trace captured for %s/%s", a, i)
 				}
 				if !reflect.DeepEqual(live, replay) {
 					t.Errorf("%d-way %s: replay diverges from live\nlive:   %+v\nreplay: %+v",

@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"io"
 	"sync/atomic"
 
@@ -114,96 +113,42 @@ func (k traceKey) artifactKey() string {
 	return TraceArtifactKey(k.app, k.name, k.isa, k.scale)
 }
 
-// program rebuilds the workload's static program — the builders are
-// deterministic, so this is the program the artifact's fingerprint is
-// checked against.
-func (k traceKey) program() (*isa.Program, error) {
-	if k.app {
-		return BuildApp(k.name, k.isa, k.scale)
-	}
-	return BuildKernel(k.name, k.isa, k.scale)
-}
-
-// decodeBudgeted materialises an artifact under the shared RAM trace-cache
-// budget, with the same quantum-free exact reservations the capture path
-// uses (DecodeGranted reserves each chunk's cost before materialising it).
-// budgetRefused distinguishes "would not fit in RAM right now" — the
-// artifact is fine, replay can stream it — from corruption.
-func decodeBudgeted(r io.Reader, prog *isa.Program) (tr *trace.Trace, budgetRefused bool, err error) {
-	reserve := func(n int64) bool {
-		traceCache.mu.Lock()
-		defer traceCache.mu.Unlock()
-		if traceCache.bytes+traceCache.reserved+n > TraceCacheBytes {
-			return false
-		}
-		traceCache.reserved += n
-		return true
-	}
-	tr, granted, err := trace.DecodeGranted(r, prog, reserve)
-	traceCache.mu.Lock()
-	traceCache.reserved -= granted
-	if err == nil {
-		traceCache.bytes += tr.Bytes()
-	}
-	traceCache.mu.Unlock()
-	if err != nil {
-		if errors.Is(err, trace.ErrTooLarge) {
-			return nil, true, err
-		}
-		return nil, false, err
-	}
-	return tr, false, nil
-}
-
 // loadArtifact fills one empty RAM-cache slot from the artifact layer:
-// local disk first, then the peer fetcher, either decoding under the RAM
-// budget. A fetched artifact is written through to the local store so the
-// next restart finds it on disk. tr == nil with budgetRefused == true means
-// a valid artifact exists but cannot be materialised within TraceCacheBytes
-// right now; runTraced streams it from disk instead of running live.
-func loadArtifact(key traceKey) (tr *trace.Trace, budgetRefused bool) {
+// local disk first, then the peer fetcher. A fetched artifact is written
+// through to the local store so the next restart finds it on disk. It
+// returns nil on a miss; a damaged local artifact is dropped and counts as
+// a miss.
+func loadArtifact(key traceKey, prog *isa.Program) *trace.Trace {
 	st := artifactStore.Load()
 	f := traceFetcher.Load()
 	if st == nil && f == nil {
-		return nil, false
-	}
-	prog, err := key.program()
-	if err != nil {
-		return nil, false // capture will report the same fault permanently
+		return nil
 	}
 	akey := key.artifactKey()
 	if st != nil {
 		if rc, _, ok := st.GetStream(akey); ok {
-			tr, refused, err := decodeBudgeted(rc, prog)
+			tr, err := trace.Decode(rc, prog)
 			rc.Close()
-			switch {
-			case tr != nil:
+			if err == nil {
 				traceStats.diskHits.Add(1)
-				return tr, false
-			case refused:
-				return nil, true
-			default:
-				_ = err // corrupt artifact: drop it, fall through to refetch
-				st.Invalidate(akey)
+				return tr
 			}
+			st.Invalidate(akey) // corrupt artifact: drop it, fall through to refetch
 		}
 		traceStats.diskMisses.Add(1)
 	}
 	if f != nil {
 		if rc, ok := (*f)(akey); ok {
-			tr, refused, _ := decodeBudgeted(rc, prog)
+			tr, err := trace.Decode(rc, prog)
 			rc.Close()
-			switch {
-			case tr != nil:
+			if err == nil {
 				traceStats.peerFetches.Add(1)
 				fillArtifact(st, akey, tr)
-				return tr, false
-			case refused:
-				return nil, true
+				return tr
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // encodeArtifact renders a trace's artifact bytes.
@@ -242,39 +187,5 @@ func fillArtifact(st *store.Store, akey string, tr *trace.Trace) {
 	}
 	if st.Fill(akey, blob) == nil {
 		traceStats.diskWrites.Add(1)
-	}
-}
-
-// openArtifactStream opens a streaming replay source over the local disk
-// artifact for key; the caller owns the closer. A header that fails to
-// verify drops the artifact and misses.
-func openArtifactStream(key traceKey) (*trace.Stream, io.Closer, bool) {
-	st := artifactStore.Load()
-	if st == nil {
-		return nil, nil, false
-	}
-	prog, err := key.program()
-	if err != nil {
-		return nil, nil, false
-	}
-	akey := key.artifactKey()
-	rc, _, ok := st.GetStream(akey)
-	if !ok {
-		return nil, nil, false
-	}
-	s, err := trace.NewStream(rc, prog)
-	if err != nil {
-		rc.Close()
-		st.Invalidate(akey)
-		return nil, nil, false
-	}
-	return s, rc, true
-}
-
-// invalidateArtifact drops the local artifact for key (used when a
-// streaming replay surfaces corruption mid-file).
-func invalidateArtifact(key traceKey) {
-	if st := artifactStore.Load(); st != nil {
-		st.Invalidate(key.artifactKey())
 	}
 }

@@ -108,7 +108,7 @@ func TestArtifactReplayEquivalenceReopenedStore(t *testing.T) {
 		key := traceKey{app: true, name: app, isa: i, scale: ScaleTest}
 		installArtifactDir(t, dir)
 		resetTraceEntry(t, key)
-		fresh, err := runAppCached(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+		fresh, err := RunApp(app, i, 4, PerfectMemory(1), ScaleTest)
 		if err != nil {
 			t.Fatalf("%s/%s fresh run: %v", app, i, err)
 		}
@@ -117,7 +117,7 @@ func TestArtifactReplayEquivalenceReopenedStore(t *testing.T) {
 		// Reopen the directory as a brand-new store and drop the RAM slot.
 		installArtifactDir(t, dir)
 		resetTraceEntry(t, key)
-		warm, err := runAppCached(app, i, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
+		warm, err := RunApp(app, i, 4, PerfectMemory(1), ScaleTest)
 		if err != nil {
 			t.Fatalf("%s/%s warm run: %v", app, i, err)
 		}
@@ -351,111 +351,5 @@ func TestArtifactPeerFetcher(t *testing.T) {
 	}
 	if h := ReadTraceStats().DiskHits - stats.DiskHits; h != 1 {
 		t.Fatalf("written-through artifact counted %d disk hits, want 1", h)
-	}
-}
-
-// TestArtifactStreamReplay: a disk artifact that does not fit the RAM
-// budget is replayed by streaming straight from the file, bit-identical to
-// the materialised replay, with no live fallback.
-func TestArtifactStreamReplay(t *testing.T) {
-	dir := t.TempDir()
-	installArtifactDir(t, dir)
-	key := traceKey{name: "motion1", isa: MOM, scale: ScaleTest}
-	resetTraceEntry(t, key)
-	defer resetTraceEntry(t, key)
-	want, err := runKernelCached(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
-	if err != nil {
-		t.Fatalf("warm-up run: %v", err)
-	}
-
-	// Starve the RAM budget so the artifact cannot materialise.
-	resetTraceEntry(t, key)
-	old := TraceCacheBytes
-	defer func() { TraceCacheBytes = old }()
-	traceCache.mu.Lock()
-	TraceCacheBytes = traceCache.bytes + 1
-	traceCache.mu.Unlock()
-	base := ReadTraceStats()
-
-	got, err := runKernelCached(key.name, key.isa, 4, PerfectMemory(1), ScaleTest, SampleSpec{})
-	if err != nil {
-		t.Fatalf("streamed run: %v", err)
-	}
-	stats := ReadTraceStats()
-	if s := stats.StreamReplays - base.StreamReplays; s != 1 {
-		t.Fatalf("run used %d stream replays, want 1", s)
-	}
-	if l := stats.LiveRuns - base.LiveRuns; l != 0 {
-		t.Fatalf("run fell back live %d times, want 0", l)
-	}
-	if c := stats.Captures - base.Captures; c != 0 {
-		t.Fatalf("run recaptured (%d captures)", c)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("streamed replay diverged from materialised replay:\nwant %+v\ngot  %+v", want, got)
-	}
-
-	// The RAM slot must still be retryable: restore the budget and the
-	// artifact materialises without a recapture.
-	traceCache.mu.Lock()
-	TraceCacheBytes = old
-	traceCache.mu.Unlock()
-	if cachedTrace(key) == nil {
-		t.Fatal("slot did not recover after the budget freed")
-	}
-	if c := ReadTraceStats().Captures - stats.Captures; c != 0 {
-		t.Fatalf("recovery recaptured (%d captures)", c)
-	}
-}
-
-// TestLiveCauseSplit: the live-fallback counter attributes budget-starved
-// runs to LiveBudget and permanently failed captures to LiveFault.
-func TestLiveCauseSplit(t *testing.T) {
-	// Fault: poison the slot the way a build/emulation fault would.
-	key := traceKey{name: "compensation", isa: Alpha, scale: ScaleTest}
-	resetTraceEntry(t, key)
-	defer resetTraceEntry(t, key)
-	traceCache.mu.Lock()
-	traceCache.entries[key] = &traceEntry{state: capFailed}
-	traceCache.mu.Unlock()
-	base := ReadTraceStats()
-	if _, err := runKernelCached(key.name, key.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
-		t.Fatalf("live run over a failed slot: %v", err)
-	}
-	st := ReadTraceStats()
-	if f := st.LiveFault - base.LiveFault; f != 1 {
-		t.Fatalf("fault fallback counted %d LiveFault, want 1", f)
-	}
-	if b := st.LiveBudget - base.LiveBudget; b != 0 {
-		t.Fatalf("fault fallback counted %d LiveBudget, want 0", b)
-	}
-	if l := st.LiveRuns - base.LiveRuns; l != 1 {
-		t.Fatalf("fault fallback counted %d LiveRuns, want 1", l)
-	}
-
-	// Budget: a competing reservation holds the whole budget and there is
-	// no artifact store, so the discarded capture falls back live.
-	key2 := traceKey{name: "compensation", isa: MMX, scale: ScaleTest}
-	resetTraceEntry(t, key2)
-	defer resetTraceEntry(t, key2)
-	traceCache.mu.Lock()
-	hold := TraceCacheBytes - traceCache.bytes
-	traceCache.reserved += hold
-	traceCache.mu.Unlock()
-	defer func() {
-		traceCache.mu.Lock()
-		traceCache.reserved -= hold
-		traceCache.mu.Unlock()
-	}()
-	base = ReadTraceStats()
-	if _, err := runKernelCached(key2.name, key2.isa, 2, PerfectMemory(1), ScaleTest, SampleSpec{}); err != nil {
-		t.Fatalf("live run under budget contention: %v", err)
-	}
-	st = ReadTraceStats()
-	if b := st.LiveBudget - base.LiveBudget; b != 1 {
-		t.Fatalf("budget fallback counted %d LiveBudget, want 1", b)
-	}
-	if f := st.LiveFault - base.LiveFault; f != 0 {
-		t.Fatalf("budget fallback counted %d LiveFault, want 0", f)
 	}
 }

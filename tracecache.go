@@ -2,17 +2,16 @@ package mom
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/emu"
-	"repro/internal/kernels"
+	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
 )
@@ -21,45 +20,39 @@ import (
 // methodology of the paper (ATOM instruments the binary once, the trace
 // feeds Jinks for every machine configuration). A dynamic trace depends
 // only on (workload, ISA, scale) — never on issue width, cache mode or
-// memory latency — so the experiment drivers capture each workload once and
-// replay the recording across every machine configuration in parallel.
+// memory latency — so every timing run of a registered workload replays
+// its recording: the trace is acquired once per process and replayed
+// across every machine configuration, in parallel where the driver fans
+// out. Replay is checked field for field against live emulation by
+// TestTraceReplayEquivalence.
 //
-// The cache is an optimisation, never a correctness dependency: when a
-// capture fails or the cache is full, callers fall back to the live
-// interleaved emulate-and-time path, which produces identical results
-// (TestTraceReplayEquivalence enforces this).
-
-// TraceCacheBytes bounds the total memory the trace cache may hold.
-// Captures that would push the cache past the bound are discarded and the
-// affected runs use live emulation instead. It is read when an entry is
-// first populated; set it before running experiments.
-var TraceCacheBytes int64 = 1 << 30
+// The cache holds every trace it fills for the life of the process and
+// needs no byte budget: its key space is finite (8 kernels and 5 apps × 4
+// ISAs × 2 scales = 104 traces, 207.5 MB by Trace.Bytes in total).
 
 // TraceStats reports the accumulated activity of the trace layer.
 type TraceStats struct {
-	Captures     int64         // traces recorded AND retained in the cache
-	CaptureTime  time.Duration // wall-clock spent capturing retained traces
-	Discarded    int64         // captures abandoned because the byte budget ran out
-	Replays      int64         // timing runs fed from a recorded trace (streamed included)
-	ReplayTime   time.Duration // wall-clock spent in trace-fed timing runs
-	LiveRuns     int64         // timing runs that fell back to live emulation
-	LiveBudget   int64         // ...of which: no trace within the RAM byte budget (transient)
-	LiveFault    int64         // ...of which: capture failed permanently (build/emulation fault)
+	Captures     int64         // traces recorded by a fresh capture
+	CaptureTime  time.Duration // wall-clock spent in those captures
+	Replays      int64         // timing runs fed from a recorded trace
+	ReplayTime   time.Duration // wall-clock spent in those timing runs
 	CachedTraces int64         // traces currently held
 	CachedBytes  int64         // bytes currently held
 
+	// LiveRuns always reads zero: every timing run replays its trace. It is
+	// kept because the perfbench live-fallback guard still reads it.
+	LiveRuns int64
+
 	// The disk artifact layer (zero when no artifact store is installed).
-	DiskHits      int64 // traces materialised from a local disk artifact
-	DiskMisses    int64 // artifact lookups that found nothing usable locally
-	DiskWrites    int64 // traces persisted to the local artifact store
-	PeerFetches   int64 // traces fetched from a peer's artifact store
-	StreamReplays int64 // replays streamed straight from disk (RAM budget full)
+	DiskHits    int64 // traces materialised from a local disk artifact
+	DiskMisses  int64 // artifact lookups that found nothing usable locally
+	DiskWrites  int64 // traces persisted to the local artifact store
+	PeerFetches int64 // traces fetched from a peer's artifact store
 }
 
 var traceStats struct {
-	captures, captureNS, discarded, replays, replayNS            atomic.Int64
-	liveRuns, liveBudget, liveFault                              atomic.Int64
-	diskHits, diskMisses, diskWrites, peerFetches, streamReplays atomic.Int64
+	captures, captureNS, replays, replayNS        atomic.Int64
+	diskHits, diskMisses, diskWrites, peerFetches atomic.Int64
 }
 
 // ReadTraceStats returns a snapshot of the trace-layer counters.
@@ -67,49 +60,23 @@ func ReadTraceStats() TraceStats {
 	traceCache.mu.Lock()
 	var held int64
 	for _, e := range traceCache.entries {
-		if e.state == capDone {
+		if e.tr != nil {
 			held++
 		}
 	}
 	bytes := traceCache.bytes
 	traceCache.mu.Unlock()
 	return TraceStats{
-		Captures:      traceStats.captures.Load(),
-		CaptureTime:   time.Duration(traceStats.captureNS.Load()),
-		Discarded:     traceStats.discarded.Load(),
-		Replays:       traceStats.replays.Load(),
-		ReplayTime:    time.Duration(traceStats.replayNS.Load()),
-		LiveRuns:      traceStats.liveRuns.Load(),
-		LiveBudget:    traceStats.liveBudget.Load(),
-		LiveFault:     traceStats.liveFault.Load(),
-		CachedTraces:  held,
-		CachedBytes:   bytes,
-		DiskHits:      traceStats.diskHits.Load(),
-		DiskMisses:    traceStats.diskMisses.Load(),
-		DiskWrites:    traceStats.diskWrites.Load(),
-		PeerFetches:   traceStats.peerFetches.Load(),
-		StreamReplays: traceStats.streamReplays.Load(),
-	}
-}
-
-// liveCause explains why a timing run fell back to live emulation, so
-// operators can tell congestion (budget; transient, tunable) from faults
-// (permanent) in momsim -v and the /metrics live-runs labels.
-type liveCause int8
-
-const (
-	liveNone   liveCause = iota
-	liveBudget           // no trace within the RAM byte budget right now
-	liveFault            // capture failed permanently (build or emulation fault)
-)
-
-// countLiveRun records one live-fallback timing run with its cause.
-func countLiveRun(cause liveCause) {
-	traceStats.liveRuns.Add(1)
-	if cause == liveFault {
-		traceStats.liveFault.Add(1)
-	} else {
-		traceStats.liveBudget.Add(1)
+		Captures:     traceStats.captures.Load(),
+		CaptureTime:  time.Duration(traceStats.captureNS.Load()),
+		Replays:      traceStats.replays.Load(),
+		ReplayTime:   time.Duration(traceStats.replayNS.Load()),
+		CachedTraces: held,
+		CachedBytes:  bytes,
+		DiskHits:     traceStats.diskHits.Load(),
+		DiskMisses:   traceStats.diskMisses.Load(),
+		DiskWrites:   traceStats.diskWrites.Load(),
+		PeerFetches:  traceStats.peerFetches.Load(),
 	}
 }
 
@@ -120,311 +87,127 @@ type traceKey struct {
 	scale Scale
 }
 
-// Capture lifecycle of one cache slot. A budget discard returns the slot
-// to capEmpty so a later request retries once memory frees; workload
-// faults and traces that cannot fit even an otherwise-empty cache are
-// capFailed permanently.
-const (
-	capEmpty int8 = iota // no capture attempted, or the last one was discarded
-	capRunning
-	capDone
-	capFailed
-)
+// program builds the workload's static program. The builders are
+// deterministic, so one build serves both a capture and the fingerprint
+// check of an artifact written by an earlier process.
+func (k traceKey) program() (*isa.Program, error) {
+	if k.app {
+		return BuildApp(k.name, k.isa, k.scale)
+	}
+	return BuildKernel(k.name, k.isa, k.scale)
+}
 
+// traceEntry is one cache slot. done closes when its fill settles; tr and
+// err are written under traceCache.mu before that.
 type traceEntry struct {
-	state int8
-	tr    *trace.Trace  // set iff state == capDone
-	waitc chan struct{} // closed when the running attempt settles
+	done chan struct{}
+	tr   *trace.Trace
+	err  error
 }
 
 var traceCache = struct {
-	mu       sync.Mutex
-	entries  map[traceKey]*traceEntry
-	bytes    int64 // committed bytes of retained traces
-	reserved int64 // in-flight capture reservations (see captureTrace)
+	mu      sync.Mutex
+	entries map[traceKey]*traceEntry
+	bytes   int64 // bytes of the traces held
 }{entries: map[traceKey]*traceEntry{}}
 
-// cachedTrace returns the recorded trace for a workload, filling the slot
-// on first use. It returns nil when no trace can be materialised within the
-// cache budget (or the workload faults); callers then use the live path.
-func cachedTrace(key traceKey) *trace.Trace {
-	tr, _ := cachedTraceCause(key)
-	return tr
-}
-
-// cachedTraceCause is cachedTrace plus the reason a nil came back, so
-// fallback paths can try a disk-streamed replay (budget) or count the right
-// live-run cause (fault). An empty slot fills from the artifact layer —
-// local disk, then the peer fetcher — before falling back to a fresh
-// capture, which is written through to disk. A fill discarded for budget
-// leaves the slot empty, so a later request retries once memory frees; only
-// faults and traces larger than the whole budget fail permanently.
-func cachedTraceCause(key traceKey) (*trace.Trace, liveCause) {
+// workloadTrace returns the recorded trace of one workload, filling its
+// slot on first use: RAM, then the artifact layer (local disk, then the
+// peer fetcher), then a fresh capture written through to disk. Concurrent
+// callers share one fill. A failed fill reaches every caller waiting on it
+// and leaves no slot behind, so a later call tries again.
+func workloadTrace(key traceKey) (*trace.Trace, error) {
 	traceCache.mu.Lock()
-	e, ok := traceCache.entries[key]
-	if !ok {
-		e = &traceEntry{}
-		traceCache.entries[key] = e
+	if e, ok := traceCache.entries[key]; ok {
+		traceCache.mu.Unlock()
+		<-e.done
+		return e.tr, e.err
 	}
-	for {
-		switch e.state {
-		case capDone:
-			tr := e.tr
-			traceCache.mu.Unlock()
-			return tr, liveNone
-		case capFailed:
-			traceCache.mu.Unlock()
-			return nil, liveFault
-		case capRunning:
-			w := e.waitc
-			traceCache.mu.Unlock()
-			<-w
-			traceCache.mu.Lock()
-			if e.state == capEmpty {
-				// The attempt we waited on was discarded for budget. Run
-				// live now rather than piling on immediate retries; the
-				// next request finds capEmpty and tries again.
-				traceCache.mu.Unlock()
-				return nil, liveBudget
-			}
-		case capEmpty:
-			e.state = capRunning
-			e.waitc = make(chan struct{})
-			traceCache.mu.Unlock()
-			tr, permanent := acquireTrace(key)
-			traceCache.mu.Lock()
-			switch {
-			case tr != nil:
-				e.state, e.tr = capDone, tr
-			case permanent:
-				e.state = capFailed
-			default:
-				e.state = capEmpty
-			}
-			close(e.waitc)
-			traceCache.mu.Unlock()
-			if tr != nil {
-				return tr, liveNone
-			}
-			if permanent {
-				return nil, liveFault
-			}
-			return nil, liveBudget
-		}
-	}
-}
+	e := &traceEntry{done: make(chan struct{})}
+	traceCache.entries[key] = e
+	traceCache.mu.Unlock()
 
-// acquireTrace fills one empty cache slot: the artifact layer first, then a
-// fresh capture, written through to disk on success. A budget-refused
-// artifact decode reports neither a trace nor permanence — the slot stays
-// retryable and replay streams the artifact from disk in the meantime.
-func acquireTrace(key traceKey) (tr *trace.Trace, permanent bool) {
-	tr, budgetRefused := loadArtifact(key)
-	if tr != nil {
-		return tr, false
-	}
-	if budgetRefused {
-		return nil, false
-	}
-	tr, permanent = captureTrace(key)
-	if tr != nil {
-		storeArtifact(key, tr)
-	}
-	return tr, permanent
-}
-
-// captureTrace records one workload, drawing memory from the shared cache
-// budget in quantum-sized reservations (trace.CaptureGranted) so the sum
-// of committed and in-flight capture bytes never exceeds TraceCacheBytes —
-// concurrent captures of different keys cannot overshoot the bound the way
-// a read-budget-then-capture race could. It reports permanent=true when no
-// later attempt can succeed: a build or emulation fault, or a grant that
-// would not fit even with every competing reservation released.
-func captureTrace(key traceKey) (tr *trace.Trace, permanent bool) {
-	var m *emu.Machine
-	switch {
-	case key.app:
-		a, err := apps.ByName(key.name, apps.Scale(key.scale))
-		if err != nil {
-			return nil, true
-		}
-		m = emu.New(a.Build(key.isa.ext()))
-	default:
-		k, err := kernels.ByName(key.name, kernels.Scale(key.scale))
-		if err != nil {
-			return nil, true
-		}
-		m = emu.New(k.Build(key.isa.ext()))
-	}
-	var mine int64
-	canNeverFit := false
-	reserve := func(n int64) bool {
-		traceCache.mu.Lock()
-		defer traceCache.mu.Unlock()
-		if traceCache.bytes+traceCache.reserved+n > TraceCacheBytes {
-			// Would the grant fit if every other in-flight capture
-			// released its reservation? Committed traces are never
-			// evicted, so if not, no later attempt can succeed either.
-			canNeverFit = traceCache.bytes+mine+n > TraceCacheBytes
-			return false
-		}
-		traceCache.reserved += n
-		mine += n
-		return true
-	}
-	t0 := time.Now()
-	tr, granted, err := trace.CaptureGranted(m, maxDynInsts, reserve)
+	tr, err := fillTrace(key)
 	traceCache.mu.Lock()
-	traceCache.reserved -= granted
-	if err == nil {
+	e.tr, e.err = tr, err
+	if err != nil {
+		delete(traceCache.entries, key)
+	} else {
 		traceCache.bytes += tr.Bytes()
 	}
 	traceCache.mu.Unlock()
+	close(e.done)
+	return tr, err
+}
+
+// fillTrace materialises one workload's trace from the artifact layer or,
+// failing that, a fresh capture, which it writes through to disk.
+func fillTrace(key traceKey) (*trace.Trace, error) {
+	prog, err := key.program()
 	if err != nil {
-		if errors.Is(err, trace.ErrTooLarge) {
-			traceStats.discarded.Add(1)
-			return nil, canNeverFit
-		}
-		return nil, true
+		return nil, err
+	}
+	if tr := loadArtifact(key, prog); tr != nil {
+		return tr, nil
+	}
+	t0 := time.Now()
+	tr, err := trace.Capture(emu.New(prog), maxDynInsts, 0)
+	if err != nil {
+		return nil, fmt.Errorf("mom: capture %s on %s: %w", key.name, key.isa, err)
 	}
 	traceStats.captures.Add(1)
 	traceStats.captureNS.Add(int64(time.Since(t0)))
-	return tr, false
+	storeArtifact(key, tr)
+	return tr, nil
 }
 
-// runTraced times one workload from its recorded trace, sampled when sp is
-// enabled (RunSampled with a disabled spec is exactly Run). When the trace
-// cannot be materialised in RAM for budget but a disk artifact exists, the
-// run streams straight from the file. ok is false when no trace is
-// available at all — the live-fallback cause has already been counted and
-// the caller must run live.
-func runTraced(key traceKey, width int, m MemModel, sp SampleSpec) (Result, bool, error) {
-	tr, cause := cachedTraceCause(key)
-	if tr == nil {
-		if cause == liveBudget {
-			if res, ok, err := runStreamed(key, width, m, sp); ok {
-				return res, true, err
-			}
-		}
-		countLiveRun(cause)
-		return Result{}, false, nil
+// replayTrace is the one timing path of a registered workload: it acquires
+// the workload's trace (workloadTrace) and replays it on the machine cfg
+// and model describe, sampled when sp is enabled (RunSampled with a
+// disabled spec is exactly Run), with o, when non-nil, observing the
+// pipeline.
+func replayTrace(key traceKey, cfg cpu.Config, model mem.Model, sp SampleSpec, o obs.Observer) (cpu.Result, error) {
+	tr, err := workloadTrace(key)
+	if err != nil {
+		return cpu.Result{}, err
 	}
-	sim := cpu.New(cpu.NewConfig(width, key.isa.ext()), m.build(width))
+	sim := cpu.New(cfg, model)
+	sim.Obs = o
 	t0 := time.Now()
 	res, err := sim.RunSampled(tr.Reader(), maxDynInsts, sp.cpu())
 	traceStats.replays.Add(1)
 	traceStats.replayNS.Add(int64(time.Since(t0)))
 	if err != nil {
-		return Result{}, true, err
+		return cpu.Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", key.name, key.isa, cfg.Width, err)
 	}
-	return fromCPU(key.name, key.isa, width, m.Name(), res), true, nil
+	return res, nil
 }
 
-// runStreamed feeds one timing run straight from the disk artifact — the
-// replay path of a trace too large to materialise under TraceCacheBytes but
-// already persisted. The streaming decoder keeps memory at one chunk; a
-// corruption surfaced mid-replay drops the artifact and reports ok=false so
-// the caller falls back to live emulation (never a wrong result: the
-// decoder verifies every frame before the timing model sees its records).
-func runStreamed(key traceKey, width int, m MemModel, sp SampleSpec) (Result, bool, error) {
-	src, closer, ok := openArtifactStream(key)
-	if !ok {
-		return Result{}, false, nil
-	}
-	defer closer.Close()
-	sim := cpu.New(cpu.NewConfig(width, key.isa.ext()), m.build(width))
-	t0 := time.Now()
-	res, err := sim.RunSampled(src, maxDynInsts, sp.cpu())
-	if err != nil {
-		if src.Err() != nil {
-			invalidateArtifact(key)
-			return Result{}, false, nil
-		}
-		return Result{}, true, err
-	}
-	traceStats.replays.Add(1)
-	traceStats.streamReplays.Add(1)
-	traceStats.replayNS.Add(int64(time.Since(t0)))
-	return fromCPU(key.name, key.isa, width, m.Name(), res), true, nil
-}
-
-// runKernelCached is RunKernel through the trace cache: replay when a trace
-// is available, live emulation otherwise. The sample spec applies on both
-// paths (sampling over a live source saves no capture time but produces
-// the same kind of estimate).
-func runKernelCached(kernel string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	key := traceKey{name: kernel, isa: i, scale: sc}
-	if res, ok, err := runTraced(key, width, m, sp); ok {
-		return res, err
-	}
-	if !sp.Enabled() {
-		return RunKernel(kernel, i, width, m, sc)
-	}
-	k, err := kernels.ByName(kernel, kernels.Scale(sc))
+// runWorkload times one workload on the Table 1 machine of the given width
+// with memory model m, through replayTrace.
+func runWorkload(key traceKey, width int, m MemModel, sp SampleSpec, o obs.Observer) (Result, error) {
+	res, err := replayTrace(key, cpu.NewConfig(width, key.isa.ext()), m.build(width), sp, o)
 	if err != nil {
 		return Result{}, err
 	}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.RunSampled(trace.NewLive(emu.New(k.Build(i.ext()))), maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", kernel, i, width, err)
-	}
-	return fromCPU(kernel, i, width, m.Name(), res), nil
-}
-
-// runAppCached is RunApp through the trace cache.
-func runAppCached(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (Result, error) {
-	key := traceKey{app: true, name: app, isa: i, scale: sc}
-	if res, ok, err := runTraced(key, width, m, sp); ok {
-		return res, err
-	}
-	if !sp.Enabled() {
-		return RunApp(app, i, width, m, sc)
-	}
-	a, err := apps.ByName(app, apps.Scale(sc))
-	if err != nil {
-		return Result{}, err
-	}
-	sim := cpu.New(cpu.NewConfig(width, i.ext()), m.build(width))
-	res, err := sim.RunSampled(trace.NewLive(emu.New(a.Build(i.ext()))), maxDynInsts, sp.cpu())
-	if err != nil {
-		return Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", app, i, width, err)
-	}
-	return fromCPU(app, i, width, m.Name(), res), nil
-}
-
-// runConfig times one run under an explicit processor configuration,
-// replaying the trace when one is available and otherwise falling back to a
-// live machine built by mk; cause says why tr is nil so the fallback is
-// attributed correctly (callers obtain both from cachedTraceCause).
-func runConfig(cfg cpu.Config, model mem.Model, tr *trace.Trace, cause liveCause, mk func() *emu.Machine) (cpu.Result, error) {
-	sim := cpu.New(cfg, model)
-	if tr != nil {
-		t0 := time.Now()
-		res, err := sim.Run(tr.Reader(), maxDynInsts)
-		traceStats.replays.Add(1)
-		traceStats.replayNS.Add(int64(time.Since(t0)))
-		return res, err
-	}
-	countLiveRun(cause)
-	return sim.Run(trace.NewLive(mk()), maxDynInsts)
+	return fromCPU(key.name, key.isa, width, m.Name(), res), nil
 }
 
 // CaptureWorkloadTrace returns the recorded trace of one workload through
 // the process trace cache — RAM first, then the artifact store (and peer
 // fetcher, when installed), then a fresh capture written through to disk —
 // so tools like momtrace observe the same fill path and TraceStats the
-// experiment drivers do. It returns nil when the trace cannot be
-// materialised within TraceCacheBytes or the workload cannot be traced.
+// experiment drivers do. It returns nil when the workload cannot be traced
+// (an unknown name or an emulation fault).
 func CaptureWorkloadTrace(app bool, name string, i ISA, sc Scale) *trace.Trace {
-	return cachedTrace(traceKey{app: app, name: name, isa: i, scale: sc})
+	tr, _ := workloadTrace(traceKey{app: app, name: name, isa: i, scale: sc})
+	return tr
 }
 
-// warmTraces captures the traces for a workload×ISA job list in parallel
+// warmTraces acquires the traces for a workload×ISA job list in parallel
 // before the replay fan-out, so no replay worker blocks behind a capture
-// another configuration also needs. Capture failures are not errors here —
-// the affected runs simply fall back to live emulation.
-func warmTraces(ctx context.Context, app bool, names []string, isas []ISA, sc Scale) {
+// another configuration also needs.
+func warmTraces(ctx context.Context, app bool, names []string, isas []ISA, sc Scale) error {
 	type wk struct {
 		name string
 		isa  ISA
@@ -435,8 +218,8 @@ func warmTraces(ctx context.Context, app bool, names []string, isas []ISA, sc Sc
 			jobs = append(jobs, wk{n, i})
 		}
 	}
-	_ = par.For(ctx, len(jobs), func(idx int) error {
-		cachedTrace(traceKey{app: app, name: jobs[idx].name, isa: jobs[idx].isa, scale: sc})
-		return nil
+	return par.For(ctx, len(jobs), func(idx int) error {
+		_, err := workloadTrace(traceKey{app: app, name: jobs[idx].name, isa: jobs[idx].isa, scale: sc})
+		return err
 	})
 }

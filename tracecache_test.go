@@ -1,167 +1,102 @@
 package mom
 
 import (
+	"context"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-// resetTraceEntry removes a cache slot (and its committed bytes) so a test
-// can exercise the capture path from a known-empty state, or unpoison a
-// slot it deliberately drove to a failure state.
+// cachedTrace is workloadTrace for tests that only check whether a trace
+// came back.
+func cachedTrace(key traceKey) *trace.Trace {
+	tr, _ := workloadTrace(key)
+	return tr
+}
+
+// resetTraceEntry removes a cache slot (and its bytes) so a test can
+// exercise the fill path from a known-empty state.
 func resetTraceEntry(t testing.TB, key traceKey) {
 	t.Helper()
 	traceCache.mu.Lock()
 	defer traceCache.mu.Unlock()
-	if e, ok := traceCache.entries[key]; ok {
-		if e.state == capRunning {
-			t.Fatalf("trace entry %v has a capture in flight", key)
-		}
-		if e.state == capDone {
-			traceCache.bytes -= e.tr.Bytes()
-		}
-		delete(traceCache.entries, key)
+	e, ok := traceCache.entries[key]
+	if !ok {
+		return
 	}
+	if e.tr == nil {
+		t.Fatalf("trace entry %v has a fill in flight", key)
+	}
+	traceCache.bytes -= e.tr.Bytes()
+	delete(traceCache.entries, key)
 }
 
-// TestTraceDiscardForContentionRetries: a capture refused because
-// concurrent captures hold the budget is discarded — not counted as a
-// capture, counted as Discarded — and the slot stays retryable, so the
-// same workload captures successfully once the budget frees.
-func TestTraceDiscardForContentionRetries(t *testing.T) {
-	key := traceKey{name: "addblock", isa: Alpha, scale: ScaleTest}
+// TestTraceConcurrentAcquireCapturesOnce: many goroutines acquiring one
+// uncached workload at once share a single fill — exactly one capture —
+// and all receive the same trace instance.
+func TestTraceConcurrentAcquireCapturesOnce(t *testing.T) {
+	key := traceKey{name: "motion2", isa: MMX, scale: ScaleTest}
 	resetTraceEntry(t, key)
 	base := ReadTraceStats()
 
-	// Fake a competing in-flight capture holding the entire budget.
-	traceCache.mu.Lock()
-	hold := TraceCacheBytes - traceCache.bytes
-	traceCache.reserved += hold
-	traceCache.mu.Unlock()
-	if tr := cachedTrace(key); tr != nil {
-		t.Fatal("capture succeeded with no budget available")
+	const n = 16
+	got := make([]*trace.Trace, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w], errs[w] = workloadTrace(key)
+		}(w)
 	}
-	traceCache.mu.Lock()
-	traceCache.reserved -= hold
-	state := traceCache.entries[key].state
-	traceCache.mu.Unlock()
-	if state != capEmpty {
-		t.Fatalf("discarded entry state %d, want capEmpty (retryable)", state)
+	close(start)
+	wg.Wait()
+	for w := 0; w < n; w++ {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		if got[w] == nil || got[w] != got[0] {
+			t.Fatalf("goroutine %d got trace %p, goroutine 0 got %p", w, got[w], got[0])
+		}
 	}
+	if c := ReadTraceStats().Captures - base.Captures; c != 1 {
+		t.Fatalf("%d concurrent acquires ran %d captures, want 1", n, c)
+	}
+}
+
+// TestTraceUnknownWorkloadLeavesNoSlot: a workload that cannot be traced
+// fails every entry point with an error (CaptureWorkloadTrace with nil),
+// runs nothing live, counts no capture and leaves no cache slot behind.
+func TestTraceUnknownWorkloadLeavesNoSlot(t *testing.T) {
+	base := ReadTraceStats()
+	for _, sp := range []SampleSpec{{}, DefaultSampleSpec} {
+		if _, err := RunKernelSampled("nope", MOM, 4, PerfectMemory(1), ScaleTest, sp); err == nil {
+			t.Errorf("RunKernelSampled(spec %q) of an unknown kernel succeeded", sp)
+		}
+	}
+	if _, err := RegisterSweep(context.Background(), ScaleTest, "nope"); err == nil {
+		t.Error("RegisterSweep of an unknown kernel succeeded")
+	}
+	if tr := CaptureWorkloadTrace(true, "nope", MOM, ScaleTest); tr != nil {
+		t.Error("CaptureWorkloadTrace of an unknown app returned a trace")
+	}
+
+	traceCache.mu.Lock()
+	for key := range traceCache.entries {
+		if key.name == "nope" {
+			t.Errorf("failed fill left slot %+v behind", key)
+		}
+	}
+	traceCache.mu.Unlock()
 	st := ReadTraceStats()
-	if d := st.Discarded - base.Discarded; d != 1 {
-		t.Fatalf("Discarded advanced by %d, want 1", d)
+	if l := st.LiveRuns - base.LiveRuns; l != 0 {
+		t.Errorf("unknown workload ran %d live runs", l)
 	}
 	if c := st.Captures - base.Captures; c != 0 {
-		t.Fatalf("discarded capture counted as retained (Captures +%d)", c)
-	}
-	if dt := st.CaptureTime - base.CaptureTime; dt != 0 {
-		t.Fatalf("discarded capture charged %v of CaptureTime", dt)
-	}
-
-	// The contention is gone: the same request must capture and retain.
-	if tr := cachedTrace(key); tr == nil {
-		t.Fatal("retry after the budget freed did not capture")
-	}
-	if st := ReadTraceStats(); st.Captures-base.Captures != 1 {
-		t.Fatalf("Captures advanced by %d after retry, want 1", st.Captures-base.Captures)
-	}
-}
-
-// TestTraceOverBudgetFailsPermanently: a trace that cannot fit the budget
-// even with every competing reservation released fails its slot for good —
-// later requests fall back live without re-running the capture emulation.
-func TestTraceOverBudgetFailsPermanently(t *testing.T) {
-	key := traceKey{name: "addblock", isa: MMX, scale: ScaleTest}
-	resetTraceEntry(t, key)
-	defer resetTraceEntry(t, key) // unpoison the slot for later tests
-	old := TraceCacheBytes
-	defer func() { TraceCacheBytes = old }()
-	traceCache.mu.Lock()
-	TraceCacheBytes = traceCache.bytes + 1 // below any real trace, occupancy aside
-	traceCache.mu.Unlock()
-	base := ReadTraceStats()
-
-	if tr := cachedTrace(key); tr != nil {
-		t.Fatal("capture fit a 1-byte budget")
-	}
-	traceCache.mu.Lock()
-	state := traceCache.entries[key].state
-	traceCache.mu.Unlock()
-	if state != capFailed {
-		t.Fatalf("entry state %d, want capFailed (permanent)", state)
-	}
-	if st := ReadTraceStats(); st.Discarded-base.Discarded != 1 {
-		t.Fatalf("Discarded advanced by %d, want 1", st.Discarded-base.Discarded)
-	}
-
-	// A second request must not burn another functional emulation.
-	if tr := cachedTrace(key); tr != nil {
-		t.Fatal("failed slot returned a trace")
-	}
-	if st := ReadTraceStats(); st.Discarded-base.Discarded != 1 {
-		t.Fatal("permanently failed capture was re-attempted")
-	}
-}
-
-// TestTraceCaptureReservationInvariant: concurrent captures reserve budget
-// up front a quantum at a time, so committed + reserved bytes never
-// exceed TraceCacheBytes at any instant — the transient ~2x overshoot of
-// the old read-budget-then-capture sequence is impossible.
-func TestTraceCaptureReservationInvariant(t *testing.T) {
-	keys := []traceKey{
-		{name: "idct", isa: Alpha, scale: ScaleTest},
-		{name: "motion2", isa: Alpha, scale: ScaleTest},
-		{name: "rgb2ycc", isa: Alpha, scale: ScaleTest},
-		{name: "addblock", isa: Alpha, scale: ScaleTest},
-	}
-	for _, k := range keys {
-		resetTraceEntry(t, k)
-		defer resetTraceEntry(t, k) // drop mixed outcomes of the tiny budget
-	}
-	old := TraceCacheBytes
-	defer func() { TraceCacheBytes = old }()
-	traceCache.mu.Lock()
-	TraceCacheBytes = traceCache.bytes + 512<<10 // room for ~2 grant quanta
-	traceCache.mu.Unlock()
-
-	stop := make(chan struct{})
-	viol := make(chan int64, 1)
-	var obs sync.WaitGroup
-	obs.Add(1)
-	go func() {
-		defer obs.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			traceCache.mu.Lock()
-			tot := traceCache.bytes + traceCache.reserved
-			budget := TraceCacheBytes
-			traceCache.mu.Unlock()
-			if tot > budget {
-				select {
-				case viol <- tot:
-				default:
-				}
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for _, k := range keys {
-		wg.Add(1)
-		go func(k traceKey) {
-			defer wg.Done()
-			cachedTrace(k)
-		}(k)
-	}
-	wg.Wait()
-	close(stop)
-	obs.Wait() // joined before the deferred budget restore writes TraceCacheBytes
-	select {
-	case tot := <-viol:
-		t.Fatalf("bytes+reserved reached %d, budget %d", tot, TraceCacheBytes)
-	default:
+		t.Errorf("unknown workload counted %d captures", c)
 	}
 }
