@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -176,89 +175,48 @@ func (s *wideSlots) advance(frontier int64) {
 	s.base = frontier
 }
 
-// pool is a set of identical functional units.
-type pool struct {
-	busy []int64 // first cycle each unit is free
-}
+// A functional-unit family (integer, FP, media) is one slice holding the
+// cycle each unit is next free: the simple units first, then the complex
+// ones. Simple operations may execute on complex units, so they pick from
+// the whole slice; complex operations pick from the complex tail.
 
-func newPool(n int) *pool { return &pool{busy: make([]int64, n)} }
-
-func (p *pool) empty() bool { return len(p.busy) == 0 }
-
-// minFree returns the earliest cycle any unit is free (0 if the pool is
-// empty; callers must check empty()).
-func (p *pool) minFree() int64 {
-	var m int64 = 1 << 62
-	for _, b := range p.busy {
-		if b < m {
-			m = b
+// leastBusy returns the unit that frees first, the lowest index on ties
+// (so a simple unit before a complex one); the value it points at is the
+// cycle that unit frees. units must not be empty.
+func leastBusy(units []int64) *int64 {
+	u := &units[0]
+	for i := 1; i < len(units); i++ {
+		if units[i] < *u {
+			u = &units[i]
 		}
 	}
-	if m == 1<<62 {
-		m = 0
-	}
-	return m
+	return u
 }
 
-// takeAt reserves the least-busy unit for occ cycles starting no earlier
-// than t; it returns the actual start cycle.
-func (p *pool) takeAt(t, occ int64) int64 {
-	best, bb := -1, int64(1)<<62
-	for i, b := range p.busy {
-		if b < bb {
-			bb, best = b, i
-		}
-	}
-	start := t
-	if bb > start {
-		start = bb
-	}
-	p.busy[best] = start + occ
-	return start
+// issue reserves unit u for occ cycles for an instruction whose operands
+// are ready at ready. The instruction waits for the unit to free (t0),
+// then for an issue slot (c), and executes from c.
+func issue(slots *wideSlots, u *int64, ready, occ int64) (c, t0 int64) {
+	t0 = max(ready, *u)
+	c = slots.take(t0)
+	*u = c + occ
+	return c, t0
 }
 
-// takeAll reserves every unit in the pool for occ cycles (multi-address
-// vector accesses reserve all memory ports).
-func (p *pool) takeAll(t, occ int64) int64 {
-	start := t
-	for _, b := range p.busy {
-		if b > start {
-			start = b
-		}
+// issueAll is issue for an access that reserves every unit (multi-address
+// vector accesses take all memory ports): it waits for the first unit to
+// free (t0) and for an issue slot (c), then starts once every unit is free.
+func issueAll(slots *wideSlots, units []int64, ready, occ int64) (start, c, t0 int64) {
+	t0 = max(ready, *leastBusy(units))
+	c = slots.take(t0)
+	start = c
+	for _, b := range units {
+		start = max(start, b)
 	}
-	for i := range p.busy {
-		p.busy[i] = start + occ
+	for i := range units {
+		units[i] = start + occ
 	}
-	return start
-}
-
-// takeEither picks the least-busy unit across two pools (simple operations
-// may execute on complex units).
-func takeEither(a, b *pool, t, occ int64) int64 {
-	switch {
-	case a.empty():
-		return b.takeAt(t, occ)
-	case b.empty():
-		return a.takeAt(t, occ)
-	}
-	if a.minFree() <= b.minFree() {
-		return a.takeAt(t, occ)
-	}
-	return b.takeAt(t, occ)
-}
-
-func minFreeEither(a, b *pool) int64 {
-	switch {
-	case a.empty():
-		return b.minFree()
-	case b.empty():
-		return a.minFree()
-	}
-	am, bm := a.minFree(), b.minFree()
-	if am < bm {
-		return am
-	}
-	return bm
+	return start, c, t0
 }
 
 // storeWindow tracks in-flight stores for load-store ordering.
@@ -274,7 +232,9 @@ func newStoreWindow(n int) *storeWindow {
 
 func (w *storeWindow) add(lo, hi uint64, ready int64) {
 	w.lo[w.head], w.hi[w.head], w.ready[w.head] = lo, hi, ready
-	w.head = (w.head + 1) % len(w.lo)
+	if w.head++; w.head == len(w.lo) {
+		w.head = 0
+	}
 }
 
 // conflictReady returns the latest data-ready time among stores overlapping
@@ -304,6 +264,10 @@ func vecRange(base uint64, stride int64, n, size int) (lo, hi uint64) {
 
 const regKeySpace = 8 * 64
 
+// noReg is the register key of an unused source operand: its lastWriter
+// entry is never written, so it stays 0 and never delays an instruction.
+const noReg = regKeySpace
+
 func regKey(r isa.Reg) int { return int(r.Kind)<<6 | int(r.Idx) }
 
 // Sim runs programs on one processor configuration and memory model.
@@ -322,18 +286,27 @@ func New(cfg Config, m mem.Model) *Sim {
 	return &Sim{Cfg: cfg, Mem: m}
 }
 
+// Memory kind of a static instruction: which of a batch's sparse columns
+// its records occupy.
+const (
+	memNone   = iota
+	memScalar // one EA entry
+	memVector // one EA and one Stride entry
+)
+
 // staticInst caches the per-static-instruction facts the timing loop needs,
 // hoisting the Op.Info() map lookups and DepsOf normalisation out of the
-// per-dynamic-instruction path.
+// per-dynamic-instruction path. With the batch's own columns it is all the
+// loop reads about a record.
 type staticInst struct {
 	lat     int64
 	class   isa.Class
-	isMem   bool
+	mem     uint8 // memNone, memScalar or memVector
+	size    uint8 // element size in bytes, memory instructions only
 	isBR    bool  // unconditional branch (always predicted taken)
 	dstKey  int32 // regKey of the destination, -1 if none
 	dstKind isa.RegKind
-	nsrc    uint8
-	srcKeys [4]int32
+	srcKeys [4]int32 // regKeys of the sources, noReg for unused operands
 }
 
 // buildStatics computes the staticInst table for a program; it runs once
@@ -346,18 +319,23 @@ func buildStatics(p *isa.Program) []staticInst {
 		dst, srcs := isa.DepsOf(in)
 		st := &sts[i]
 		st.lat, st.class = int64(info.Lat), info.Class
-		st.isMem = info.Class.IsMem()
+		switch info.Class {
+		case isa.ClassLoad, isa.ClassStore:
+			st.mem, st.size = memScalar, uint8(in.Op.ElemSize())
+		case isa.ClassMomLoad, isa.ClassMomStore:
+			st.mem, st.size = memVector, uint8(in.Op.ElemSize())
+		}
 		st.isBR = in.Op == isa.BR
 		st.dstKey = -1
 		if dst.Valid() {
 			st.dstKey, st.dstKind = int32(regKey(dst)), dst.Kind
 		}
-		for _, src := range srcs {
+		st.srcKeys = [4]int32{noReg, noReg, noReg, noReg}
+		for i, src := range srcs {
 			if !src.Valid() {
 				break
 			}
-			st.srcKeys[st.nsrc] = int32(regKey(src))
-			st.nsrc++
+			st.srcKeys[i] = int32(regKey(src))
 		}
 	}
 	return sts
@@ -374,9 +352,7 @@ func staticsForTrace(tr *trace.Trace) []staticInst {
 	if v, ok := tr.Aux(staticsAuxKey{}); ok {
 		return v.([]staticInst)
 	}
-	sts := buildStatics(tr.Program())
-	tr.SetAux(staticsAuxKey{}, sts)
-	return sts
+	return tr.SetAux(staticsAuxKey{}, buildStatics(tr.Program())).([]staticInst)
 }
 
 // staticsFor resolves the staticInst table for any source, memoizing via
@@ -396,23 +372,24 @@ type runState struct {
 	pred    *bimodal
 	targets *btb
 
-	intS, intC *pool
-	fpS, fpC   *pool
-	medS, medC *pool
-	ports      *pool
+	// Functional units, one family per slice (see leastBusy).
+	intUnits, fpUnits, medUnits, ports []int64
 
 	dispatchSlots slots
 	commitSlots   slots
 	issueSlots    *wideSlots
 
+	// The ROB, LSQ and rename rings advance one slot per allocation; each
+	// head wraps by compare-and-reset (rename rings follow the physical
+	// register count, so their lengths are not powers of two).
 	robRing []int64
+	robHead int
 	lsqRing []int64
 	lsqHead int
 
-	renameRing [8][]int64
-	renameHead [8]int
+	rename [8]renameRing
 
-	lastWriter [regKeySpace]int64
+	lastWriter [regKeySpace + 1]int64 // indexed by regKey, or noReg
 	stores     *storeWindow
 
 	// Span cursors: runSpan loads these into locals on entry and stores
@@ -449,17 +426,16 @@ func acquireState(cfg *Config) *runState {
 
 func releaseState(rs *runState) { statePool.Put(rs) }
 
-// ensurePool resizes (or clears) a functional-unit pool in place.
-func ensurePool(pp **pool, n int) {
-	if p := *pp; p != nil && len(p.busy) == n {
-		clear(p.busy)
-		return
-	}
-	*pp = newPool(n)
+// renameRing is one register kind's in-flight writes, as the commit cycle
+// of each, and the slot the next write takes. A nil ring means unlimited
+// in-flight writes.
+type renameRing struct {
+	commits []int64
+	head    int
 }
 
-// ensureRing resizes (or clears) an int64 ring; n <= 0 yields nil, which the
-// rename path tests for (a nil ring means unlimited in-flight writes).
+// ensureRing resizes (or clears) an int64 ring or unit family; n <= 0
+// yields nil.
 func ensureRing(r []int64, n int) []int64 {
 	if n <= 0 {
 		return nil
@@ -504,13 +480,10 @@ func (rs *runState) ensure(cfg *Config) {
 		rs.targets = newBTB(cfg.BTBEntries)
 	}
 
-	ensurePool(&rs.intS, cfg.IntSimple)
-	ensurePool(&rs.intC, cfg.IntComplex)
-	ensurePool(&rs.fpS, cfg.FPSimple)
-	ensurePool(&rs.fpC, cfg.FPComplex)
-	ensurePool(&rs.medS, cfg.MedSimple)
-	ensurePool(&rs.medC, cfg.MedComplex)
-	ensurePool(&rs.ports, cfg.MemPorts)
+	rs.intUnits = ensureRing(rs.intUnits, cfg.IntSimple+cfg.IntComplex)
+	rs.fpUnits = ensureRing(rs.fpUnits, cfg.FPSimple+cfg.FPComplex)
+	rs.medUnits = ensureRing(rs.medUnits, cfg.MedSimple+cfg.MedComplex)
+	rs.ports = ensureRing(rs.ports, cfg.MemPorts)
 
 	rs.dispatchSlots = slots{width: cfg.Width}
 	rs.commitSlots = slots{width: cfg.Width}
@@ -521,11 +494,11 @@ func (rs *runState) ensure(cfg *Config) {
 	}
 
 	rs.robRing = ensureRing(rs.robRing, cfg.ROBSize)
+	rs.robHead = 0
 	rs.lsqRing = ensureRing(rs.lsqRing, cfg.LSQSize)
 	rs.lsqHead = 0
 	for k := isa.RegKind(0); k < 8; k++ {
-		rs.renameRing[k] = ensureRing(rs.renameRing[k], cfg.inFlight(k))
-		rs.renameHead[k] = 0
+		rs.rename[k] = renameRing{commits: ensureRing(rs.rename[k].commits, cfg.inFlight(k))}
 	}
 	clear(rs.lastWriter[:])
 	if rs.stores != nil && len(rs.stores.lo) == cfg.LSQSize {
@@ -570,21 +543,25 @@ func (s *Sim) Run(src trace.Source, maxInsts uint64) (Result, error) {
 // buckets accumulate into res; Cycles/Insts/Mem finalisation is the
 // caller's job, which is what lets Run and the sampled-window controller
 // share the exact same loop.
+//
+// The stream arrives in column batches (trace.Source.NextBatch) that never
+// run past limit, so a span leaves its source positioned exactly at limit.
+// Each record costs one statics lookup; its effective address and stride
+// come from the batch's sparse columns in stream order.
 func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res *Result, limit uint64, observer obs.Observer) (more bool, err error) {
 	cfg := &s.Cfg
 	memModel := s.Mem
 
 	pred, targets := rs.pred, rs.targets
-	intS, intC := rs.intS, rs.intC
-	fpS, fpC := rs.fpS, rs.fpC
-	medS, medC := rs.medS, rs.medC
-	ports := rs.ports
+	intUnits, fpUnits, medUnits, ports := rs.intUnits, rs.fpUnits, rs.medUnits, rs.ports
+	intComplex := intUnits[cfg.IntSimple:]
+	fpComplex := fpUnits[cfg.FPSimple:]
+	medComplex := medUnits[cfg.MedSimple:]
 	dispatchSlots, commitSlots := &rs.dispatchSlots, &rs.commitSlots
 	issueSlots := rs.issueSlots
 	robRing, lsqRing := rs.robRing, rs.lsqRing
-	lsqHead := rs.lsqHead
-	renameRing := &rs.renameRing
-	renameHead := &rs.renameHead
+	robHead, lsqHead := rs.robHead, rs.lsqHead
+	rename := &rs.rename
 	lastWriter := &rs.lastWriter
 	stores := rs.stores
 
@@ -594,7 +571,9 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	prof := &res.Profile
 	profFrontier, redirectCycle := rs.profFrontier, rs.redirectCycle
 
+	width, frontDepth := cfg.Width, int64(cfg.FrontDepth)
 	vecRate := cfg.MemPorts * cfg.MemPortLanes
+	allPorts := memModel.VectorReservesAllPorts()
 
 	// Observer scratch, hoisted out of the loop: memBefore only holds a
 	// meaningful snapshot within one iteration, guarded by observer != nil.
@@ -603,361 +582,322 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	more = true
 loop:
 	for idx < limit {
-		d, ok := src.Next()
-		if !ok {
+		b := src.NextBatch(limit - idx)
+		if len(b.SI) == 0 {
 			more = false
 			break
 		}
-		st := &statics[d.SI]
-		res.ByClass[st.class]++
+		metas := b.Meta[:len(b.SI)]
+		eaI, strI := 0, 0
+		for k, si32 := range b.SI {
+			si := int(si32)
+			st := &statics[si]
+			res.ByClass[st.class]++
+			meta := metas[k]
+			vl := int(meta &^ trace.MetaTaken)
+			taken := meta&trace.MetaTaken != 0
+			isMem := st.mem != memNone
+			var ea uint64
+			var stride int64
+			if isMem {
+				ea = b.EA[eaI]
+				eaI++
+				if st.mem == memVector {
+					stride = b.Stride[strI]
+					strI++
+				}
+			}
+			size := int(st.size)
 
-		// ---- fetch ----
-		if fetchUsed >= cfg.Width {
-			fetchCycle++
-			fetchUsed = 0
-		}
-		f := fetchCycle
-		fetchUsed++
+			// ---- fetch ----
+			if fetchUsed >= width {
+				fetchCycle++
+				fetchUsed = 0
+			}
+			f := fetchCycle
+			fetchUsed++
 
-		// ---- dispatch (rename + ROB/LSQ allocation) ----
-		earliest := f + int64(cfg.FrontDepth)
-		frontWait := earliest - lastDispatch // fetch arrived behind dispatch
-		if frontWait < 0 {
-			frontWait = 0
-		}
-		if earliest < lastDispatch {
-			earliest = lastDispatch
-		}
-		flowEarliest := earliest
-		if c := robRing[idx%uint64(cfg.ROBSize)]; c+1 > earliest {
-			earliest = c + 1
-		}
-		isMem := st.isMem
-		if isMem {
-			if c := lsqRing[lsqHead]; c+1 > earliest {
+			// ---- dispatch (rename + ROB/LSQ allocation) ----
+			earliest := f + frontDepth
+			frontWait := earliest - lastDispatch // fetch arrived behind dispatch
+			if frontWait < 0 {
+				frontWait = 0
+			}
+			if earliest < lastDispatch {
+				earliest = lastDispatch
+			}
+			flowEarliest := earliest
+			if c := robRing[robHead]; c+1 > earliest {
 				earliest = c + 1
 			}
-		}
-		if st.dstKey >= 0 {
-			ring := renameRing[st.dstKind]
-			if ring != nil {
-				if c := ring[renameHead[st.dstKind]]; c+1 > earliest {
+			if isMem {
+				if c := lsqRing[lsqHead]; c+1 > earliest {
 					earliest = c + 1
 				}
 			}
-		}
-		structWait := earliest - flowEarliest // ROB/LSQ/rename back-pressure
-		dispatch := dispatchSlots.take(earliest)
-		frontWait += dispatch - earliest // dispatch-width overflow
-		lastDispatch = dispatch
-		issueSlots.advance(dispatch)
-
-		// ---- operand readiness ----
-		ready := dispatch + 1
-		for _, key := range st.srcKeys[:st.nsrc] {
-			if t := lastWriter[key]; t > ready {
-				ready = t
-			}
-		}
-
-		// ---- issue + execute ----
-		// Alongside the timing, each arm records how long the instruction
-		// waited at each stage (fuWait: unit busy, issWait: no issue slot,
-		// memWait: load data outstanding) for the cycle attribution below,
-		// and the cycle it won an issue slot (issueAt) for the observer.
-		var complete int64
-		var issWait, fuWait, memWait, issueAt int64
-		if observer != nil && isMem {
-			memBefore = memModel.Stats()
-		}
-		lat := st.lat
-		switch st.class {
-		case isa.ClassNop:
-			complete = ready
-			issueAt = ready
-
-		case isa.ClassIntSimple, isa.ClassBranch, isa.ClassCtl:
-			t0 := max(ready, minFreeEither(intS, intC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(intS, intC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassIntComplex:
-			t0 := max(ready, intC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := intC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassFPSimple:
-			t0 := max(ready, minFreeEither(fpS, fpC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(fpS, fpC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassFPComplex:
-			t0 := max(ready, fpC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := fpC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-
-		case isa.ClassMedSimple:
-			t0 := max(ready, minFreeEither(medS, medC))
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := takeEither(medS, medC, c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMedComplex:
-			t0 := max(ready, medC.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := medC.takeAt(c, 1)
-			complete = start + lat
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMomSimple, isa.ClassMomComplex:
-			// A matrix operation executes VL word-operations on one
-			// multimedia unit at MedLanes words per cycle; the result is
-			// architecturally complete when the last word drains.
-			occ := occupancy(d.VL, cfg.MedLanes)
-			var t0, start int64
-			if st.class == isa.ClassMomSimple {
-				t0 = max(ready, minFreeEither(medS, medC))
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = takeEither(medS, medC, c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 = max(ready, medC.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = medC.takeAt(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			complete = start + occ - 1 + lat
-			res.WordOps += uint64(d.VL)
-
-		case isa.ClassLoad:
-			res.Loads++
-			occ := int64(1)
-			if unaligned(d.EA, d.Size) {
-				occ = 2 // the port splits it into two aligned accesses
-			}
-			t0 := max(ready, ports.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := ports.takeAt(c, occ)
-			agDone := start + occ
-			lo, hi := d.EA, d.EA+uint64(d.Size)
-			memDone := memModel.Load(agDone, d.EA, d.Size)
-			if fwd := stores.conflictReady(lo, hi); fwd > 0 {
-				if fwd+1 > memDone {
-					memDone = fwd + 1
-				}
-			}
-			complete = memDone
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			memWait = complete - agDone
-			res.WordOps++
-
-		case isa.ClassStore:
-			res.Stores++
-			t0 := max(ready, ports.minFree())
-			c := issueSlots.take(t0)
-			issueAt = c
-			start := ports.takeAt(c, 1)
-			complete = max(start+1, ready)
-			stores.add(d.EA, d.EA+uint64(d.Size), complete)
-			fuWait, issWait = (t0-ready)+(start-c), c-t0
-			res.WordOps++
-
-		case isa.ClassMomLoad:
-			res.Loads++
-			occ := occupancy(d.NElem, vecRate)
-			var start int64
-			if memModel.VectorReservesAllPorts() {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAll(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAt(c, 1)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			lo, hi := vecRange(d.EA, d.Stride, d.NElem, d.Size)
-			memDone := memModel.LoadVector(start+1, d.EA, d.Stride, d.NElem, vecRate)
-			if fwd := stores.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
-				memDone = fwd + 1
-			}
-			complete = memDone
-			if memWait = complete - (start + occ); memWait < 0 {
-				memWait = 0
-			}
-			res.WordOps += uint64(d.NElem)
-
-		case isa.ClassMomStore:
-			res.Stores++
-			occ := occupancy(d.NElem, vecRate)
-			var start int64
-			if memModel.VectorReservesAllPorts() {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAll(c, occ)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			} else {
-				t0 := max(ready, ports.minFree())
-				c := issueSlots.take(t0)
-				issueAt = c
-				start = ports.takeAt(c, 1)
-				fuWait, issWait = (t0-ready)+(start-c), c-t0
-			}
-			complete = max(start+occ, ready)
-			lo, hi := vecRange(d.EA, d.Stride, d.NElem, d.Size)
-			stores.add(lo, hi, complete)
-			res.WordOps += uint64(d.NElem)
-
-		default:
-			err = fmt.Errorf("cpu: unhandled class %v", st.class)
-			break loop
-		}
-
-		// ---- commit (in order, width per cycle) ----
-		preCommit := commitSlots.take(max(complete+1, lastCommit))
-		commit := preCommit
-		switch st.class {
-		case isa.ClassStore:
-			if acc := memModel.Store(commit, d.EA, d.Size); acc > commit {
-				commit = commitSlots.take(acc)
-			}
-		case isa.ClassMomStore:
-			if acc := memModel.StoreVector(commit, d.EA, d.Stride, d.NElem, vecRate); acc > commit {
-				commit = commitSlots.take(acc)
-			}
-		}
-
-		// ---- cycle attribution ----
-		// The commit frontier advanced adv cycles while graduating this
-		// instruction: one is the useful commit cycle, any gap between the
-		// store-accept push and preCommit stalled on the write buffer, and
-		// the rest is charged to the stage this instruction waited on
-		// longest (ties go to the earlier pipeline stage in list order).
-		var evCommitted, evExecGap, evStoreGap int64
-		evBucket := obs.BucketDepLatency
-		if adv := commit - profFrontier; adv > 0 {
-			prof.Commit++
-			evCommitted = 1
-			execGap := preCommit - profFrontier - 1
-			if execGap < 0 {
-				execGap = 0
-			}
-			if storeGap := adv - 1 - execGap; storeGap > 0 {
-				prof.StoreCommit += storeGap
-				evStoreGap = storeGap
-			}
-			if execGap > 0 {
-				cause, best := &prof.DepLatency, ready-(dispatch+1)
-				bucket := obs.BucketDepLatency
-				if frontWait > best {
-					cause, best = &prof.Frontend, frontWait
-					bucket = obs.BucketFrontend
-					if f == redirectCycle {
-						cause = &prof.Mispredict
-						bucket = obs.BucketMispredict
+			var rr *renameRing // the destination's bounded rename ring, if any
+			if st.dstKey >= 0 {
+				if r := &rename[st.dstKind]; r.commits != nil {
+					rr = r
+					if c := r.commits[r.head]; c+1 > earliest {
+						earliest = c + 1
 					}
 				}
-				if structWait > best {
-					cause, best = &prof.RenameROB, structWait
-					bucket = obs.BucketRenameROB
-				}
-				if issWait > best {
-					cause, best = &prof.IssueQueue, issWait
-					bucket = obs.BucketIssueQueue
-				}
-				if fuWait > best {
-					cause, best = &prof.FU, fuWait
-					bucket = obs.BucketFU
-				}
-				if memWait > best {
-					cause = &prof.MemWait
-					bucket = obs.BucketMemWait
-				}
-				*cause += execGap
-				evBucket = bucket
-				evExecGap = execGap
 			}
-		}
-		profFrontier = commit
-		lastCommit = commit
-		robRing[idx%uint64(cfg.ROBSize)] = commit
-		if isMem {
-			lsqRing[lsqHead] = commit
-			lsqHead = (lsqHead + 1) % cfg.LSQSize
-		}
-		if st.dstKey >= 0 {
-			lastWriter[st.dstKey] = complete
-			if ring := renameRing[st.dstKind]; ring != nil {
-				ring[renameHead[st.dstKind]] = commit
-				renameHead[st.dstKind] = (renameHead[st.dstKind] + 1) % len(ring)
-			}
-		}
+			structWait := earliest - flowEarliest // ROB/LSQ/rename back-pressure
+			dispatch := dispatchSlots.take(earliest)
+			frontWait += dispatch - earliest // dispatch-width overflow
+			lastDispatch = dispatch
+			issueSlots.advance(dispatch)
 
-		if observer != nil {
-			emitEvent(observer, memModel, &memBefore, &rs.ev, idx, d, st, isMem,
-				f, dispatch, issueAt, complete, commit,
-				evCommitted, evBucket, evExecGap, evStoreGap)
-		}
+			// ---- operand readiness ----
+			ready := max(dispatch+1,
+				lastWriter[st.srcKeys[0]], lastWriter[st.srcKeys[1]],
+				lastWriter[st.srcKeys[2]], lastWriter[st.srcKeys[3]])
 
-		// ---- branch resolution and fetch redirect ----
-		if st.class == isa.ClassBranch {
-			res.Branches++
-			predTaken := st.isBR || pred.predict(d.SI)
-			btbHit := targets.hit(d.SI)
-			if !st.isBR {
-				pred.update(d.SI, d.Taken)
+			// ---- issue + execute ----
+			// Alongside the timing, each arm records the cycle the
+			// instruction had its operands and a free unit (t0) and the cycle
+			// it won an issue slot (issueAt), from which the attribution
+			// below derives its waits; allPortsWait is the extra wait of an
+			// access that takes every port, and memWait the wait for load
+			// data. A single-unit reservation executes from its issue cycle.
+			var complete, issueAt, t0, allPortsWait, memWait int64
+			if observer != nil && isMem {
+				memBefore = memModel.Stats()
 			}
-			if d.Taken {
-				targets.insert(d.SI)
-			}
-			switch {
-			case d.Taken != predTaken:
-				res.Mispredicts++
-				r := complete + 1 + int64(cfg.MispredictPenalty)
-				if r > fetchCycle {
-					fetchCycle = r
-					redirectCycle = r
+			lat := st.lat
+			switch st.class {
+			case isa.ClassNop:
+				complete = ready
+				issueAt, t0 = ready, ready
+
+			case isa.ClassIntSimple, isa.ClassBranch, isa.ClassCtl:
+				issueAt, t0 = issue(issueSlots, leastBusy(intUnits), ready, 1)
+				complete = issueAt + lat
+
+			case isa.ClassIntComplex:
+				issueAt, t0 = issue(issueSlots, leastBusy(intComplex), ready, 1)
+				complete = issueAt + lat
+
+			case isa.ClassFPSimple:
+				issueAt, t0 = issue(issueSlots, leastBusy(fpUnits), ready, 1)
+				complete = issueAt + lat
+
+			case isa.ClassFPComplex:
+				issueAt, t0 = issue(issueSlots, leastBusy(fpComplex), ready, 1)
+				complete = issueAt + lat
+
+			case isa.ClassMedSimple:
+				issueAt, t0 = issue(issueSlots, leastBusy(medUnits), ready, 1)
+				complete = issueAt + lat
+				res.WordOps++
+
+			case isa.ClassMedComplex:
+				issueAt, t0 = issue(issueSlots, leastBusy(medComplex), ready, 1)
+				complete = issueAt + lat
+				res.WordOps++
+
+			case isa.ClassMomSimple, isa.ClassMomComplex:
+				// A matrix operation executes VL word-operations on one
+				// multimedia unit at MedLanes words per cycle; the result is
+				// architecturally complete when the last word drains.
+				occ := occupancy(vl, cfg.MedLanes)
+				units := medUnits
+				if st.class == isa.ClassMomComplex {
+					units = medComplex
 				}
-				fetchUsed = 0
-			case d.Taken && btbHit:
-				// Correctly predicted taken: redirect next cycle, the taken
-				// branch ends this fetch group.
-				fetchCycle = f + 1
-				fetchUsed = 0
-			case d.Taken: // predicted taken but BTB miss: decode-time bubble
-				res.BTBMisses++
-				fetchCycle = f + 2
-				fetchUsed = 0
+				issueAt, t0 = issue(issueSlots, leastBusy(units), ready, occ)
+				complete = issueAt + occ - 1 + lat
+				res.WordOps += uint64(vl)
+
+			case isa.ClassLoad:
+				res.Loads++
+				occ := int64(1)
+				if unaligned(ea, size) {
+					occ = 2 // the port splits it into two aligned accesses
+				}
+				issueAt, t0 = issue(issueSlots, leastBusy(ports), ready, occ)
+				agDone := issueAt + occ
+				memDone := memModel.Load(agDone, ea, size)
+				if fwd := stores.conflictReady(ea, ea+uint64(size)); fwd > 0 {
+					if fwd+1 > memDone {
+						memDone = fwd + 1
+					}
+				}
+				complete = memDone
+				memWait = complete - agDone
+				res.WordOps++
+
+			case isa.ClassStore:
+				res.Stores++
+				issueAt, t0 = issue(issueSlots, leastBusy(ports), ready, 1)
+				complete = max(issueAt+1, ready)
+				stores.add(ea, ea+uint64(size), complete)
+				res.WordOps++
+
+			case isa.ClassMomLoad, isa.ClassMomStore:
+				occ := occupancy(vl, vecRate)
+				start := int64(0)
+				if allPorts {
+					start, issueAt, t0 = issueAll(issueSlots, ports, ready, occ)
+					allPortsWait = start - issueAt
+				} else {
+					issueAt, t0 = issue(issueSlots, leastBusy(ports), ready, 1)
+					start = issueAt
+				}
+				lo, hi := vecRange(ea, stride, vl, size)
+				if st.class == isa.ClassMomLoad {
+					res.Loads++
+					memDone := memModel.LoadVector(start+1, ea, stride, vl, vecRate)
+					if fwd := stores.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
+						memDone = fwd + 1
+					}
+					complete = memDone
+					if memWait = complete - (start + occ); memWait < 0 {
+						memWait = 0
+					}
+				} else {
+					res.Stores++
+					complete = max(start+occ, ready)
+					stores.add(lo, hi, complete)
+				}
+				res.WordOps += uint64(vl)
+
+			default:
+				err = fmt.Errorf("cpu: unhandled class %v", st.class)
+				break loop
 			}
+
+			// ---- commit (in order, width per cycle) ----
+			preCommit := commitSlots.take(max(complete+1, lastCommit))
+			commit := preCommit
+			switch st.class {
+			case isa.ClassStore:
+				if acc := memModel.Store(commit, ea, size); acc > commit {
+					commit = commitSlots.take(acc)
+				}
+			case isa.ClassMomStore:
+				if acc := memModel.StoreVector(commit, ea, stride, vl, vecRate); acc > commit {
+					commit = commitSlots.take(acc)
+				}
+			}
+
+			// ---- cycle attribution ----
+			// The commit frontier advanced adv cycles while graduating this
+			// instruction: one is the useful commit cycle, any gap between the
+			// store-accept push and preCommit stalled on the write buffer, and
+			// the rest is charged to the stage this instruction waited on
+			// longest (ties go to the earlier pipeline stage in list order).
+			var evCommitted, evExecGap, evStoreGap int64
+			evBucket := obs.BucketDepLatency
+			if adv := commit - profFrontier; adv > 0 {
+				prof.Commit++
+				evCommitted = 1
+				execGap := preCommit - profFrontier - 1
+				if execGap < 0 {
+					execGap = 0
+				}
+				if storeGap := adv - 1 - execGap; storeGap > 0 {
+					prof.StoreCommit += storeGap
+					evStoreGap = storeGap
+				}
+				if execGap > 0 {
+					cause, best := &prof.DepLatency, ready-(dispatch+1)
+					bucket := obs.BucketDepLatency
+					if frontWait > best {
+						cause, best = &prof.Frontend, frontWait
+						bucket = obs.BucketFrontend
+						if f == redirectCycle {
+							cause = &prof.Mispredict
+							bucket = obs.BucketMispredict
+						}
+					}
+					if structWait > best {
+						cause, best = &prof.RenameROB, structWait
+						bucket = obs.BucketRenameROB
+					}
+					if issWait := issueAt - t0; issWait > best {
+						cause, best = &prof.IssueQueue, issWait
+						bucket = obs.BucketIssueQueue
+					}
+					if fuWait := t0 - ready + allPortsWait; fuWait > best {
+						cause, best = &prof.FU, fuWait
+						bucket = obs.BucketFU
+					}
+					if memWait > best {
+						cause = &prof.MemWait
+						bucket = obs.BucketMemWait
+					}
+					*cause += execGap
+					evBucket = bucket
+					evExecGap = execGap
+				}
+			}
+			profFrontier = commit
+			lastCommit = commit
+			robRing[robHead] = commit
+			if robHead++; robHead == len(robRing) {
+				robHead = 0
+			}
+			if isMem {
+				lsqRing[lsqHead] = commit
+				if lsqHead++; lsqHead == len(lsqRing) {
+					lsqHead = 0
+				}
+			}
+			if st.dstKey >= 0 {
+				lastWriter[st.dstKey] = complete
+			}
+			if rr != nil {
+				rr.commits[rr.head] = commit
+				if rr.head++; rr.head == len(rr.commits) {
+					rr.head = 0
+				}
+			}
+
+			if observer != nil {
+				emitEvent(observer, memModel, &memBefore, &rs.ev, idx, si, vl, taken, st, isMem,
+					f, dispatch, issueAt, complete, commit,
+					evCommitted, evBucket, evExecGap, evStoreGap)
+			}
+
+			// ---- branch resolution and fetch redirect ----
+			if st.class == isa.ClassBranch {
+				res.Branches++
+				predTaken := st.isBR || pred.predict(si)
+				btbHit := targets.hit(si)
+				if !st.isBR {
+					pred.update(si, taken)
+				}
+				if taken {
+					targets.insert(si)
+				}
+				switch {
+				case taken != predTaken:
+					res.Mispredicts++
+					r := complete + 1 + int64(cfg.MispredictPenalty)
+					if r > fetchCycle {
+						fetchCycle = r
+						redirectCycle = r
+					}
+					fetchUsed = 0
+				case taken && btbHit:
+					// Correctly predicted taken: redirect next cycle, the taken
+					// branch ends this fetch group.
+					fetchCycle = f + 1
+					fetchUsed = 0
+				case taken: // predicted taken but BTB miss: decode-time bubble
+					res.BTBMisses++
+					fetchCycle = f + 2
+					fetchUsed = 0
+				}
+			}
+			idx++
 		}
-		idx++
 	}
 
-	rs.lsqHead = lsqHead
+	rs.robHead, rs.lsqHead = robHead, lsqHead
 	rs.fetchCycle, rs.lastDispatch, rs.lastCommit = fetchCycle, lastDispatch, lastCommit
 	rs.fetchUsed = fetchUsed
 	rs.idx = idx
@@ -976,11 +916,11 @@ loop:
 //
 //go:noinline
 func emitEvent(observer obs.Observer, memModel mem.Model, memBefore *mem.Stats,
-	ev *obs.Event, idx uint64, d emu.Dyn, st *staticInst, isMem bool,
+	ev *obs.Event, idx uint64, si, vl int, taken bool, st *staticInst, isMem bool,
 	f, dispatch, issueAt, complete, commit int64,
 	evCommitted int64, evBucket obs.Bucket, evExecGap, evStoreGap int64) {
 	*ev = obs.Event{
-		Seq: idx, PC: d.SI, Class: st.class, VL: d.VL, Taken: d.Taken,
+		Seq: idx, PC: si, Class: st.class, VL: vl, Taken: taken,
 		Fetch: f, Dispatch: dispatch, Issue: issueAt,
 		Complete: complete, Commit: commit,
 		Committed: evCommitted, Bucket: evBucket,
@@ -1003,10 +943,8 @@ func occupancy(n, rate int) int64 {
 	return int64((n + rate - 1) / rate)
 }
 
-// unaligned reports whether a scalar access is misaligned for its size.
+// unaligned reports whether a scalar access is misaligned for its size,
+// which is 1, 2, 4 or 8 bytes.
 func unaligned(addr uint64, size int) bool {
-	if size <= 1 {
-		return false
-	}
-	return addr%uint64(size) != 0
+	return addr&uint64(size-1) != 0
 }

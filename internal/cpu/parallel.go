@@ -47,6 +47,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -262,7 +263,7 @@ func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter
 	return nil
 }
 
-// ckptKey identifies a checkpoint library in a trace's aux cache: the
+// ckptKey identifies a checkpoint library in a trace's ckptMemo: the
 // sweep's output is a deterministic function of the recording, the
 // sampling regime, the instruction budget, the block grain, the warming
 // behaviour of the memory model (Name captures mode and width) and the
@@ -283,6 +284,64 @@ type ckptKey struct {
 type ckptLibrary struct {
 	cps                    []Checkpoint
 	warmup, skipped, total uint64
+}
+
+// maxCkptLibraries bounds how many checkpoint libraries one trace keeps.
+// Sample specs come from users, so a long-running server would otherwise
+// keep a library for every spec it was ever asked for; one Figure 7 run
+// puts at most 6 keys on a trace (3 MOM cache modes × 2 widths).
+const maxCkptLibraries = 8
+
+// ckptMemoKey keys a trace's ckptMemo in its aux cache.
+type ckptMemoKey struct{}
+
+// ckptMemo is one trace's checkpoint libraries, at most maxCkptLibraries
+// of them; inserting past the cap evicts the oldest insertion. Concurrent
+// sampled runs over the trace share it.
+type ckptMemo struct {
+	mu   sync.Mutex
+	libs []ckptEntry // oldest first
+}
+
+type ckptEntry struct {
+	key ckptKey
+	lib *ckptLibrary
+}
+
+// ckptMemoFor returns the trace's checkpoint-library memo.
+func ckptMemoFor(tr *trace.Trace) *ckptMemo {
+	if v, ok := tr.Aux(ckptMemoKey{}); ok {
+		return v.(*ckptMemo)
+	}
+	return tr.SetAux(ckptMemoKey{}, &ckptMemo{}).(*ckptMemo)
+}
+
+// get returns the library stored under k, or nil.
+func (m *ckptMemo) get(k ckptKey) *ckptLibrary {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.libs {
+		if e.key == k {
+			return e.lib
+		}
+	}
+	return nil
+}
+
+// put stores lib under k unless a library is there already (a concurrent
+// sweep of the same key got there first; both are identical).
+func (m *ckptMemo) put(k ckptKey, lib *ckptLibrary) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.libs {
+		if e.key == k {
+			return
+		}
+	}
+	if len(m.libs) == maxCkptLibraries {
+		m.libs = append(m.libs[:0], m.libs[1:]...)
+	}
+	m.libs = append(m.libs, ckptEntry{key: k, lib: lib})
 }
 
 // runSampledParallel is the two-phase pipeline behind RunSampled when
@@ -311,14 +370,13 @@ func (s *Sim) runSampledParallel(tr *trace.Trace, rd *trace.Reader, maxInsts uin
 		maxInsts: maxInsts, every: every, mem: s.Mem.Name(),
 		bimodal: s.Cfg.BimodalSize, btb: s.Cfg.BTBEntries,
 	}
-	var lib *ckptLibrary
-	if v, ok := tr.Aux(key); ok {
-		lib = v.(*ckptLibrary)
-	} else {
+	memo := ckptMemoFor(tr)
+	lib := memo.get(key)
+	if lib == nil {
 		var sweep Sampled
 		cps := s.sweepCheckpoints(rd, statics, maxInsts, spec, sm, &sweep, every)
 		lib = &ckptLibrary{cps: cps, warmup: sweep.WarmupInsts, skipped: sweep.SkippedInsts, total: sweep.TotalInsts}
-		tr.SetAux(key, lib)
+		memo.put(key, lib)
 	}
 	smp.WarmupInsts, smp.SkippedInsts, smp.TotalInsts = lib.warmup, lib.skipped, lib.total
 	cps := lib.cps

@@ -88,22 +88,20 @@ func (s *Sampled) Coverage() float64 {
 // base continues the run's cycle axis monotonically so the memory model's
 // busy-until cursors (ports, MSHRs, DRAM channel) stay meaningful.
 func (rs *runState) startWindow(cfg *Config, base int64) {
-	clear(rs.intS.busy)
-	clear(rs.intC.busy)
-	clear(rs.fpS.busy)
-	clear(rs.fpC.busy)
-	clear(rs.medS.busy)
-	clear(rs.medC.busy)
-	clear(rs.ports.busy)
+	clear(rs.intUnits)
+	clear(rs.fpUnits)
+	clear(rs.medUnits)
+	clear(rs.ports)
 	rs.dispatchSlots = slots{width: cfg.Width}
 	rs.commitSlots = slots{width: cfg.Width}
 	rs.issueSlots.reset(base)
 	clear(rs.robRing)
+	rs.robHead = 0
 	clear(rs.lsqRing)
 	rs.lsqHead = 0
-	for k := range rs.renameRing {
-		clear(rs.renameRing[k])
-		rs.renameHead[k] = 0
+	for k := range rs.rename {
+		clear(rs.rename[k].commits)
+		rs.rename[k].head = 0
 	}
 	clear(rs.lastWriter[:])
 	rs.stores.reset()

@@ -478,6 +478,19 @@ func (op Opcode) Info() Info {
 	return in
 }
 
+// ElemSize returns the element size in bytes a memory opcode accesses.
+func (op Opcode) ElemSize() int {
+	switch op {
+	case LDBU, STB:
+		return 1
+	case LDWU, STW:
+		return 2
+	case LDL, STL:
+		return 4
+	}
+	return 8 // LDQ/STQ, LDT/STT, LDQM/STQM, MOMLDQ/MOMSTQ
+}
+
 // Known reports whether op is a registered opcode.
 func (op Opcode) Known() bool {
 	_, ok := infoTab[op]

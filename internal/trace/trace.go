@@ -6,13 +6,15 @@
 // instruction stream in a compact chunked encoding, and any number of
 // Readers replay it — concurrently — into cpu.Sim.Run.
 //
-// The timing model consumes the Source interface. A recorded trace (Reader)
-// feeds every timing run of a registered workload; the live emulator (Live)
-// implements Source too, as the oracle the tests check replay against and
-// for programs outside the workload set. Replay and live emulation agree
-// record for record, and a timing run publishes the identical obs.Event
-// stream from either (enforced by TestTraceReplayEquivalence and
-// TestTraceReplayEventEquivalence in the root package).
+// The timing model consumes the Source interface, in column batches
+// (NextBatch). A recorded trace (Reader) feeds every timing run of a
+// registered workload, handing out read-only views of its chunk columns;
+// the live emulator (Live) implements Source too, as the oracle the tests
+// check replay against and for programs outside the workload set. Replay
+// and live emulation agree record for record, and a timing run publishes
+// the identical obs.Event stream from either (enforced by
+// TestTraceReplayEquivalence and TestTraceReplayEventEquivalence in the
+// root package).
 package trace
 
 import (
@@ -35,16 +37,37 @@ type Source interface {
 	// Next returns the next dynamic instruction; ok is false at end of
 	// stream (or on a fault; check Err).
 	Next() (d emu.Dyn, ok bool)
+	// NextBatch returns the next run of at most max records (max > 0) in
+	// column form. An empty batch means the end of the stream (or a fault;
+	// check Err). The batch is read-only and valid until the next call.
+	NextBatch(max uint64) Batch
 	// Err reports the fault that terminated the stream, if any.
 	Err() error
+}
+
+// Batch is a run of consecutive records in the chunk encoding: one static
+// index and one meta byte (vector length | MetaTaken) per record, one
+// effective address per memory record and one stride per vector-memory
+// record, both in stream order. Everything else about a record (opcode,
+// class, element size) is a property of its static instruction.
+type Batch struct {
+	SI     []int32
+	Meta   []uint8
+	EA     []uint64
+	Stride []int64
 }
 
 // Live adapts a functional emulator into a Source (the interleaved
 // emulate-and-time path). It is single-use: the machine advances as the
 // timing model consumes it.
 type Live struct {
-	m *emu.Machine
+	m   *emu.Machine
+	buf chunk // NextBatch's columns, reused by every call
 }
+
+// liveBatchRecords caps how many instructions one Live.NextBatch call
+// emulates, which keeps its buffer small.
+const liveBatchRecords = 256
 
 // NewLive wraps a machine as a Source.
 func NewLive(m *emu.Machine) *Live { return &Live{m: m} }
@@ -55,6 +78,22 @@ func (l *Live) Program() *isa.Program { return l.m.Prog }
 // Next executes one instruction.
 func (l *Live) Next() (emu.Dyn, bool) { return l.m.Step() }
 
+// NextBatch executes up to min(max, 256) instructions into a private
+// buffer and returns them as a batch; it stops early at the end of the
+// program or on a fault.
+func (l *Live) NextBatch(max uint64) Batch {
+	c := &l.buf
+	c.si, c.meta, c.ea, c.stride = c.si[:0], c.meta[:0], c.ea[:0], c.stride[:0]
+	for n := min(max, liveBatchRecords); uint64(len(c.si)) < n; {
+		d, ok := l.m.Step()
+		if !ok {
+			break
+		}
+		c.add(d)
+	}
+	return Batch{SI: c.si, Meta: c.meta, EA: c.ea, Stride: c.stride}
+}
+
 // Err returns the machine fault, if any.
 func (l *Live) Err() error { return l.m.Err }
 
@@ -63,9 +102,9 @@ func (l *Live) Err() error { return l.m.Err }
 // allocation, and replay walks each column sequentially.
 const chunkRecords = 1 << 15
 
-// metaTaken flags a taken branch in the meta byte; the low five bits hold
-// the vector length (0..MaxVL).
-const metaTaken = 0x80
+// MetaTaken flags a taken branch in a record's meta byte; the low five
+// bits hold the vector length (0..MaxVL).
+const MetaTaken = 0x80
 
 // A chunk stores chunkRecords dynamic instructions as struct-of-slices
 // columns. Only the dynamic facts are stored: the static index, the vector
@@ -75,13 +114,33 @@ const metaTaken = 0x80
 // reconstructed from the static program during replay.
 type chunk struct {
 	si     []int32  // static instruction index, per record
-	meta   []uint8  // VL | metaTaken, per record
+	meta   []uint8  // VL | MetaTaken, per record
 	ea     []uint64 // effective address, per memory record
 	stride []int64  // byte stride, per vector-memory record
 }
 
 // bytesPerRecord is the fixed per-record cost (si + meta).
 const bytesPerRecord = 5
+
+// add appends one dynamic instruction to the chunk's columns and returns
+// the bytes it added.
+func (c *chunk) add(d emu.Dyn) int64 {
+	c.si = append(c.si, int32(d.SI))
+	meta := uint8(d.VL)
+	if d.Taken {
+		meta |= MetaTaken
+	}
+	c.meta = append(c.meta, meta)
+	if !d.Class.IsMem() {
+		return bytesPerRecord
+	}
+	c.ea = append(c.ea, d.EA)
+	if d.Class != isa.ClassMomLoad && d.Class != isa.ClassMomStore {
+		return bytesPerRecord + 8
+	}
+	c.stride = append(c.stride, d.Stride)
+	return bytesPerRecord + 16
+}
 
 // Memory kind of a static instruction, for replay reconstruction.
 const (
@@ -126,35 +185,27 @@ func (t *Trace) Aux(key any) (any, bool) {
 	return v, ok
 }
 
-// SetAux caches val under key for Aux. Values must be deterministic
-// functions of the recording and key (concurrent computations of the same
-// key may race to store; either result must be equivalent) and must be
-// safe for concurrent read-only use.
-func (t *Trace) SetAux(key, val any) {
+// SetAux caches val under key for Aux, unless a value is cached there
+// already, and returns the cached value: when concurrent computations of
+// one key race to store, the first store wins and every caller continues
+// with it. Values must be deterministic functions of the recording and key
+// and must be safe for concurrent use.
+func (t *Trace) SetAux(key, val any) any {
 	t.auxMu.Lock()
 	defer t.auxMu.Unlock()
+	if v, ok := t.aux[key]; ok {
+		return v
+	}
 	if t.aux == nil {
 		t.aux = make(map[any]any)
 	}
 	t.aux[key] = val
+	return val
 }
 
 // ErrTooLarge is returned by Capture when the encoded trace would exceed
 // the caller's maxBytes bound.
 var ErrTooLarge = errors.New("trace: exceeds memory budget")
-
-// memSize returns the element size in bytes of a memory opcode.
-func memSize(op isa.Opcode) uint8 {
-	switch op {
-	case isa.LDBU, isa.STB:
-		return 1
-	case isa.LDWU, isa.STW:
-		return 2
-	case isa.LDL, isa.STL:
-		return 4
-	}
-	return 8 // LDQ/STQ, LDT/STT, LDQM/STQM, MOMLDQ/MOMSTQ
-}
 
 // buildStatic precomputes the replay reconstruction table for a program.
 func buildStatic(p *isa.Program) []sinst {
@@ -166,9 +217,9 @@ func buildStatic(p *isa.Program) []sinst {
 		s.op, s.class, s.target = in.Op, info.Class, int32(in.Target)
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
-			s.mem, s.size = memScalar, memSize(in.Op)
+			s.mem, s.size = memScalar, uint8(in.Op.ElemSize())
 		case isa.ClassMomLoad, isa.ClassMomStore:
-			s.mem, s.size = memVector, memSize(in.Op)
+			s.mem, s.size = memVector, uint8(in.Op.ElemSize())
 		}
 	}
 	return st
@@ -240,21 +291,7 @@ func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 			})
 			c = &t.chunks[len(t.chunks)-1]
 		}
-		c.si = append(c.si, int32(d.SI))
-		meta := uint8(d.VL)
-		if d.Taken {
-			meta |= metaTaken
-		}
-		c.meta = append(c.meta, meta)
-		bytes += bytesPerRecord
-		if d.Class.IsMem() {
-			c.ea = append(c.ea, d.EA)
-			bytes += 8
-			if d.Class == isa.ClassMomLoad || d.Class == isa.ClassMomStore {
-				c.stride = append(c.stride, d.Stride)
-				bytes += 8
-			}
-		}
+		bytes += c.add(d)
 		t.n++
 		if maxBytes > 0 && bytes > maxBytes {
 			return nil, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, maxBytes)
@@ -338,6 +375,11 @@ func (t *Trace) ReaderAtCursor(c Cursor) *Reader {
 	r := &Reader{t: t, pos: c.pos, eaI: c.eaI, strI: c.strI}
 	r.ci = int(c.pos / chunkRecords)
 	r.ri = int(c.pos % chunkRecords)
+	if r.ri == 0 {
+		// A cursor captured at the end of a full chunk carries that chunk's
+		// column ends; the new reader starts the next chunk.
+		r.eaI, r.strI = 0, 0
+	}
 	return r
 }
 
@@ -348,7 +390,7 @@ type Reader struct {
 	ri      int    // record index within chunk
 	eaI     int    // cursor into chunk.ea
 	strI    int    // cursor into chunk.stride
-	pos     uint64 // records consumed (Next + Skip)
+	pos     uint64 // records consumed (Next, NextBatch, Skip, WarmNext)
 	skipped uint64 // records consumed by Skip only
 }
 
@@ -362,8 +404,8 @@ func (r *Reader) Trace() *Trace { return r.t }
 // Err always returns nil: only complete, fault-free runs are recorded.
 func (r *Reader) Err() error { return nil }
 
-// Pos returns how many records have been consumed so far, whether by Next
-// or by Skip.
+// Pos returns how many records have been consumed so far, whether by Next,
+// NextBatch, Skip or WarmNext.
 func (r *Reader) Pos() uint64 { return r.pos }
 
 // Skipped returns how many of the consumed records were fast-forwarded by
@@ -448,12 +490,12 @@ func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 				sink.WarmScalar(c.ea[r.eaI], int(s.size), s.class == isa.ClassStore)
 				r.eaI++
 			case s.mem == memVector:
-				vl := int(c.meta[r.ri] &^ metaTaken)
+				vl := int(c.meta[r.ri] &^ MetaTaken)
 				sink.WarmVector(c.ea[r.eaI], c.stride[r.strI], vl, s.class == isa.ClassMomStore)
 				r.eaI++
 				r.strI++
 			case s.class == isa.ClassBranch:
-				sink.WarmBranch(int(si), c.meta[r.ri]&metaTaken != 0)
+				sink.WarmBranch(int(si), c.meta[r.ri]&MetaTaken != 0)
 			}
 			r.ri++
 		}
@@ -486,8 +528,8 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 		SI:    int(si),
 		Op:    s.op,
 		Class: s.class,
-		Taken: meta&metaTaken != 0,
-		VL:    int(meta &^ metaTaken),
+		Taken: meta&MetaTaken != 0,
+		VL:    int(meta &^ MetaTaken),
 	}
 	if s.class == isa.ClassBranch {
 		d.Target = int(s.target)
@@ -505,4 +547,48 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 		d.NElem, d.Size = d.VL, int(s.size)
 	}
 	return d, true
+}
+
+// NextBatch returns the next run of at most max records as read-only views
+// of the current chunk's columns: no copy, no allocation. A batch never
+// crosses a chunk boundary, and an empty batch means the end of the
+// stream. A batch that runs to the chunk's end takes the rest of its
+// ea/stride columns; a shorter one counts its memory records (one
+// static-table lookup each) to keep those cursors aligned for whatever
+// reads next.
+func (r *Reader) NextBatch(max uint64) Batch {
+	for r.ci < len(r.t.chunks) && r.ri == len(r.t.chunks[r.ci].si) {
+		r.ci++
+		r.ri, r.eaI, r.strI = 0, 0, 0
+	}
+	if r.ci >= len(r.t.chunks) || max == 0 {
+		return Batch{}
+	}
+	c := &r.t.chunks[r.ci]
+	lo, hi := r.ri, len(c.si)
+	if uint64(hi-lo) > max {
+		hi = lo + int(max)
+	}
+	eaEnd, strEnd := len(c.ea), len(c.stride)
+	if hi < len(c.si) {
+		eaEnd, strEnd = r.eaI, r.strI
+		static := r.t.static
+		for _, si := range c.si[lo:hi] {
+			if m := static[si].mem; m != memNone {
+				eaEnd++
+				if m == memVector {
+					strEnd++
+				}
+			}
+		}
+	}
+	b := Batch{
+		SI:     c.si[lo:hi:hi],
+		Meta:   c.meta[lo:hi:hi],
+		EA:     c.ea[r.eaI:eaEnd:eaEnd],
+		Stride: c.stride[r.strI:strEnd:strEnd],
+	}
+	r.ri, r.eaI, r.strI = hi, eaEnd, strEnd
+	r.pos += uint64(hi - lo)
+	return b
 }
