@@ -130,10 +130,10 @@ func main() {
 			float64(tr.Records())/replayT.Seconds()/1e6,
 			captureT.Seconds()/replayT.Seconds())
 
-		// Skip-drain: fast-forward over the whole trace without
-		// reconstructing records — the cursor a sampled run uses to jump
-		// between detailed windows. The Pos/Skipped counters confirm the
-		// cursor accounts for every record it passed.
+		// Skip-drain: move past the whole trace without reconstructing
+		// or warming records — the floor under any fast-forward. The
+		// Pos/Skipped counters confirm the cursor accounts for every
+		// record it passed.
 		t0 = time.Now()
 		sr := tr.Reader()
 		skipped := sr.Skip(tr.Records())

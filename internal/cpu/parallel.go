@@ -2,36 +2,37 @@ package cpu
 
 // Parallel sampled simulation: a two-phase checkpoint/execute pipeline.
 //
-// The serial sampled loop (RunSampled) interleaves detailed windows with
-// functional fast-forward, so the whole run is one long dependence chain
-// even though the measured intervals never exchange transient state — each
-// window starts from a re-anchored, cleared pipeline and only inherits the
-// long-lived structures (branch predictor, BTB, cache tag arrays) that
+// Serial sampling (RunSampled) runs the window loop, runWindows, from the
+// start of the stream to its end, so the whole run is one long dependence
+// chain even though the measured intervals never exchange transient state —
+// each window starts from a re-anchored, cleared pipeline and only inherits
+// the long-lived structures (branch predictor, BTB, cache tag arrays) that
 // functional warming maintains anyway.
 //
 // Phase 1 (checkpoint sweep) exploits that: a single fast pass over the
-// recorded trace drives *every* span — including the spans the serial loop
-// would have simulated in detail — through the functional-warming path,
-// and snapshots the long-lived state plus the trace position at period
-// boundaries into compact Checkpoint values. Checkpoints are taken every
-// blockWindows windows, not every window: a coarser grain amortises the
-// snapshot/restore cost while still feeding every core (the windows inside
-// a block chain exactly like the serial loop, so nothing is lost).
+// recorded trace drives every record — including the spans the window loop
+// simulates in detail — through functional warming, and snapshots the
+// long-lived state plus the trace position into compact Checkpoint values.
+// Window k starts at record k·Period, so a checkpoint is due every
+// every·Period records: the sweep warms that many records between two
+// checkpoints and keeps no window structure of its own. The coarse grain
+// amortises the snapshot/restore cost while still feeding every core (the
+// windows inside a block chain exactly like the serial run, so nothing is
+// lost).
 //
 // Phase 2 fans the blocks out across par.ForN workers. Each worker seeds
 // a private runState and a private memory-model clone from its checkpoint,
 // opens its own trace cursor at the checkpoint position (Trace.ReaderAt),
-// and re-runs the serial control flow over its block — detailed warmup,
-// detailed measured interval, functional fast-forward — for up to
-// blockWindows windows. A deterministic ordered reduce then rebuilds the
-// aggregates in block order, so the result is bit-identical to the serial
-// loop:
+// and runs runWindows over its block for up to every windows. The ordered
+// reduce (sampledResult, the serial path's final step too) then folds the
+// blocks in stream order, so the result is bit-identical to the serial
+// run:
 //
 //   - Counter deltas and interval (insts, cycles) pairs are integers and a
 //     pure function of the window's inherited long-lived state, which the
 //     sweep reproduces exactly (warming and detailed execution train the
 //     predictor/BTB identically and touch the same tag-array lines).
-//   - A block's cycle arithmetic is translation-invariant: the serial loop
+//   - A block's cycle arithmetic is translation-invariant: the window loop
 //     re-anchors each window at a base past which every busy-until cursor
 //     has drained, so replaying the block with its first window at base 0
 //     shifts every window's base by the same constant and leaves every
@@ -43,6 +44,9 @@ package cpu
 //   - Mem stats count only detailed-simulated accesses; summing the
 //     workers' private stats in block order equals the serial model's
 //     final counters.
+//   - The stream-coverage counters follow from the windows: warmup and
+//     measured instructions are summed over the blocks, the total is every
+//     record up to maxInsts, and the rest was fast-forwarded.
 
 import (
 	"context"
@@ -55,7 +59,7 @@ import (
 )
 
 // minParallelSkip is the minimum functional fast-forward span (in dynamic
-// instructions) required for the parallel path. The serial loop re-anchors
+// instructions) required for the parallel path. The window loop re-anchors
 // each window at base = lastCommit+1+skipped, and its memory model carries
 // busy-until cursors from the previous window; replaying a block with its
 // first window re-based to zero is bit-identical only once those cursors
@@ -63,8 +67,7 @@ import (
 // window can leave behind is a few hundred cycles (DRAM latency +
 // channel/bank occupancy + queued MSHR and write-buffer drains), so a skip
 // of 1024 instructions — at least 1024 cycles of base advance — clears it
-// with margin. Shorter skips fall back to the serial loop rather than risk
-// divergence.
+// with margin. Shorter skips run serially rather than risk divergence.
 const minParallelSkip = 1024
 
 // blockOversubscribe is how many blocks the parallel path carves per
@@ -85,7 +88,7 @@ func recordedSpec(spec SampleSpec) SampleSpec {
 // parallelism requested, no observer (hotspot attribution needs ordered
 // events), a recorded trace positioned at the start, a memory model that
 // can snapshot/clone its long-lived state, and a skip span long enough to
-// guarantee the serial loop's cursors drain between windows.
+// guarantee the memory model's cursors drain between windows.
 func (s *Sim) parallelOK(src trace.Source, spec SampleSpec) bool {
 	if spec.Parallelism <= 1 || s.Obs != nil {
 		return false
@@ -107,7 +110,7 @@ func (s *Sim) parallelOK(src trace.Source, spec SampleSpec) bool {
 // warming left it — branch-predictor counters, BTB tags and the memory
 // model's tag arrays. Everything transient (pipeline rings, issue slots,
 // busy-until cursors) is deliberately absent: windows re-anchor on cleared
-// transient state in the serial loop too.
+// transient state in a serial run too.
 type Checkpoint struct {
 	Cur     trace.Cursor // trace position at the block's first window
 	Idx     uint64       // dynamic instructions consumed before the block
@@ -121,146 +124,47 @@ func (c *Checkpoint) Bytes() int64 {
 	return int64(len(c.PredCtr)) + 4*int64(len(c.BTBTag)) + c.Tags.Bytes() + 16
 }
 
-// sweepCheckpoints is phase 1: one functional-warming pass over the trace
-// that mirrors the serial loop's span structure span for span — warmup,
-// measured interval, fast-forward — but warms where the serial loop would
-// simulate, materialising a Checkpoint at every-th window boundary. It
-// accumulates the stream-coverage counters (WarmupInsts, SkippedInsts,
-// TotalInsts) into smp exactly as the serial loop would; the measured-
-// window counters come from the phase-2 workers.
-func (s *Sim) sweepCheckpoints(rd *trace.Reader, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter, smp *Sampled, every int) []Checkpoint {
+// sweepCheckpoints is phase 1: one functional-warming pass over the first
+// min(Records, maxInsts) records of tr that materialises a Checkpoint at the
+// start of every every-th window, warming the every·Period records between
+// two checkpoints in one span. A block whose first window ends inside its
+// warmup still gets a checkpoint: detailed warmup accesses count in the Mem
+// stats.
+func (s *Sim) sweepCheckpoints(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter, every int) []Checkpoint {
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)
+	rd := tr.Reader()
+	end, stride := min(tr.Records(), maxInsts), uint64(every)*spec.Period
 	var cps []Checkpoint
-	idx := uint64(0)
-	more := true
-	for window := 0; more && idx < maxInsts; window++ {
-		if window%every == 0 {
-			cps = append(cps, Checkpoint{
-				Cur:     rd.Cursor(),
-				Idx:     idx,
-				PredCtr: rs.pred.snapshot(),
-				BTBTag:  rs.targets.snapshot(),
-				Tags:    sm.SnapshotTags(),
-			})
+	for idx := uint64(0); idx < end; idx += stride {
+		if idx > 0 {
+			warmSpan(rd, statics, rs, sm, stride)
 		}
-		// Warmup prefix (the serial loop simulates it in detail; its
-		// counters are discarded but its Mem stats count, so even a
-		// measureless tail window must be replayed by a worker).
-		got, m := warmSpan(rd, statics, rs, sm, min(spec.Warmup, maxInsts-idx))
-		idx += got
-		smp.WarmupInsts += got
-		more = m
-		if !more || idx >= maxInsts {
-			break
-		}
-
-		// Measured interval.
-		got, m = warmSpan(rd, statics, rs, sm, min(spec.Interval, maxInsts-idx))
-		idx += got
-		more = m
-		if got == 0 {
-			break
-		}
-		if !more || idx >= maxInsts {
-			break
-		}
-
-		// Functional fast-forward to the next period (same on both paths).
-		skip := spec.Period - spec.Warmup - spec.Interval
-		if rem := maxInsts - idx; skip > rem {
-			skip = rem
-		}
-		got, more = warmSpan(rd, statics, rs, sm, skip)
-		idx += got
-		smp.SkippedInsts += got
+		cps = append(cps, Checkpoint{
+			Cur:     rd.Cursor(),
+			Idx:     idx,
+			PredCtr: rs.pred.snapshot(),
+			BTBTag:  rs.targets.snapshot(),
+			Tags:    sm.SnapshotTags(),
+		})
 	}
-	smp.TotalInsts = idx
 	return cps
 }
 
-// blockResult is one worker's output: the block's measured-interval
-// aggregates in window order, plus the block's private Mem stats (warmup
-// included — the serial run counts warmup accesses too).
-type blockResult struct {
-	delta     Result
-	cycles    int64
-	intervals int
-	measured  uint64
-	ipcs      []float64
-	mem       mem.Stats
-}
-
-// runBlock replays up to `windows` checkpointed windows in full detail on
-// private state: a fresh runState seeded with the checkpoint's
-// predictor/BTB tables, a memory-model clone seeded with its tag arrays,
-// and a trace cursor opened at its position. The control flow is the
-// serial loop's, verbatim — detailed warmup, detailed measured interval,
-// functional fast-forward, chained re-anchor bases — except the first
-// window runs at base 0 (a pure translation; see the file comment) and the
-// fast-forward after the block's last window is elided (the next block's
-// checkpoint already embodies it).
-func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter, cp *Checkpoint, windows int, maxInsts uint64, spec SampleSpec, out *blockResult) error {
-	model := sm.NewFromSnapshot(cp.Tags)
-	wsim := &Sim{Cfg: s.Cfg, Mem: model}
-	warmer, _ := model.(mem.Warmer)
-	ws := acquireState(&s.Cfg)
-	defer releaseState(ws)
-	ws.pred.restore(cp.PredCtr)
-	ws.targets.restore(cp.BTBTag)
-	ws.idx = cp.Idx
-	rd := tr.ReaderAtCursor(cp.Cur)
-
-	var scratch Result
-	base := int64(0)
-	more := true
-	for w := 0; w < windows && more && ws.idx < maxInsts; w++ {
-		ws.startWindow(&s.Cfg, base)
-
-		pre := ws.idx
-		var err error
-		more, err = wsim.runSpan(ws, rd, statics, &scratch, min(ws.idx+spec.Warmup, maxInsts), nil)
-		if err != nil {
-			return err
-		}
-		if !more || ws.idx >= maxInsts {
-			break
-		}
-
-		snap := scratch
-		startFrontier := ws.profFrontier
-		pre = ws.idx
-		more, err = wsim.runSpan(ws, rd, statics, &scratch, min(ws.idx+spec.Interval, maxInsts), nil)
-		if err != nil {
-			return err
-		}
-		mInsts := ws.idx - pre
-		if mInsts == 0 {
-			break
-		}
-		mCycles := ws.profFrontier - startFrontier
-		addDelta(&out.delta, &scratch, &snap)
-		out.cycles += mCycles
-		out.intervals++
-		out.measured += mInsts
-		if mCycles > 0 {
-			out.ipcs = append(out.ipcs, float64(mInsts)/float64(mCycles))
-		}
-		if !more || ws.idx >= maxInsts || w == windows-1 {
-			break
-		}
-
-		skip := spec.Period - spec.Warmup - spec.Interval
-		if rem := maxInsts - ws.idx; skip > rem {
-			skip = rem
-		}
-		var skipped uint64
-		skipped, more = warmSpan(rd, statics, ws, warmer, skip)
-		ws.idx += skipped
-		base = ws.lastCommit + 1 + int64(skipped)
-	}
-	out.mem = model.Stats()
-	return nil
+// runBlock runs up to every windows from checkpoint cp on private state: a
+// fresh runState seeded with the checkpoint's predictor/BTB tables, a
+// memory-model clone seeded with its tag arrays, and a trace cursor opened
+// at its position. The block's first window runs at base 0 (a pure
+// translation; see the file comment), and the fast-forward after its last
+// window is left out (the next block's checkpoint already embodies it).
+func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter, cp *Checkpoint, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
+	wsim := &Sim{Cfg: s.Cfg, Mem: sm.NewFromSnapshot(cp.Tags)}
+	rs := acquireState(&s.Cfg)
+	defer releaseState(rs)
+	rs.pred.restore(cp.PredCtr)
+	rs.targets.restore(cp.BTBTag)
+	rs.idx = cp.Idx
+	return wsim.runWindows(rs, tr.ReaderAtCursor(cp.Cur), statics, maxInsts, spec, every, nil, out)
 }
 
 // ckptKey identifies a checkpoint library in a trace's ckptMemo: the
@@ -276,16 +180,6 @@ type ckptKey struct {
 	bimodal, btb                       int
 }
 
-// ckptLibrary is a cached phase-1 result: the block checkpoints plus the
-// stream-coverage counters the sweep accumulated. Checkpoints are shared
-// read-only by every phase-2 worker of every subsequent run, so repeat
-// experiments over the same trace pay the functional-warming pass once —
-// the sampled-simulation analogue of capture-once / replay-many.
-type ckptLibrary struct {
-	cps                    []Checkpoint
-	warmup, skipped, total uint64
-}
-
 // maxCkptLibraries bounds how many checkpoint libraries one trace keeps.
 // Sample specs come from users, so a long-running server would otherwise
 // keep a library for every spec it was ever asked for; one Figure 7 run
@@ -296,8 +190,12 @@ const maxCkptLibraries = 8
 type ckptMemoKey struct{}
 
 // ckptMemo is one trace's checkpoint libraries, at most maxCkptLibraries
-// of them; inserting past the cap evicts the oldest insertion. Concurrent
-// sampled runs over the trace share it.
+// of them; inserting past the cap evicts the oldest insertion. A library is
+// a cached phase-1 result: the block checkpoints, shared read-only by every
+// phase-2 worker of every later run, so repeat experiments over the same
+// trace pay the functional-warming pass once — the sampled-simulation
+// analogue of capture-once / replay-many. Concurrent sampled runs over the
+// trace share the memo.
 type ckptMemo struct {
 	mu   sync.Mutex
 	libs []ckptEntry // oldest first
@@ -305,7 +203,7 @@ type ckptMemo struct {
 
 type ckptEntry struct {
 	key ckptKey
-	lib *ckptLibrary
+	cps []Checkpoint
 }
 
 // ckptMemoFor returns the trace's checkpoint-library memo.
@@ -316,21 +214,21 @@ func ckptMemoFor(tr *trace.Trace) *ckptMemo {
 	return tr.SetAux(ckptMemoKey{}, &ckptMemo{}).(*ckptMemo)
 }
 
-// get returns the library stored under k, or nil.
-func (m *ckptMemo) get(k ckptKey) *ckptLibrary {
+// get returns the library stored under k and whether there is one.
+func (m *ckptMemo) get(k ckptKey) ([]Checkpoint, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.libs {
 		if e.key == k {
-			return e.lib
+			return e.cps, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
-// put stores lib under k unless a library is there already (a concurrent
+// put stores cps under k unless a library is there already (a concurrent
 // sweep of the same key got there first; both are identical).
-func (m *ckptMemo) put(k ckptKey, lib *ckptLibrary) {
+func (m *ckptMemo) put(k ckptKey, cps []Checkpoint) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.libs {
@@ -341,29 +239,24 @@ func (m *ckptMemo) put(k ckptKey, lib *ckptLibrary) {
 	if len(m.libs) == maxCkptLibraries {
 		m.libs = append(m.libs[:0], m.libs[1:]...)
 	}
-	m.libs = append(m.libs, ckptEntry{key: k, lib: lib})
+	m.libs = append(m.libs, ckptEntry{key: k, cps: cps})
 }
 
 // runSampledParallel is the two-phase pipeline behind RunSampled when
 // parallelOK holds: sweep checkpoints (or reuse the trace's cached
 // library), fan the blocks out over spec.Parallelism workers, and reduce
-// in block order. The result is bit-identical to the serial loop's.
-func (s *Sim) runSampledParallel(tr *trace.Trace, rd *trace.Reader, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) (Result, error) {
+// in block order. The result is bit-identical to the serial run's.
+func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) (Result, error) {
 	statics := staticsForTrace(tr)
-	smp := &Sampled{Spec: recordedSpec(spec)}
 
 	// Block grain: enough blocks to feed every worker several times over,
 	// as few checkpoints as that allows.
 	records := min(tr.Records(), maxInsts)
 	nWindows := (records + spec.Period - 1) / spec.Period
-	blocks := uint64(spec.Parallelism) * blockOversubscribe
-	if blocks > nWindows {
-		blocks = nWindows
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	every := int((nWindows + blocks - 1) / blocks)
+	blocks := max(1, min(uint64(spec.Parallelism)*blockOversubscribe, nWindows))
+	// An empty run has no windows; every stays 1 so the sweep's stride is
+	// never zero.
+	every := max(1, int((nWindows+blocks-1)/blocks))
 
 	key := ckptKey{
 		period: spec.Period, warmup: spec.Warmup, interval: spec.Interval,
@@ -371,41 +264,20 @@ func (s *Sim) runSampledParallel(tr *trace.Trace, rd *trace.Reader, maxInsts uin
 		bimodal: s.Cfg.BimodalSize, btb: s.Cfg.BTBEntries,
 	}
 	memo := ckptMemoFor(tr)
-	lib := memo.get(key)
-	if lib == nil {
-		var sweep Sampled
-		cps := s.sweepCheckpoints(rd, statics, maxInsts, spec, sm, &sweep, every)
-		lib = &ckptLibrary{cps: cps, warmup: sweep.WarmupInsts, skipped: sweep.SkippedInsts, total: sweep.TotalInsts}
-		memo.put(key, lib)
+	cps, ok := memo.get(key)
+	if !ok {
+		cps = s.sweepCheckpoints(tr, statics, maxInsts, spec, sm, every)
+		memo.put(key, cps)
 	}
-	smp.WarmupInsts, smp.SkippedInsts, smp.TotalInsts = lib.warmup, lib.skipped, lib.total
-	cps := lib.cps
 
-	results := make([]blockResult, len(cps))
+	runs := make([]windows, len(cps))
 	err := par.ForN(context.Background(), spec.Parallelism, len(cps), func(i int) error {
-		return s.runBlock(tr, statics, sm, &cps[i], every, maxInsts, spec, &results[i])
+		return s.runBlock(tr, statics, sm, &cps[i], every, maxInsts, spec, &runs[i])
 	})
 	if err != nil {
 		return Result{}, err
 	}
-
-	// Deterministic ordered reduce: identical interval order, identical
-	// addDelta accumulation, identical IPC sequence into meanStdErr.
-	var agg, zero Result
-	var ipcs []float64
-	for i := range results {
-		r := &results[i]
-		addDelta(&agg, &r.delta, &zero)
-		agg.Cycles += r.cycles
-		smp.Intervals += r.intervals
-		smp.MeasuredInsts += r.measured
-		ipcs = append(ipcs, r.ipcs...)
-		agg.Mem.Add(r.mem)
-	}
-	agg.Insts = smp.MeasuredInsts
-	smp.IPCMean, smp.IPCStdErr = meanStdErr(ipcs)
-	agg.Sampled = smp
-	return agg, nil
+	return sampledResult(spec, runs, records), nil
 }
 
 // SweepStats summarises a phase-1 checkpoint sweep (momtrace -stats).
@@ -430,10 +302,8 @@ func (s *Sim) SweepCheckpoints(tr *trace.Trace, maxInsts uint64, spec SampleSpec
 	if !ok {
 		return SweepStats{}, fmt.Errorf("cpu: memory model %s cannot snapshot", s.Mem.Name())
 	}
-	statics := staticsForTrace(tr)
-	var smp Sampled
-	cps := s.sweepCheckpoints(tr.Reader(), statics, maxInsts, spec, sm, &smp, 1)
-	st := SweepStats{Checkpoints: len(cps), Insts: smp.TotalInsts}
+	cps := s.sweepCheckpoints(tr, staticsForTrace(tr), maxInsts, spec, sm, 1)
+	st := SweepStats{Checkpoints: len(cps), Insts: min(tr.Records(), maxInsts)}
 	for i := range cps {
 		st.SnapshotBytes += cps[i].Bytes()
 	}

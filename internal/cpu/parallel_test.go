@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // parTestSpec has a skip span (Period-Warmup-Interval = 1640) long enough
@@ -48,26 +50,64 @@ func parTestModels(width int) []struct {
 
 // TestParallelSampledBitIdentity: the parallel path must reproduce the
 // serial sampled result field for field — counters, cycles, Mem stats,
-// IPC mean and stderr — for every memory-model organisation.
+// IPC mean and stderr, and the Sampled block with its derived
+// SkippedInsts — for every memory-model organisation. idct and motion1
+// run to the end of their traces, an empty trace must give the serial
+// run's zero result, and mpeg2decode (49 windows of parTestSpec on MOM at
+// test scale) is also cut short by maxInsts at every kind of point.
 func TestParallelSampledBitIdentity(t *testing.T) {
-	for _, kernel := range []string{"idct", "motion1"} {
-		for _, m := range parTestModels(4) {
-			tr := captureKernel(t, kernel, m.ext)
-			serialSpec := parTestSpec
-			serialSpec.Parallelism = 1
-			serial, err := cpu.New(cpu.NewConfig(4, m.ext), m.mk()).RunSampled(tr.Reader(), 50_000_000, serialSpec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parSpec := parTestSpec
-			parSpec.Parallelism = 4
-			par, err := cpu.New(cpu.NewConfig(4, m.ext), m.mk()).RunSampled(tr.Reader(), 50_000_000, parSpec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("%s/%s: parallel sampled run differs from serial:\n%+v\nvs\n%+v",
-					kernel, m.name, par, serial)
+	const all = 50_000_000
+	sp := parTestSpec
+	p := sp.Period
+	// With 4 workers the parallel path carves min(16, windows) blocks: a
+	// 36-window run is 12 blocks of 3 windows, so 36·Period ends on a block
+	// boundary, while 37·Period ends on a window boundary inside a block.
+	cuts := []uint64{
+		20*p + sp.Warmup/2,                 // inside a warmup
+		20*p + sp.Warmup + sp.Interval/2,   // inside a measured interval
+		20*p + (sp.Warmup+sp.Interval+p)/2, // inside a skip
+		37 * p,                             // on a window boundary
+		36 * p,                             // on a block boundary
+	}
+	empty, err := trace.Capture(emu.New(&isa.Program{Name: "empty"}), all, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range parTestModels(4) {
+		mpeg := captureApp(t, "mpeg2decode", m.ext)
+		if mpeg.Records() <= 37*p {
+			t.Fatalf("mpeg2decode/%v has %d records, too few for the cut points", m.ext, mpeg.Records())
+		}
+		inputs := []struct {
+			name     string
+			tr       *trace.Trace
+			maxInsts []uint64
+		}{
+			{"idct", captureKernel(t, "idct", m.ext), []uint64{all}},
+			{"motion1", captureKernel(t, "motion1", m.ext), []uint64{all}},
+			{"empty", empty, []uint64{all}},
+			{"mpeg2decode", mpeg, append(cuts, mpeg.Records(), mpeg.Records()+1, all)},
+		}
+		for _, in := range inputs {
+			for _, maxInsts := range in.maxInsts {
+				run := func(workers int) cpu.Result {
+					spec := sp
+					spec.Parallelism = workers
+					res, err := cpu.New(cpu.NewConfig(4, m.ext), m.mk()).RunSampled(in.tr.Reader(), maxInsts, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				serial, par := run(1), run(4)
+				if !reflect.DeepEqual(serial, par) {
+					t.Errorf("%s/%s maxInsts %d: parallel sampled run differs from serial:\n%+v %+v\nvs\n%+v %+v",
+						in.name, m.name, maxInsts, par, *par.Sampled, serial, *serial.Sampled)
+				}
+				if want := min(in.tr.Records(), maxInsts); serial.Sampled.TotalInsts != want {
+					t.Errorf("%s/%s maxInsts %d: covered %d records, want %d",
+						in.name, m.name, maxInsts, serial.Sampled.TotalInsts, want)
+				}
 			}
 		}
 	}

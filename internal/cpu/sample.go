@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -30,13 +31,14 @@ type SampleSpec struct {
 	Warmup   uint64
 	Interval uint64
 
-	// Parallelism is the number of workers that execute detailed windows
-	// concurrently through the two-phase checkpoint pipeline (see
+	// Parallelism is the number of workers that run blocks of windows
+	// concurrently, each from a checkpoint of the long-lived state (see
 	// runSampledParallel). 0 and 1 both mean serial. The knob never changes
-	// results: the parallel path is bit-identical to the serial loop, and
-	// RunSampled silently falls back to serial whenever the preconditions
-	// (recorded trace at position zero, snapshottable memory model, no
-	// observer, a long enough skip span) do not hold.
+	// results: serial runs and parallel blocks share one window loop, the
+	// parallel result is bit-identical to the serial one, and RunSampled
+	// silently runs serially whenever the preconditions (recorded trace at
+	// position zero, snapshottable memory model, no observer, a long enough
+	// skip span) do not hold.
 	Parallelism int
 }
 
@@ -110,94 +112,56 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 	rs.profFrontier, rs.redirectCycle = base-1, -1
 }
 
-// warmSink adapts the run's predictor/BTB/memory state to trace.WarmSink
-// for the bulk fast-forward path. Its warming effects are identical to the
-// generic warmSpan loop below, record for record.
-type warmSink struct {
-	rs      *runState
-	statics []staticInst
-	w       mem.Warmer // nil when the memory model cannot warm
-}
-
-func (k *warmSink) WarmBranch(si int, taken bool) {
-	if !k.statics[si].isBR {
-		k.rs.pred.update(si, taken)
-	}
-	if taken {
-		k.rs.targets.insert(si)
-	}
-}
-
-func (k *warmSink) WarmScalar(ea uint64, size int, store bool) {
-	if k.w == nil {
-		return
-	}
-	if store {
-		k.w.WarmStore(ea, size)
-	} else {
-		k.w.WarmLoad(ea, size)
-	}
-}
-
-func (k *warmSink) WarmVector(ea uint64, stride int64, nelem int, store bool) {
-	if k.w == nil {
-		return
-	}
-	if store {
-		k.w.WarmStoreVector(ea, stride, nelem)
-	} else {
-		k.w.WarmLoadVector(ea, stride, nelem)
-	}
-}
-
-// bulkWarmer is the fast-forward protocol a source may offer (trace.Reader
-// does): consume records wholesale, delivering only the warming-relevant
-// ones, without reconstructing emu.Dyn values.
-type bulkWarmer interface {
-	WarmNext(n uint64, sink trace.WarmSink) uint64
-}
-
-// warmSpan fast-forwards up to n records through functional warming:
-// branches train the predictor and BTB exactly as the detailed path would,
-// memory references touch the model's tag arrays through mem.Warmer, and
+// warmSpan fast-forwards up to n records through functional warming,
+// walking NextBatch columns with statics the way runSpan does: branches
+// train the predictor and BTB exactly as the detailed path would, memory
+// references touch the model's tag arrays through w (nil: no touches), and
 // everything else is skipped. It reports how many records were consumed and
-// whether the stream still has more.
+// whether that was all n of them (false means the stream ended).
 func warmSpan(src trace.Source, statics []staticInst, rs *runState, w mem.Warmer, n uint64) (consumed uint64, more bool) {
-	if bw, ok := src.(bulkWarmer); ok {
-		consumed = bw.WarmNext(n, &warmSink{rs: rs, statics: statics, w: w})
-		return consumed, consumed == n
-	}
 	pred, targets := rs.pred, rs.targets
 	for consumed < n {
-		d, ok := src.Next()
-		if !ok {
+		b := src.NextBatch(n - consumed)
+		if len(b.SI) == 0 {
 			return consumed, false
 		}
-		consumed++
-		st := &statics[d.SI]
-		switch st.class {
-		case isa.ClassBranch:
-			if !st.isBR {
-				pred.update(d.SI, d.Taken)
-			}
-			if d.Taken {
-				targets.insert(d.SI)
-			}
-		case isa.ClassLoad:
-			if w != nil {
-				w.WarmLoad(d.EA, d.Size)
-			}
-		case isa.ClassStore:
-			if w != nil {
-				w.WarmStore(d.EA, d.Size)
-			}
-		case isa.ClassMomLoad:
-			if w != nil {
-				w.WarmLoadVector(d.EA, d.Stride, d.NElem)
-			}
-		case isa.ClassMomStore:
-			if w != nil {
-				w.WarmStoreVector(d.EA, d.Stride, d.NElem)
+		consumed += uint64(len(b.SI))
+		metas := b.Meta[:len(b.SI)]
+		eaI, strI := 0, 0
+		for k, si32 := range b.SI {
+			st := &statics[si32]
+			switch st.mem {
+			case memNone:
+				if st.class != isa.ClassBranch {
+					continue
+				}
+				taken := metas[k]&trace.MetaTaken != 0
+				if !st.isBR {
+					pred.update(int(si32), taken)
+				}
+				if taken {
+					targets.insert(int(si32))
+				}
+			case memScalar:
+				if w != nil {
+					if st.class == isa.ClassStore {
+						w.WarmStore(b.EA[eaI], int(st.size))
+					} else {
+						w.WarmLoad(b.EA[eaI], int(st.size))
+					}
+				}
+				eaI++
+			case memVector:
+				if w != nil {
+					nelem := int(metas[k] &^ trace.MetaTaken)
+					if st.class == isa.ClassMomStore {
+						w.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
+					} else {
+						w.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
+					}
+				}
+				eaI++
+				strI++
 			}
 		}
 	}
@@ -251,6 +215,109 @@ func meanStdErr(xs []float64) (mean, stderr float64) {
 	return mean, math.Sqrt(ss / (n - 1) / n)
 }
 
+// windows is what a run of sampled windows leaves behind: the measured
+// intervals' counter deltas with their cycles in delta.Cycles, the interval
+// count, the instructions measured and warmed up in detail, the
+// per-interval IPCs in window order, and the memory model's stats (every
+// detailed access, warmup included; warm touches count nothing).
+type windows struct {
+	delta     Result
+	intervals int
+	measured  uint64
+	warmup    uint64
+	ipcs      []float64
+	mem       mem.Stats
+}
+
+// runWindows is the sampling-window loop. From rs's position in src, each
+// window re-anchors the transient pipeline at a cycle base, simulates a
+// detailed warmup (unobserved, counters discarded) and a detailed measured
+// interval (under observer), then fast-forwards the rest of the period
+// through functional warming; the next window's base lies past the skipped
+// span. It stops at the end of the stream, at maxInsts, or after the n-th
+// window (n <= 0: no limit), whose fast-forward it leaves out. The first
+// window runs at base 0. At the end out.mem takes the memory model's stats.
+func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, maxInsts uint64, spec SampleSpec, n int, observer obs.Observer, out *windows) error {
+	warmer, _ := s.Mem.(mem.Warmer)
+	skip := spec.Period - spec.Warmup - spec.Interval
+	var scratch Result // raw detailed-span counters, warmup + measured
+	base := int64(0)
+	more := true
+	for w := 1; more && rs.idx < maxInsts; w++ {
+		rs.startWindow(&s.Cfg, base)
+
+		pre := rs.idx
+		var err error
+		more, err = s.runSpan(rs, src, statics, &scratch, min(rs.idx+spec.Warmup, maxInsts), nil)
+		if err != nil {
+			return err
+		}
+		out.warmup += rs.idx - pre
+		if !more || rs.idx >= maxInsts {
+			break
+		}
+
+		snap := scratch
+		startFrontier := rs.profFrontier
+		pre = rs.idx
+		more, err = s.runSpan(rs, src, statics, &scratch, min(rs.idx+spec.Interval, maxInsts), observer)
+		if err != nil {
+			return err
+		}
+		mInsts := rs.idx - pre
+		if mInsts == 0 {
+			break
+		}
+		mCycles := rs.profFrontier - startFrontier
+		addDelta(&out.delta, &scratch, &snap)
+		out.delta.Cycles += mCycles
+		out.intervals++
+		out.measured += mInsts
+		if mCycles > 0 {
+			out.ipcs = append(out.ipcs, float64(mInsts)/float64(mCycles))
+		}
+		if !more || rs.idx >= maxInsts || w == n {
+			break
+		}
+
+		var skipped uint64
+		skipped, more = warmSpan(src, statics, rs, warmer, min(skip, maxInsts-rs.idx))
+		rs.idx += skipped
+		// Re-anchor the next window past the skipped span at ~1 CPI, far
+		// enough ahead that the memory model's busy-until cursors from this
+		// window have drained; the offset is deterministic, so sampled runs
+		// replay bit-identically.
+		base = rs.lastCommit + 1 + int64(skipped)
+	}
+	out.mem = s.Mem.Stats()
+	return nil
+}
+
+// sampledResult is the ordered reduce shared by both sampled paths: it
+// folds runs of windows in stream order (the serial path has one) into the
+// Result and its Sampled block. total is the number of records consumed;
+// whatever the detailed spans did not cover was fast-forwarded.
+func sampledResult(spec SampleSpec, runs []windows, total uint64) Result {
+	var res, zero Result
+	smp := &Sampled{Spec: recordedSpec(spec), TotalInsts: total}
+	var ipcs []float64
+	for i := range runs {
+		r := &runs[i]
+		addDelta(&res, &r.delta, &zero)
+		res.Cycles += r.delta.Cycles
+		res.Mem.Add(r.mem)
+		smp.Intervals += r.intervals
+		smp.MeasuredInsts += r.measured
+		smp.WarmupInsts += r.warmup
+		ipcs = append(ipcs, r.ipcs...)
+	}
+	smp.SkippedInsts = total - smp.MeasuredInsts - smp.WarmupInsts
+	smp.IPCMean, smp.IPCStdErr = meanStdErr(ipcs)
+	res.Insts = smp.MeasuredInsts
+	res.Sampled = smp
+	return res
+}
+
 // RunSampled consumes the stream like Run, but under the sampling regime of
 // spec. A disabled spec delegates to Run and is bit-identical to it. For an
 // enabled spec the returned Result aggregates the measured intervals only
@@ -267,81 +334,13 @@ func (s *Sim) RunSampled(src trace.Source, maxInsts uint64, spec SampleSpec) (Re
 		return Result{}, err
 	}
 	if s.parallelOK(src, spec) {
-		rd := src.(*trace.Reader)
-		return s.runSampledParallel(rd.Trace(), rd, maxInsts, spec, s.Mem.(mem.Snapshotter))
+		return s.runSampledParallel(src.(*trace.Reader).Trace(), maxInsts, spec, s.Mem.(mem.Snapshotter))
 	}
-	statics := staticsFor(src)
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)
-	warmer, _ := s.Mem.(mem.Warmer)
-
-	// scratch accumulates raw detailed-span counters (warmup + measured);
-	// snapshots around each measured interval extract its delta into agg.
-	var scratch, agg Result
-	smp := &Sampled{Spec: recordedSpec(spec)}
-	var ipcs []float64
-
-	base := int64(0)
-	more := true
-	for more && rs.idx < maxInsts {
-		rs.startWindow(&s.Cfg, base)
-
-		// Warmup prefix: detailed, discarded, unobserved.
-		pre := rs.idx
-		var err error
-		more, err = s.runSpan(rs, src, statics, &scratch, min(rs.idx+spec.Warmup, maxInsts), nil)
-		if err != nil {
-			return agg, err
-		}
-		smp.WarmupInsts += rs.idx - pre
-		if !more || rs.idx >= maxInsts {
-			break
-		}
-
-		// Measured interval.
-		snap := scratch
-		startFrontier := rs.profFrontier
-		pre = rs.idx
-		more, err = s.runSpan(rs, src, statics, &scratch, min(rs.idx+spec.Interval, maxInsts), s.Obs)
-		if err != nil {
-			return agg, err
-		}
-		mInsts := rs.idx - pre
-		if mInsts == 0 {
-			break
-		}
-		mCycles := rs.profFrontier - startFrontier
-		addDelta(&agg, &scratch, &snap)
-		agg.Cycles += mCycles
-		smp.Intervals++
-		smp.MeasuredInsts += mInsts
-		if mCycles > 0 {
-			ipcs = append(ipcs, float64(mInsts)/float64(mCycles))
-		}
-		if !more || rs.idx >= maxInsts {
-			break
-		}
-
-		// Functional fast-forward to the next period.
-		skip := spec.Period - spec.Warmup - spec.Interval
-		if rem := maxInsts - rs.idx; skip > rem {
-			skip = rem
-		}
-		var skipped uint64
-		skipped, more = warmSpan(src, statics, rs, warmer, skip)
-		rs.idx += skipped
-		smp.SkippedInsts += skipped
-		// Re-anchor the next window past the skipped span at ~1 CPI, far
-		// enough ahead that the memory model's busy-until cursors from this
-		// window have drained; the offset is deterministic, so sampled runs
-		// replay bit-identically.
-		base = rs.lastCommit + 1 + int64(skipped)
+	var w windows
+	if err := s.runWindows(rs, src, staticsFor(src), maxInsts, spec, 0, s.Obs, &w); err != nil {
+		return Result{}, err
 	}
-
-	agg.Insts = smp.MeasuredInsts
-	smp.TotalInsts = rs.idx
-	smp.IPCMean, smp.IPCStdErr = meanStdErr(ipcs)
-	agg.Mem = s.Mem.Stats()
-	agg.Sampled = smp
-	return agg, src.Err()
+	return sampledResult(spec, []windows{w}, rs.idx), src.Err()
 }

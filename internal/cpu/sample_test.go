@@ -2,13 +2,14 @@ package cpu_test
 
 // Tests for the cpu-level sampled-simulation engine: spec validation, the
 // profile telescoping identity over aggregated windows, determinism, and
-// the equivalence of the bulk (trace.Reader) and generic (any Source)
-// functional-warming paths.
+// the equivalence of sampled runs over a recorded trace and over the live
+// emulator.
 
 import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/cpu"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -48,6 +49,20 @@ func captureKernel(t *testing.T, name string, ext isa.Ext) *trace.Trace {
 		t.Fatal(err)
 	}
 	tr, err := trace.Capture(emu.New(k.Build(ext)), 50_000_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// captureApp records one test-scale application.
+func captureApp(t *testing.T, name string, ext isa.Ext) *trace.Trace {
+	t.Helper()
+	a, err := apps.ByName(name, apps.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Capture(emu.New(a.Build(ext)), 50_000_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +124,11 @@ func TestSampledDisabledIsRun(t *testing.T) {
 	}
 }
 
-// TestSampledWarmPathsAgree: a recorded trace takes the bulk WarmNext
-// fast-forward; a live emulator takes the generic per-record loop. Both
-// must warm identically, so the two sampled runs agree field for field.
+// TestSampledWarmPathsAgree: detailed spans and functional warming both
+// read NextBatch, which a recorded trace answers with chunk-tail views and
+// a live emulator with 256-record batches. Where a source cuts its batches
+// must not change what is simulated or warmed, so sampled runs over the
+// two sources agree field for field.
 func TestSampledWarmPathsAgree(t *testing.T) {
 	for _, ext := range []isa.Ext{isa.ExtAlpha, isa.ExtMMX, isa.ExtMOM} {
 		k, err := kernels.ByName("idct", kernels.ScaleTest)

@@ -463,11 +463,12 @@ type WarmSink interface {
 }
 
 // WarmNext advances up to n records, feeding each branch and memory record
-// to sink and discarding the rest after a single static-table class check —
-// the fast-forward cursor of sampled simulation. Like Skip, the consumed
-// records count as skipped: they were never reconstructed for timing. It
-// returns how many records were consumed (fewer than n only at end of
-// stream).
+// to sink and discarding the rest after a single static-table class check.
+// Sampled simulation fast-forwards through NextBatch instead; WarmNext is
+// kept for perfbench's drain and memory-touch probes. Like Skip, the
+// consumed records count as skipped: they were never reconstructed for
+// timing. It returns how many records were consumed (fewer than n only at
+// end of stream).
 func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 	var done uint64
 	static := r.t.static
