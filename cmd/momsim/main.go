@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -92,16 +93,17 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sc := mom.ScaleTest
-	if *scale == "bench" {
-		sc = mom.ScaleBench
+	// Every flag is checked up front, whatever the mode, so a typo fails
+	// before anything runs.
+	sc, err := mom.ParseScale(*scale)
+	if err != nil {
+		fatal(err)
 	}
 	i, err := mom.ParseISA(*isaStr)
 	if err != nil {
 		fatal(err)
 	}
-	m, err := mom.ParseMemModel(*cache)
-	if err != nil {
+	if _, err := mom.ParseMemModel(*cache); err != nil {
 		fatal(err)
 	}
 	sp, err := mom.ParseSampleSpec(*sample)
@@ -125,7 +127,6 @@ func main() {
 	if *samPar != 0 && !sp.Enabled() {
 		fatal(fmt.Errorf("-sample-par requires -sample (it parallelises the sampled windows)"))
 	}
-	sp.Parallelism = *samPar
 	if *samPar > 1 && *exp != "" {
 		for _, e := range strings.Split(*exp, ",") {
 			if e == "hotspots" || e == "all" {
@@ -134,13 +135,20 @@ func main() {
 			}
 		}
 	}
+	// The flags form one request; each catalogue experiment (and each
+	// single -kernel/-app run) reads the fields it consumes from it.
+	base := mom.JobRequest{
+		Scale: *scale, Width: *width, ISA: *isaStr, Mem: *cache, Kernel: *kernel, App: *app,
+		SamplePeriod: sp.Period, SampleWarmup: sp.Warmup, SampleInterval: sp.Interval,
+		SamplePar: *samPar,
+	}
 	if *exp != "" {
 		// Validate every requested experiment up front, so a typo in a
 		// comma-separated list fails with the valid names instead of
 		// after the earlier experiments have already run.
 		for _, e := range strings.Split(*exp, ",") {
-			if err := checkExp(e); err != nil {
-				fatal(err)
+			if _, cli := cliOnly[e]; !cli && mom.ExpDescription(e) == "" {
+				fatal(fmt.Errorf("unknown experiment %q; valid experiments:\n%s", e, expList()))
 			}
 		}
 	}
@@ -168,21 +176,23 @@ func main() {
 			}
 		}
 	case *kernel != "":
-		res, err := mom.RunKernelSampled(*kernel, i, *width, m, sc, sp)
-		if err != nil {
+		if err := runExperiment(ctx, "kernel", base, i, outFormat); err != nil {
 			fatal(err)
 		}
-		emitResult(res, outFormat)
 	case *app != "":
-		res, err := mom.RunAppSampled(*app, i, *width, m, sc, sp)
-		if err != nil {
+		if err := runExperiment(ctx, "app", base, i, outFormat); err != nil {
 			fatal(err)
 		}
-		emitResult(res, outFormat)
 	case *exp != "":
-		for _, e := range strings.Split(*exp, ",") {
+		exps := strings.Split(*exp, ",")
+		for _, e := range exps {
+			if err := checkRequests(e, base); err != nil {
+				fatal(err)
+			}
+		}
+		for _, e := range exps {
 			before := mom.ReadTraceStats()
-			if err := runExperiment(ctx, e, sc, i, *width, sp, outFormat); err != nil {
+			if err := runExperiment(ctx, e, base, i, outFormat); err != nil {
 				fatal(err)
 			}
 			if *verbose {
@@ -196,160 +206,48 @@ func main() {
 	}
 }
 
-func runExperiment(ctx context.Context, exp string, sc mom.Scale, i mom.ISA, width int, sp mom.SampleSpec, format string) error {
-	asJSON := format == "json"
-	asCSV := format == "csv"
-	switch exp {
-	case "fig7", "profile", "hotspots":
-		// the sampled-capable drivers; handled below
-	default:
-		if sp.Enabled() {
-			return fmt.Errorf("experiment %q does not support -sample (valid: fig7, profile, hotspots)", exp)
-		}
+// cliRequests are the catalogue requests momsim runs for one experiment:
+// one, except for the resource ablations, which the CLI runs on two
+// workloads each.
+func cliRequests(exp string, base mom.JobRequest) []mom.JobRequest {
+	base.Exp = exp
+	workloads, ok := cliWorkloads[exp]
+	if !ok {
+		return []mom.JobRequest{base}
 	}
+	reqs := make([]mom.JobRequest, len(workloads))
+	for i, w := range workloads {
+		reqs[i] = base
+		reqs[i].Kernel, reqs[i].App = w.Kernel, w.App
+	}
+	return reqs
+}
+
+// cliWorkloads are the workloads of `-exp regsweep` and `-exp memsweep`.
+var cliWorkloads = map[string][]mom.JobRequest{
+	"regsweep": {{Kernel: "idct"}, {Kernel: "motion1"}},
+	"memsweep": {{App: "mpeg2decode"}, {App: "jpegdecode"}},
+}
+
+// runExperiment runs one -exp name: a CLI-only table or shorthand here, any
+// other name through the catalogue (mom.RunExperiment), rendering its rows.
+func runExperiment(ctx context.Context, exp string, base mom.JobRequest, i mom.ISA, format string) error {
+	asJSON := format == "json"
 	switch exp {
 	case "list":
 		fmt.Print(expList())
-	case "fig5":
-		rows, err := mom.Figure5(ctx, sc)
-		if err != nil {
-			return err
-		}
-		switch {
-		case asJSON:
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		case asCSV:
-			return mom.WriteFigure5CSV(os.Stdout, rows)
-		}
-		fmt.Print(mom.FormatFigure5(rows))
-	case "latency":
-		rows, err := mom.LatencyStudy(ctx, sc, 4)
-		if err != nil {
-			return err
-		}
-		switch {
-		case asJSON:
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		case asCSV:
-			return mom.WriteLatencyCSV(os.Stdout, rows)
-		}
-		fmt.Print(mom.FormatLatency(rows))
-	case "fig7":
-		rows, err := mom.Figure7Sampled(ctx, sc, sp)
-		if err != nil {
-			return err
-		}
-		switch {
-		case asJSON:
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		case asCSV:
-			return mom.WriteFigure7CSV(os.Stdout, rows)
-		}
-		fmt.Print(mom.FormatFigure7(rows))
 	case "table1":
-		rows := mom.Table1(i)
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		}
-		fmt.Print(mom.FormatTable1(rows))
+		return render(exp, mom.Table1(i), format)
 	case "table2":
-		rows := mom.Table2()
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		}
-		fmt.Print(mom.FormatTable2(rows))
+		return render(exp, mom.Table2(), format)
 	case "table3":
-		rows := mom.Table3()
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		}
-		fmt.Print(mom.FormatTable3(rows))
-	case "fetch":
-		rows, err := mom.FetchPressure(ctx, sc)
-		if err != nil {
-			return err
-		}
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		}
-		fmt.Print(mom.FormatFetch(rows))
-	case "profile":
-		rows, err := mom.ProfileStudySampled(ctx, sc, width, sp)
-		if err != nil {
-			return err
-		}
-		switch {
-		case asJSON:
-			return mom.WriteExperimentJSON(os.Stdout, exp, rows)
-		case asCSV:
-			return mom.WriteProfileCSV(os.Stdout, rows)
-		}
-		fmt.Print(mom.FormatProfile(rows))
-	case "hotspots":
-		reps, err := mom.HotspotStudySampled(ctx, sc, width, sp)
-		if err != nil {
-			return err
-		}
-		switch {
-		case asJSON:
-			return mom.WriteHotspotsJSON(os.Stdout, reps)
-		case asCSV:
-			return mom.WriteHotspotsCSV(os.Stdout, reps)
-		}
-		fmt.Print(mom.FormatHotspots(reps))
-	case "regsweep":
-		var all []mom.RegSweepRow
-		for _, k := range []string{"idct", "motion1"} {
-			rows, err := mom.RegisterSweep(ctx, sc, k)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				all = append(all, rows...)
-				continue
-			}
-			fmt.Printf("physical matrix registers vs performance — %s (4-way MOM)\n", k)
-			for _, r := range rows {
-				fmt.Printf("  %2d regs: %9d cycles (%.3fx of 32-reg file)\n",
-					r.MomPhys, r.Cycles, r.Slowdown)
-			}
-			fmt.Println()
-		}
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, all)
-		}
-	case "memsweep":
-		var all []mom.MemSweepRow
-		for _, app := range []string{"mpeg2decode", "jpegdecode"} {
-			rows, err := mom.MemorySweep(ctx, sc, app)
-			if err != nil {
-				return err
-			}
-			if asJSON {
-				all = append(all, rows...)
-				continue
-			}
-			fmt.Printf("memory-system ablation — %s (4-way MOM, multi-address)\n", app)
-			for _, r := range rows {
-				fmt.Printf("  %d MSHRs, %d banks: %9d cycles (%.3fx of baseline)\n",
-					r.MSHRs, r.Banks, r.Cycles, r.Slowdown)
-			}
-			fmt.Println()
-		}
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, all)
-		}
+		return render(exp, mom.Table3(), format)
 	case "isacount":
 		mmx, mdmx, momN := mom.ISACounts()
-		if asJSON {
-			return mom.WriteExperimentJSON(os.Stdout, exp, map[string]int{
-				"mmx": mmx, "mdmx": mdmx, "mom": momN,
-			})
-		}
-		fmt.Printf("multimedia instructions: MMX %d, MDMX %d, MOM %d\n", mmx, mdmx, momN)
+		return render(exp, map[string]int{"mmx": mmx, "mdmx": mdmx, "mom": momN}, format)
 	case "all":
-		for _, e := range []string{"table1", "table2", "table3", "isacount", "fig5", "latency", "fig7", "fetch", "profile", "hotspots"} {
-			if err := runExperiment(ctx, e, sc, i, width, sp, format); err != nil {
+		for _, e := range allExps {
+			if err := runExperiment(ctx, e, base, i, format); err != nil {
 				return err
 			}
 			if !asJSON {
@@ -357,7 +255,104 @@ func runExperiment(ctx context.Context, exp string, sc mom.Scale, i mom.ISA, wid
 			}
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+		// A multi-workload experiment prints each workload's text as it
+		// finishes and one JSON document over all of them at the end.
+		var all any
+		for _, req := range cliRequests(exp, base) {
+			rows, err := mom.RunExperiment(ctx, req)
+			if err != nil {
+				return err
+			}
+			if asJSON {
+				all = appendRows(all, rows)
+			} else if err := render(exp, rows, format); err != nil {
+				return err
+			}
+		}
+		if asJSON {
+			return render(exp, all, format)
+		}
+	}
+	return nil
+}
+
+// allExps is the order `-exp all` runs in.
+var allExps = []string{"table1", "table2", "table3", "isacount", "fig5", "latency", "fig7", "fetch", "profile", "hotspots"}
+
+// appendRows concatenates two row slices of one experiment (all may be nil).
+func appendRows(all, rows any) any {
+	if all == nil {
+		return rows
+	}
+	return reflect.AppendSlice(reflect.ValueOf(all), reflect.ValueOf(rows)).Interface()
+}
+
+// render prints one experiment's rows (a single run's Result, a table, or
+// a row slice) as JSON, as CSV where the row type has a CSV form, or as
+// text.
+func render(exp string, rows any, format string) error {
+	w := os.Stdout
+	csv := format == "csv"
+	if format == "json" {
+		if res, ok := rows.(mom.Result); ok {
+			return mom.WriteResultJSON(w, res)
+		}
+		return mom.WriteExperimentJSON(w, exp, rows)
+	}
+	switch rows := rows.(type) {
+	case mom.Result:
+		printResult(rows)
+	case []mom.Table1Row:
+		fmt.Print(mom.FormatTable1(rows))
+	case []mom.Table2Entry:
+		fmt.Print(mom.FormatTable2(rows))
+	case []mom.Table3Row:
+		fmt.Print(mom.FormatTable3(rows))
+	case map[string]int: // isacount
+		fmt.Printf("multimedia instructions: MMX %d, MDMX %d, MOM %d\n", rows["mmx"], rows["mdmx"], rows["mom"])
+	case []mom.KernelSpeedup:
+		if csv {
+			return mom.WriteFigure5CSV(w, rows)
+		}
+		fmt.Print(mom.FormatFigure5(rows))
+	case []mom.LatencyRow:
+		if csv {
+			return mom.WriteLatencyCSV(w, rows)
+		}
+		fmt.Print(mom.FormatLatency(rows))
+	case []mom.AppSpeedup:
+		if csv {
+			return mom.WriteFigure7CSV(w, rows)
+		}
+		fmt.Print(mom.FormatFigure7(rows))
+	case []mom.ProfileRow:
+		if csv {
+			return mom.WriteProfileCSV(w, rows)
+		}
+		fmt.Print(mom.FormatProfile(rows))
+	case []mom.FetchRow:
+		fmt.Print(mom.FormatFetch(rows))
+	case []mom.HotspotReport:
+		if csv {
+			return mom.WriteHotspotsCSV(w, rows)
+		}
+		fmt.Print(mom.FormatHotspots(rows))
+	case []mom.RegSweepRow:
+		fmt.Printf("physical matrix registers vs performance — %s (4-way MOM)\n", rows[0].Kernel)
+		for _, r := range rows {
+			fmt.Printf("  %2d regs: %9d cycles (%.3fx of 32-reg file)\n",
+				r.MomPhys, r.Cycles, r.Slowdown)
+		}
+		fmt.Println()
+	case []mom.MemSweepRow:
+		fmt.Printf("memory-system ablation — %s (4-way MOM, multi-address)\n", rows[0].App)
+		for _, r := range rows {
+			fmt.Printf("  %d MSHRs, %d banks: %9d cycles (%.3fx of baseline)\n",
+				r.MSHRs, r.Banks, r.Cycles, r.Slowdown)
+		}
+		fmt.Println()
+	default:
+		return fmt.Errorf("experiment %q: no text form for %T", exp, rows)
 	}
 	return nil
 }
@@ -377,20 +372,9 @@ func printTraceStats(exp string, before, after mom.TraceStats) {
 	}
 }
 
-// emitResult reports one timed run as a human-readable summary or, with
-// -json, as the full machine-readable Result document. Either way the run
-// is first checked against the accounting invariants, so a broken counter
-// is a hard CLI failure.
-func emitResult(r mom.Result, format string) {
-	if err := r.CheckInvariants(); err != nil {
-		fatal(err)
-	}
-	if format == "json" {
-		if err := mom.WriteResultJSON(os.Stdout, r); err != nil {
-			fatal(err)
-		}
-		return
-	}
+// printResult reports one timed run as a human-readable summary (the
+// catalogue has already checked it against the accounting invariants).
+func printResult(r mom.Result) {
 	fmt.Printf("%s on %s/%d-way, %s memory\n", r.Workload, r.ISA, r.Width, r.MemName)
 	fmt.Printf("  cycles        %12d\n", r.Cycles)
 	fmt.Printf("  instructions  %12d\n", r.Insts)
@@ -415,7 +399,10 @@ func emitResult(r mom.Result, format string) {
 	for c := range r.OpMix {
 		classes = append(classes, c)
 	}
-	sort.Slice(classes, func(i, j int) bool { return r.OpMix[classes[i]] > r.OpMix[classes[j]] })
+	// Classes with equal counts print in name order, so the line is the
+	// same on every run.
+	sort.Strings(classes)
+	sort.SliceStable(classes, func(i, j int) bool { return r.OpMix[classes[i]] > r.OpMix[classes[j]] })
 	fmt.Printf("  op mix       ")
 	for _, c := range classes {
 		fmt.Printf(" %s=%.1f%%", c, 100*float64(r.OpMix[c])/float64(r.Insts))
@@ -430,18 +417,10 @@ func emitResult(r mom.Result, format string) {
 	fmt.Println()
 }
 
-// cliExps are the experiment names runExperiment accepts: the canonical
-// mom.ExpNames batch drivers plus the CLI-only tables and the "all"
-// shorthand ("kernel"/"app" single points use -kernel/-app instead).
-var cliExps = []string{
-	"fig5", "latency", "fig7", "table1", "table2", "table3",
-	"fetch", "profile", "hotspots", "regsweep", "memsweep", "isacount", "all", "list",
-}
-
-// cliOnlyDescriptions covers the names outside mom.ExpNames (the static
-// tables and the CLI shorthands); everything else is described by
-// mom.ExpDescription so the CLI and the batch layer never drift.
-var cliOnlyDescriptions = map[string]string{
+// cliOnly describes the -exp names momsim serves itself (the static tables
+// and the CLI shorthands); every other name is a catalogue experiment,
+// described by mom.ExpDescription.
+var cliOnly = map[string]string{
 	"table1":   "processor configurations of the four modelled machines (Table 1)",
 	"table2":   "multimedia register-file sizes and area estimates (Table 2)",
 	"table3":   "port counts of the modelled memory systems (Table 3)",
@@ -450,13 +429,19 @@ var cliOnlyDescriptions = map[string]string{
 	"list":     "print this list",
 }
 
+// listOrder is the order `-exp list` describes the -exp names in.
+var listOrder = []string{
+	"fig5", "latency", "fig7", "table1", "table2", "table3",
+	"fetch", "profile", "hotspots", "regsweep", "memsweep", "isacount", "all", "list",
+}
+
 // expList renders every -exp name with its one-line description.
 func expList() string {
 	var b strings.Builder
-	for _, e := range cliExps {
+	for _, e := range listOrder {
 		d := mom.ExpDescription(e)
 		if d == "" {
-			d = cliOnlyDescriptions[e]
+			d = cliOnly[e]
 		}
 		fmt.Fprintf(&b, "  %-9s %s\n", e, d)
 	}
@@ -464,17 +449,28 @@ func expList() string {
 	return b.String()
 }
 
-// checkExp validates one -exp name up front, so a typo fails with the
-// described list of valid names (mirroring the -isa/-kernel/-app
-// validation of momtrace) instead of after earlier experiments in the
-// list have run.
-func checkExp(e string) error {
-	for _, v := range cliExps {
-		if e == v {
-			return nil
+// checkRequests normalises every request one -exp name will run, before
+// the first experiment starts, so a flag a later experiment rejects fails
+// at once. The CLI-only names take no sampling regime.
+func checkRequests(e string, base mom.JobRequest) error {
+	_, cli := cliOnly[e]
+	switch {
+	case cli && base.SampleInterval != 0:
+		return fmt.Errorf("experiment %q is exact-only: -sample is not supported", e)
+	case e == "all":
+		for _, sub := range allExps {
+			if err := checkRequests(sub, base); err != nil {
+				return err
+			}
+		}
+	case !cli:
+		for _, req := range cliRequests(e, base) {
+			if _, err := req.Normalized(); err != nil {
+				return err
+			}
 		}
 	}
-	return fmt.Errorf("unknown experiment %q; valid experiments:\n%s", e, expList())
+	return nil
 }
 
 // atExitFns are cleanups (profile finalisers) that must run on every exit

@@ -3,6 +3,7 @@ package mom
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -20,6 +21,29 @@ import (
 // Widths are the issue widths of the kernel study (Table 1 columns).
 var Widths = []int{1, 2, 4, 8}
 
+// kernelGrid is the one runner of the kernel-study experiments: it acquires
+// every kernel's trace on every ISA, then runs cell on the worker pool for
+// each kernel × ISA pair and each of the pair's n variants (widths, memory
+// models, ...), and returns the rows in kernel, ISA, variant order.
+func kernelGrid[T any](ctx context.Context, sc Scale, n int, cell func(key traceKey, v int) (T, error)) ([]T, error) {
+	names := KernelNames()
+	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
+		return nil, err
+	}
+	perKernel := len(AllISAs) * n
+	rows := make([]T, len(names)*perKernel)
+	err := par.For(ctx, len(rows), func(idx int) error {
+		key := traceKey{name: names[idx/perKernel], isa: AllISAs[idx%perKernel/n], scale: sc}
+		row, err := cell(key, idx%n)
+		rows[idx] = row
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // KernelSpeedup is one bar of Figure 5.
 type KernelSpeedup struct {
 	Kernel  string  `json:"kernel"`
@@ -35,35 +59,15 @@ type KernelSpeedup struct {
 // issue width, with the idealised 1-cycle memory, reporting speed-ups
 // relative to the 1-way Alpha machine.
 func Figure5(ctx context.Context, sc Scale) ([]KernelSpeedup, error) {
-	names := KernelNames()
-	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
-		return nil, err
-	}
-	type job struct {
-		kernel string
-		isa    ISA
-		width  int
-	}
-	var jobs []job
-	for _, k := range names {
-		for _, i := range AllISAs {
-			for _, w := range Widths {
-				jobs = append(jobs, job{k, i, w})
-			}
-		}
-	}
-	rows := make([]KernelSpeedup, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		j := jobs[idx]
-		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, j.width, PerfectMemory(1), SampleSpec{}, nil)
+	rows, err := kernelGrid(ctx, sc, len(Widths), func(key traceKey, v int) (KernelSpeedup, error) {
+		res, err := runWorkload(key, Widths[v], PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
-			return err
+			return KernelSpeedup{}, err
 		}
-		rows[idx] = KernelSpeedup{
-			Kernel: j.kernel, ISA: j.isa, Width: j.width,
+		return KernelSpeedup{
+			Kernel: key.name, ISA: key.isa, Width: Widths[v],
 			Cycles: res.Cycles, Insts: res.Insts, IPC: res.IPC(),
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -97,42 +101,21 @@ type LatencyRow struct {
 // 50 cycles (the streaming-reference experiment); the paper reports
 // slow-downs of 3-9x for Alpha, 4-8x for MMX/MDMX and only 2-4x for MOM.
 func LatencyStudy(ctx context.Context, sc Scale, width int) ([]LatencyRow, error) {
-	names := KernelNames()
-	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
-		return nil, err
-	}
-	var jobs []struct {
-		kernel string
-		isa    ISA
-	}
-	for _, k := range names {
-		for _, i := range AllISAs {
-			jobs = append(jobs, struct {
-				kernel string
-				isa    ISA
-			}{k, i})
-		}
-	}
-	rows := make([]LatencyRow, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		j := jobs[idx]
-		key := traceKey{name: j.kernel, isa: j.isa, scale: sc}
+	return kernelGrid(ctx, sc, 1, func(key traceKey, _ int) (LatencyRow, error) {
 		r1, err := runWorkload(key, width, PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
-			return err
+			return LatencyRow{}, err
 		}
 		r50, err := runWorkload(key, width, PerfectMemory(50), SampleSpec{}, nil)
 		if err != nil {
-			return err
+			return LatencyRow{}, err
 		}
-		rows[idx] = LatencyRow{
-			Kernel: j.kernel, ISA: j.isa, Width: width,
+		return LatencyRow{
+			Kernel: key.name, ISA: key.isa, Width: width,
 			Cycles1: r1.Cycles, Cycles50: r50.Cycles,
 			Slowdown: float64(r50.Cycles) / float64(r1.Cycles),
-		}
-		return nil
+		}, nil
 	})
-	return rows, err
 }
 
 // AppConfig is one machine configuration of the program-level study
@@ -185,37 +168,21 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 		return nil, err
 	}
 	names := AppNames()
-	isas := map[ISA]bool{}
+	var isas []ISA // the ISAs of Figure7Configs, whose traces the study replays
 	for _, cfg := range Figure7Configs {
-		isas[cfg.ISA] = true
-	}
-	var uniq []ISA
-	for _, i := range AllISAs {
-		if isas[i] {
-			uniq = append(uniq, i)
+		if !slices.Contains(isas, cfg.ISA) {
+			isas = append(isas, cfg.ISA)
 		}
 	}
-	if err := warmTraces(ctx, true, names, uniq, sc); err != nil {
+	if err := warmTraces(ctx, true, names, isas, sc); err != nil {
 		return nil, err
 	}
 	widths := []int{4, 8}
-	type job struct {
-		app   string
-		cfg   AppConfig
-		width int
-	}
-	var jobs []job
-	for _, a := range names {
-		for _, cfg := range Figure7Configs {
-			for _, w := range widths {
-				jobs = append(jobs, job{a, cfg, w})
-			}
-		}
-	}
-	rows := make([]AppSpeedup, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		j := jobs[idx]
-		res, err := runWorkload(traceKey{app: true, name: j.app, isa: j.cfg.ISA, scale: sc}, j.width, DetailedMemory(j.cfg.Cache), sp, nil)
+	perApp := len(Figure7Configs) * len(widths)
+	rows := make([]AppSpeedup, len(names)*perApp)
+	err := par.For(ctx, len(rows), func(idx int) error {
+		app, cfg, w := names[idx/perApp], Figure7Configs[idx%perApp/len(widths)], widths[idx%len(widths)]
+		res, err := runWorkload(traceKey{app: true, name: app, isa: cfg.ISA, scale: sc}, w, DetailedMemory(cfg.Cache), sp, nil)
 		if err != nil {
 			return err
 		}
@@ -224,7 +191,7 @@ func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup,
 			insts = res.Sampled.TotalInsts
 		}
 		rows[idx] = AppSpeedup{
-			App: j.app, Config: j.cfg, Width: j.width,
+			App: app, Config: cfg, Width: w,
 			Cycles: estOrExactCycles(res), Insts: insts, IPC: res.IPC(),
 			Sampled: res.Sampled,
 		}
@@ -282,42 +249,21 @@ func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	names := KernelNames()
-	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
-		return nil, err
-	}
 	mems := []MemModel{PerfectMemory(1), PerfectMemory(50)}
-	type job struct {
-		kernel string
-		isa    ISA
-		mem    MemModel
-	}
-	var jobs []job
-	for _, k := range names {
-		for _, i := range AllISAs {
-			for _, m := range mems {
-				jobs = append(jobs, job{k, i, m})
-			}
-		}
-	}
-	rows := make([]ProfileRow, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		j := jobs[idx]
-		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, width, j.mem, sp, nil)
+	return kernelGrid(ctx, sc, len(mems), func(key traceKey, v int) (ProfileRow, error) {
+		res, err := runWorkload(key, width, mems[v], sp, nil)
 		if err != nil {
-			return err
+			return ProfileRow{}, err
 		}
 		if err := res.CheckInvariants(); err != nil {
-			return err
+			return ProfileRow{}, err
 		}
-		rows[idx] = ProfileRow{
-			Kernel: j.kernel, ISA: j.isa, Width: width, MemName: j.mem.Name(),
+		return ProfileRow{
+			Kernel: key.name, ISA: key.isa, Width: width, MemName: mems[v].Name(),
 			Cycles: res.Cycles, IPC: res.IPC(), Profile: res.Profile, Mem: res.Mem,
 			Sampled: res.Sampled,
-		}
-		return nil
+		}, nil
 	})
-	return rows, err
 }
 
 // FetchRow is one entry of the fetch-pressure comparison (word-operations
@@ -334,36 +280,16 @@ type FetchRow struct {
 // instruction for every kernel and ISA — the paper's "MOM packs an order of
 // magnitude more operations per instruction" argument.
 func FetchPressure(ctx context.Context, sc Scale) ([]FetchRow, error) {
-	names := KernelNames()
-	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
-		return nil, err
-	}
-	var jobs []struct {
-		kernel string
-		isa    ISA
-	}
-	for _, k := range names {
-		for _, i := range AllISAs {
-			jobs = append(jobs, struct {
-				kernel string
-				isa    ISA
-			}{k, i})
-		}
-	}
-	rows := make([]FetchRow, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		j := jobs[idx]
-		res, err := runWorkload(traceKey{name: j.kernel, isa: j.isa, scale: sc}, 4, PerfectMemory(1), SampleSpec{}, nil)
+	return kernelGrid(ctx, sc, 1, func(key traceKey, _ int) (FetchRow, error) {
+		res, err := runWorkload(key, 4, PerfectMemory(1), SampleSpec{}, nil)
 		if err != nil {
-			return err
+			return FetchRow{}, err
 		}
-		rows[idx] = FetchRow{
-			Kernel: j.kernel, ISA: j.isa, Insts: res.Insts, WordOps: res.WordOps,
+		return FetchRow{
+			Kernel: key.name, ISA: key.isa, Insts: res.Insts, WordOps: res.WordOps,
 			OpsPerInst: float64(res.WordOps) / float64(res.Insts),
-		}
-		return nil
+		}, nil
 	})
-	return rows, err
 }
 
 // Table1Row describes one processor configuration column.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // HotspotRow attributes a run's cycles to one static instruction: its
@@ -81,8 +80,7 @@ func (h HotspotReport) CheckInvariants() error {
 // Under a sampling regime the observer sees measured-interval instructions
 // only, so the per-PC rows still sum exactly to the (measured-interval) run
 // profile.
-func hotspotReport(app bool, name string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (HotspotReport, error) {
-	key := traceKey{app: app, name: name, isa: i, scale: sc}
+func hotspotReport(key traceKey, width int, m MemModel, sp SampleSpec) (HotspotReport, error) {
 	p, err := key.program()
 	if err != nil {
 		return HotspotReport{}, err
@@ -131,12 +129,12 @@ func hotspotReport(app bool, name string, i ISA, width int, m MemModel, sc Scale
 
 // KernelHotspots profiles one kernel per static instruction.
 func KernelHotspots(kernel string, i ISA, width int, m MemModel, sc Scale) (HotspotReport, error) {
-	return hotspotReport(false, kernel, i, width, m, sc, SampleSpec{})
+	return hotspotReport(traceKey{name: kernel, isa: i, scale: sc}, width, m, SampleSpec{})
 }
 
 // AppHotspots profiles one application per static instruction.
 func AppHotspots(app string, i ISA, width int, m MemModel, sc Scale) (HotspotReport, error) {
-	return hotspotReport(true, app, i, width, m, sc, SampleSpec{})
+	return hotspotReport(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, SampleSpec{})
 }
 
 // AppHotspotsSampled profiles an application under a sampling regime: the
@@ -145,7 +143,7 @@ func AppHotspotsSampled(app string, i ISA, width int, m MemModel, sc Scale, sp S
 	if err := sp.Validate(); err != nil {
 		return HotspotReport{}, err
 	}
-	return hotspotReport(true, app, i, width, m, sc, sp)
+	return hotspotReport(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, sp)
 }
 
 // HotspotStudy profiles every kernel at every ISA level on the given issue
@@ -162,34 +160,11 @@ func HotspotStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	names := KernelNames()
-	if err := warmTraces(ctx, false, names, AllISAs, sc); err != nil {
-		return nil, err
-	}
-	type job struct {
-		name string
-		isa  ISA
-	}
-	var jobs []job
-	for _, n := range names {
-		for _, i := range AllISAs {
-			jobs = append(jobs, job{n, i})
-		}
-	}
-	out := make([]HotspotReport, len(jobs))
-	err := par.For(ctx, len(jobs), func(idx int) error {
-		rep, err := hotspotReport(false, jobs[idx].name, jobs[idx].isa, width, PerfectMemory(1), sc, sp)
+	return kernelGrid(ctx, sc, 1, func(key traceKey, _ int) (HotspotReport, error) {
+		rep, err := hotspotReport(key, width, PerfectMemory(1), sp)
 		if err != nil {
-			return err
+			return HotspotReport{}, err
 		}
-		if err := rep.CheckInvariants(); err != nil {
-			return err
-		}
-		out[idx] = rep
-		return nil
+		return rep, rep.CheckInvariants()
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

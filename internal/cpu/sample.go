@@ -56,7 +56,8 @@ func (sp SampleSpec) Validate() error {
 		}
 		return nil
 	}
-	if sp.Period <= sp.Warmup+sp.Interval {
+	// Period > Warmup + Interval, without letting the sum wrap around.
+	if sp.Warmup >= sp.Period || sp.Interval >= sp.Period-sp.Warmup {
 		return fmt.Errorf("cpu: sample period %d must exceed warmup %d + interval %d",
 			sp.Period, sp.Warmup, sp.Interval)
 	}

@@ -27,8 +27,10 @@ func TestSampleSpecValidate(t *testing.T) {
 		{cpu.SampleSpec{Period: 100}, false}, // period without interval
 		{cpu.SampleSpec{Warmup: 10}, false},  // warmup without interval
 		{cpu.SampleSpec{Period: 1000, Warmup: 100, Interval: 100}, true},
-		{cpu.SampleSpec{Period: 200, Warmup: 100, Interval: 100}, false}, // nothing left to skip
-		{cpu.SampleSpec{Period: 50, Interval: 100}, false},               // interval exceeds period
+		{cpu.SampleSpec{Period: 200, Warmup: 100, Interval: 100}, false},    // nothing left to skip
+		{cpu.SampleSpec{Period: 50, Interval: 100}, false},                  // interval exceeds period
+		{cpu.SampleSpec{Period: 5, Warmup: ^uint64(0), Interval: 2}, false}, // warmup + interval wraps around
+		{cpu.SampleSpec{Period: 5, Warmup: 1, Interval: ^uint64(0)}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

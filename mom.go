@@ -106,8 +106,9 @@ func (c CacheMode) mode() mem.VectorMode {
 
 // MemModel abstracts the memory system passed to a run.
 type MemModel struct {
-	build func(width int) mem.Model
-	name  string
+	build    func(width int) mem.Model
+	name     string
+	detailed bool // the Table 3 hierarchy, built at 4- and 8-way only
 }
 
 // Name identifies the model.
@@ -129,7 +130,8 @@ func DetailedMemory(mode CacheMode) MemModel {
 		build: func(width int) mem.Model {
 			return mem.NewHierarchy(mem.HierConfig{Width: width, Mode: mode.mode()})
 		},
-		name: mode.String(),
+		name:     mode.String(),
+		detailed: true,
 	}
 }
 

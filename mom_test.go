@@ -1,7 +1,9 @@
 package mom
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -205,6 +207,63 @@ func TestRunKernelErrors(t *testing.T) {
 	}
 	if _, err := RunApp("nope", MOM, 4, PerfectMemory(1), ScaleTest); err == nil {
 		t.Error("expected error for unknown app")
+	}
+}
+
+// TestUnsupportedWidthErrors: every public entry point that times one
+// workload rejects a width the machine tables do not define with an error
+// (the one check Normalized uses), instead of panicking in cpu.NewConfig
+// or mem.NewHierarchy.
+func TestUnsupportedWidthErrors(t *testing.T) {
+	sp := DefaultSampleSpec
+	var sink bytes.Buffer
+	opt := PipelineOptions{Konata: &sink}
+	detailed := DetailedMemory(MultiAddress)
+	for _, tc := range []struct {
+		name string
+		run  func(width int, m MemModel) error
+	}{
+		{"RunKernel", func(w int, m MemModel) error { _, err := RunKernel("idct", MOM, w, m, ScaleTest); return err }},
+		{"RunApp", func(w int, m MemModel) error { _, err := RunApp("gsmencode", MOM, w, m, ScaleTest); return err }},
+		{"RunKernelSampled", func(w int, m MemModel) error {
+			_, err := RunKernelSampled("idct", MOM, w, m, ScaleTest, sp)
+			return err
+		}},
+		{"RunAppSampled", func(w int, m MemModel) error {
+			_, err := RunAppSampled("gsmencode", MOM, w, m, ScaleTest, sp)
+			return err
+		}},
+		{"KernelHotspots", func(w int, m MemModel) error {
+			_, err := KernelHotspots("idct", MOM, w, m, ScaleTest)
+			return err
+		}},
+		{"AppHotspots", func(w int, m MemModel) error {
+			_, err := AppHotspots("gsmencode", MOM, w, m, ScaleTest)
+			return err
+		}},
+		{"AppHotspotsSampled", func(w int, m MemModel) error {
+			_, err := AppHotspotsSampled("gsmencode", MOM, w, m, ScaleTest, sp)
+			return err
+		}},
+		{"ExportKernelPipeline", func(w int, m MemModel) error {
+			_, err := ExportKernelPipeline("idct", MOM, w, m, ScaleTest, opt)
+			return err
+		}},
+		{"ExportAppPipeline", func(w int, m MemModel) error {
+			_, err := ExportAppPipeline("gsmencode", MOM, w, m, ScaleTest, opt)
+			return err
+		}},
+	} {
+		for _, w := range []int{0, 3, -4, 16} {
+			err := tc.run(w, PerfectMemory(1))
+			if want := fmt.Sprintf("invalid width %d (valid: 1, 2, 4, 8)", w); err == nil || err.Error() != want {
+				t.Errorf("%s at width %d: error %v, want %q", tc.name, w, err, want)
+			}
+		}
+		// The detailed hierarchies of Table 3 exist at 4- and 8-way only.
+		if err := tc.run(2, detailed); err == nil || !strings.Contains(err.Error(), "valid: 4, 8") {
+			t.Errorf("%s at width 2 on %s memory: error %v, want the 4/8-way bound", tc.name, detailed.Name(), err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mom
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -20,49 +21,95 @@ import (
 // fields in declaration order, map keys sorted by encoding/json), the
 // same stored bytes.
 
-// ExpNames lists the runnable experiments in a stable order: the batch
-// drivers first, then the two single-point runs.
-var ExpNames = []string{
-	"fig5", "fig7", "latency", "profile", "fetch", "hotspots",
-	"regsweep", "memsweep", "kernel", "app",
+// experiment is one catalogue entry: a name and description, the request
+// fields the experiment consumes besides Scale (Normalized clears the
+// rest, SweepSpec.Expand grids only over them), and the function that
+// runs it.
+type experiment struct {
+	name, desc                           string
+	width, isa, mem, kernel, app, sample bool
+	run                                  func(ctx context.Context, r JobRequest) (any, error)
 }
 
-// expDescriptions gives every runnable experiment a one-line description,
-// surfaced by `momsim -exp list` and the sweep-spec docs so the exp axis
-// of a SweepSpec is discoverable from the CLI.
-var expDescriptions = map[string]string{
-	"fig5":     "kernel speed-ups for every kernel × ISA × width on perfect memory (Figure 5)",
-	"fig7":     "application speed-ups on the detailed cache hierarchies (Figure 7)",
-	"latency":  "kernel slow-downs when memory latency rises from 1 to 50 cycles (Section 4.1)",
-	"profile":  "nine-bucket cycle attribution for every kernel × ISA at 1- and 50-cycle memory",
-	"fetch":    "dynamic instruction counts and packed word-operations per instruction",
-	"hotspots": "per-PC cycle attribution (annotated disassembly) for every kernel × ISA",
-	"regsweep": "cycle cost versus physical matrix-register-file size for one kernel",
-	"memsweep": "cycle cost versus MSHR and L1-bank counts for one application",
-	"kernel":   "one kernel on one machine point (ISA × width × memory, exact or sampled)",
-	"app":      "one application on one machine point (ISA × width × memory, exact or sampled)",
+// catalogue lists every runnable experiment in a stable order: the batch
+// experiments first, then the two single-point runs. `momsim -exp list`
+// shows the descriptions, so the exp axis of a SweepSpec is discoverable.
+var catalogue = []experiment{
+	{name: "fig5", desc: "kernel speed-ups for every kernel × ISA × width on perfect memory (Figure 5)",
+		run: func(ctx context.Context, r JobRequest) (any, error) { return Figure5(ctx, r.scale()) }},
+	{name: "fig7", desc: "application speed-ups on the detailed cache hierarchies (Figure 7)", sample: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) {
+			return Figure7Sampled(ctx, r.scale(), r.Sample())
+		}},
+	{name: "latency", desc: "kernel slow-downs when memory latency rises from 1 to 50 cycles (Section 4.1)", width: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) { return LatencyStudy(ctx, r.scale(), r.Width) }},
+	{name: "profile", desc: "nine-bucket cycle attribution for every kernel × ISA at 1- and 50-cycle memory", width: true, sample: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) {
+			return ProfileStudySampled(ctx, r.scale(), r.Width, r.Sample())
+		}},
+	{name: "fetch", desc: "dynamic instruction counts and packed word-operations per instruction",
+		run: func(ctx context.Context, r JobRequest) (any, error) { return FetchPressure(ctx, r.scale()) }},
+	{name: "hotspots", desc: "per-PC cycle attribution (annotated disassembly) for every kernel × ISA", width: true, sample: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) {
+			return HotspotStudySampled(ctx, r.scale(), r.Width, r.Sample())
+		}},
+	{name: "regsweep", desc: "cycle cost versus physical matrix-register-file size for one kernel", kernel: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) { return RegisterSweep(ctx, r.scale(), r.Kernel) }},
+	{name: "memsweep", desc: "cycle cost versus MSHR and L1-bank counts for one application", app: true,
+		run: func(ctx context.Context, r JobRequest) (any, error) { return MemorySweep(ctx, r.scale(), r.App) }},
+	{name: "kernel", desc: "one kernel on one machine point (ISA × width × memory, exact or sampled)",
+		width: true, isa: true, mem: true, kernel: true, sample: true, run: runPoint},
+	{name: "app", desc: "one application on one machine point (ISA × width × memory, exact or sampled)",
+		width: true, isa: true, mem: true, app: true, sample: true, run: runPoint},
+}
+
+// ExpNames lists the runnable experiments in catalogue order.
+var ExpNames = expNames(func(experiment) bool { return true })
+
+// expNames lists the names of the catalogue entries keep selects.
+func expNames(keep func(experiment) bool) []string {
+	var out []string
+	for _, e := range catalogue {
+		if keep(e) {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}
+
+// lookupExp returns the catalogue entry of a runnable experiment.
+func lookupExp(name string) (experiment, bool) {
+	for _, e := range catalogue {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 // ExpDescription returns the one-line description of a runnable
 // experiment ("" for names outside ExpNames).
-func ExpDescription(name string) string { return expDescriptions[name] }
+func ExpDescription(name string) string {
+	e, _ := lookupExp(name)
+	return e.desc
+}
 
 // JobRequest identifies one experiment computation. Exp selects the
-// driver; the remaining fields parameterise it. Fields an experiment does
-// not consume are cleared by Normalized so they cannot split the store key
-// space.
+// catalogue entry; the remaining fields parameterise it. Fields the entry
+// does not consume are cleared by Normalized so they cannot split the
+// store key space.
 type JobRequest struct {
 	Exp    string `json:"exp"`              // one of ExpNames
 	Scale  string `json:"scale,omitempty"`  // "test" (default) or "bench"
-	Width  int    `json:"width,omitempty"`  // latency/profile/hotspots/kernel/app (default 4)
-	ISA    string `json:"isa,omitempty"`    // kernel/app (default "MOM")
-	Mem    string `json:"mem,omitempty"`    // kernel/app: perfect|perfect50|conv|multi|vector|collapsing (default "perfect")
-	Kernel string `json:"kernel,omitempty"` // regsweep/kernel
-	App    string `json:"app,omitempty"`    // memsweep/app
+	Width  int    `json:"width,omitempty"`  // issue width (default 4)
+	ISA    string `json:"isa,omitempty"`    // default "MOM"
+	Mem    string `json:"mem,omitempty"`    // perfect|perfect50|conv|multi|vector|collapsing (default "perfect")
+	Kernel string `json:"kernel,omitempty"` // see KernelNames
+	App    string `json:"app,omitempty"`    // see AppNames
 
-	// Sampled-simulation parameters (fig7/profile/hotspots/kernel/app;
-	// see SampleSpec). All zero — the default — selects exact simulation,
-	// so pre-sampling requests keep their canonical form and key.
+	// Sampled-simulation parameters (see SampleSpec). All zero — the
+	// default — selects exact simulation, so pre-sampling requests keep
+	// their canonical form and key.
 	SamplePeriod   uint64 `json:"sample_period,omitempty"`
 	SampleWarmup   uint64 `json:"sample_warmup,omitempty"`
 	SampleInterval uint64 `json:"sample_interval,omitempty"`
@@ -140,7 +187,8 @@ func ParseMemModel(s string) (MemModel, error) {
 	return MemModel{}, fmt.Errorf("unknown memory model %q (valid: %s)", s, strings.Join(MemModelNames, ", "))
 }
 
-func parseScale(s string) (Scale, error) {
+// ParseScale resolves a workload-scale name ("" selects test).
+func ParseScale(s string) (Scale, error) {
 	switch s {
 	case "", "test":
 		return ScaleTest, nil
@@ -148,6 +196,25 @@ func parseScale(s string) (Scale, error) {
 		return ScaleBench, nil
 	}
 	return 0, fmt.Errorf("unknown scale %q (valid: test, bench)", s)
+}
+
+// scale returns the Scale of a normalised request.
+func (r JobRequest) scale() Scale {
+	sc, _ := ParseScale(r.Scale)
+	return sc
+}
+
+// checkWidth is the one width check of every timing run: the Table 1
+// machines are 1-, 2-, 4- and 8-way, and the detailed hierarchies of
+// Table 3 exist at 4- and 8-way only.
+func checkWidth(width int, m MemModel) error {
+	switch {
+	case width != 1 && width != 2 && width != 4 && width != 8:
+		return fmt.Errorf("invalid width %d (valid: 1, 2, 4, 8)", width)
+	case m.detailed && width < 4:
+		return fmt.Errorf("invalid width %d for %s memory (valid: 4, 8)", width, m.Name())
+	}
+	return nil
 }
 
 func validName(kind, name string, valid []string) error {
@@ -164,131 +231,64 @@ func validName(kind, name string, valid []string) error {
 
 // Normalized validates the request and returns its canonical form:
 // defaults filled in, names canonicalised (ISA case, scale), and every
-// field the experiment does not consume cleared. The canonical form is
-// what Key hashes, so e.g. {"exp":"fig5","width":8} and {"exp":"fig5"}
-// are the same computation and the same store entry.
+// field the experiment's catalogue entry does not consume cleared. The
+// canonical form is what Key hashes, so e.g. {"exp":"fig5","width":8} and
+// {"exp":"fig5"} are the same computation and the same store entry.
 func (r JobRequest) Normalized() (JobRequest, error) {
-	n := JobRequest{Exp: r.Exp}
-	sc, err := parseScale(r.Scale)
+	n := JobRequest{Exp: r.Exp, Scale: cmp.Or(r.Scale, "test")}
+	_, err := ParseScale(r.Scale)
 	if err != nil {
 		return n, err
 	}
-	n.Scale = "test"
-	if sc == ScaleBench {
-		n.Scale = "bench"
+	e, ok := lookupExp(r.Exp)
+	if !ok {
+		return n, fmt.Errorf("unknown experiment %q (valid: %s)", r.Exp, strings.Join(ExpNames, ", "))
 	}
-	width := func() error {
-		n.Width = r.Width
-		if n.Width == 0 {
-			n.Width = 4
-		}
-		switch n.Width {
-		case 1, 2, 4, 8:
-			return nil
-		}
-		return fmt.Errorf("invalid width %d (valid: 1, 2, 4, 8)", n.Width)
+	// Exact-only experiments reject sampling parameters instead of
+	// silently dropping them: a caller asking for a sampled fig5 would
+	// otherwise get (and cache) an exact run under a request that promised
+	// something else.
+	if !e.sample && r.Sample().Enabled() {
+		return n, fmt.Errorf("experiment %q is exact-only: sampling is not supported (sampled-capable: %s)",
+			r.Exp, strings.Join(expNames(func(e experiment) bool { return e.sample }), ", "))
 	}
-	sample := func() error {
-		sp := r.Sample()
-		if err := sp.Validate(); err != nil {
-			return err
-		}
-		n.SamplePeriod, n.SampleWarmup, n.SampleInterval = sp.Period, sp.Warmup, sp.Interval
-		return nil
-	}
-	// Experiments outside the sampled-capable set reject sampling
-	// parameters instead of silently dropping them: a caller asking for a
-	// sampled fig5 would otherwise get (and cache) an exact run under a
-	// request that promised something else.
-	exactOnly := func() error {
-		if r.Sample().Enabled() {
-			return fmt.Errorf("experiment %q is exact-only: sampling is not supported (sampled-capable: fig7, profile, hotspots, kernel, app)", r.Exp)
-		}
-		return nil
-	}
-	point := func(kind string) error {
-		if err := width(); err != nil {
-			return err
-		}
-		i := r.ISA
-		if i == "" {
-			i = "MOM"
-		}
-		level, err := ParseISA(i)
+	var m MemModel // experiments without a mem field run on perfect memory
+	if e.isa {
+		level, err := ParseISA(cmp.Or(r.ISA, "MOM"))
 		if err != nil {
-			return err
+			return n, err
 		}
 		n.ISA = level.String()
-		m := r.Mem
-		if m == "" {
-			m = "perfect"
-		}
-		if _, err := ParseMemModel(m); err != nil {
-			return err
-		}
-		n.Mem = m
-		if kind == "kernel" {
-			n.Kernel = r.Kernel
-			return validName("kernel", n.Kernel, KernelNames())
-		}
-		n.App = r.App
-		return validName("app", n.App, AppNames())
 	}
-	switch r.Exp {
-	case "fig5", "fetch":
-		if err := exactOnly(); err != nil {
+	if e.mem {
+		n.Mem = cmp.Or(r.Mem, "perfect")
+		if m, err = ParseMemModel(n.Mem); err != nil {
 			return n, err
 		}
-	case "fig7":
-		if err := sample(); err != nil {
+	}
+	if e.width {
+		n.Width = cmp.Or(r.Width, 4)
+		if err := checkWidth(n.Width, m); err != nil {
 			return n, err
 		}
-	case "latency":
-		if err := exactOnly(); err != nil {
-			return n, err
-		}
-		if err := width(); err != nil {
-			return n, err
-		}
-	case "profile", "hotspots":
-		if err := width(); err != nil {
-			return n, err
-		}
-		if err := sample(); err != nil {
-			return n, err
-		}
-	case "regsweep":
-		if err := exactOnly(); err != nil {
-			return n, err
-		}
+	}
+	if e.kernel {
 		n.Kernel = r.Kernel
 		if err := validName("kernel", n.Kernel, KernelNames()); err != nil {
 			return n, err
 		}
-	case "memsweep":
-		if err := exactOnly(); err != nil {
-			return n, err
-		}
+	}
+	if e.app {
 		n.App = r.App
 		if err := validName("app", n.App, AppNames()); err != nil {
 			return n, err
 		}
-	case "kernel":
-		if err := point("kernel"); err != nil {
+	}
+	if e.sample {
+		if err := r.Sample().Validate(); err != nil {
 			return n, err
 		}
-		if err := sample(); err != nil {
-			return n, err
-		}
-	case "app":
-		if err := point("app"); err != nil {
-			return n, err
-		}
-		if err := sample(); err != nil {
-			return n, err
-		}
-	default:
-		return n, fmt.Errorf("unknown experiment %q (valid: %s)", r.Exp, strings.Join(ExpNames, ", "))
+		n.SamplePeriod, n.SampleWarmup, n.SampleInterval = r.SamplePeriod, r.SampleWarmup, r.SampleInterval
 	}
 	return n, nil
 }
@@ -314,81 +314,61 @@ func (r JobRequest) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// RunJobRequest executes one request and returns the canonical result
-// document — the same single-line JSON the momsim -json paths emit, which
-// is what the job service stores and serves. The context cancels the
-// parallel drivers between sub-runs (see par.For); identical requests
-// yield byte-identical documents.
-func RunJobRequest(ctx context.Context, req JobRequest) ([]byte, error) {
+// RunExperiment executes one request through its catalogue entry and
+// returns the rows: the experiment's row slice, or the Result of a kernel
+// or app point. The context cancels a parallel experiment between
+// sub-runs (see par.For).
+func RunExperiment(ctx context.Context, req JobRequest) (any, error) {
 	n, err := req.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	sc, _ := parseScale(n.Scale)
-	var buf bytes.Buffer
-	write := func(rows any, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteExperimentJSON(&buf, n.Exp, rows); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
+	e, _ := lookupExp(n.Exp)
 	// The worker-count knob is cleared by Normalized (it must not split the
 	// key space), so re-apply the caller's choice for execution only.
-	sp := n.Sample()
-	sp.Parallelism = req.SamplePar
-	switch n.Exp {
-	case "fig5":
-		rows, err := Figure5(ctx, sc)
-		return write(rows, err)
-	case "fig7":
-		rows, err := Figure7Sampled(ctx, sc, sp)
-		return write(rows, err)
-	case "latency":
-		rows, err := LatencyStudy(ctx, sc, n.Width)
-		return write(rows, err)
-	case "profile":
-		rows, err := ProfileStudySampled(ctx, sc, n.Width, sp)
-		return write(rows, err)
-	case "fetch":
-		rows, err := FetchPressure(ctx, sc)
-		return write(rows, err)
-	case "hotspots":
-		reps, err := HotspotStudySampled(ctx, sc, n.Width, sp)
-		return write(reps, err)
-	case "regsweep":
-		rows, err := RegisterSweep(ctx, sc, n.Kernel)
-		return write(rows, err)
-	case "memsweep":
-		rows, err := MemorySweep(ctx, sc, n.App)
-		return write(rows, err)
-	case "kernel", "app":
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		level, _ := ParseISA(n.ISA)
-		m, _ := ParseMemModel(n.Mem)
-		var res Result
-		if n.Exp == "kernel" {
-			res, err = RunKernelSampled(n.Kernel, level, n.Width, m, sc, sp)
-		} else {
-			res, err = RunAppSampled(n.App, level, n.Width, m, sc, sp)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := res.CheckInvariants(); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := WriteResultJSON(&buf, res); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	n.SamplePar = req.SamplePar
+	return e.run(ctx, n)
+}
+
+// RunJobRequest executes one request and returns the canonical result
+// document — the same single-line JSON the momsim -json paths emit, which
+// is what the job service stores and serves. Identical requests yield
+// byte-identical documents.
+func RunJobRequest(ctx context.Context, req JobRequest) ([]byte, error) {
+	rows, err := RunExperiment(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown experiment %q", n.Exp)
+	var buf bytes.Buffer
+	if res, ok := rows.(Result); ok {
+		err = WriteResultJSON(&buf, res)
+	} else {
+		err = WriteExperimentJSON(&buf, req.Exp, rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// runPoint runs the kernel and app points: one workload on one machine,
+// checked against the accounting invariants.
+func runPoint(ctx context.Context, r JobRequest) (any, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	level, _ := ParseISA(r.ISA)
+	m, _ := ParseMemModel(r.Mem)
+	key := traceKey{app: r.App != "", name: cmp.Or(r.Kernel, r.App), isa: level, scale: r.scale()}
+	res, err := runWorkload(key, r.Width, m, r.Sample(), nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.CheckInvariants(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

@@ -19,9 +19,9 @@ import (
 
 // SweepSpec is the declarative form of one design-space exploration. Exps
 // is required; every other axis has a sensible default and applies only to
-// the experiments that consume it (the same consumption rules as
-// JobRequest.Normalized — e.g. fig5 ignores the width axis, so a fig5
-// sweep over four widths is one point, not four).
+// the experiments whose catalogue entry consumes the matching request
+// field (e.g. fig5 consumes no width, so a fig5 sweep over four widths is
+// one point, not four).
 type SweepSpec struct {
 	Name   string   `json:"name,omitempty"`   // report label
 	Exps   []string `json:"exps"`             // experiments to grid over (see ExpNames)
@@ -53,26 +53,6 @@ func ParseSweepSpec(data []byte) (SweepSpec, error) {
 		return s, fmt.Errorf("sweep spec: %v", err)
 	}
 	return s, nil
-}
-
-// sweepAxes records which grid axes an experiment consumes, mirroring the
-// per-experiment field rules of JobRequest.Normalized. Expansion only
-// loops over consumed axes, so unconsumed ones never multiply the grid.
-type sweepAxes struct {
-	widths, isas, mems, kernels, apps, samples bool
-}
-
-var expSweepAxes = map[string]sweepAxes{
-	"fig5":     {},
-	"fetch":    {},
-	"fig7":     {samples: true},
-	"latency":  {widths: true},
-	"profile":  {widths: true, samples: true},
-	"hotspots": {widths: true, samples: true},
-	"regsweep": {kernels: true},
-	"memsweep": {apps: true},
-	"kernel":   {widths: true, isas: true, mems: true, kernels: true, samples: true},
-	"app":      {widths: true, isas: true, mems: true, apps: true, samples: true},
 }
 
 // withDefaults fills the optional axes.
@@ -135,31 +115,23 @@ func (s SweepSpec) Expand() ([]JobRequest, error) {
 		out = append(out, n)
 		return nil
 	}
-	one := []string{""}
+	// Expansion only loops over the axes an experiment consumes, so
+	// unconsumed ones never multiply the grid.
+	axis := func(consumed bool, vals []string) []string {
+		if consumed {
+			return vals
+		}
+		return []string{""}
+	}
 	for _, exp := range s.Exps {
-		ax, ok := expSweepAxes[exp]
+		e, ok := lookupExp(exp)
 		if !ok {
 			return nil, fmt.Errorf("sweep spec: unknown experiment %q (valid: %s)", exp, strings.Join(ExpNames, ", "))
 		}
-		kernels, apps := one, one
-		if ax.kernels {
-			kernels = s.Kernels
-		}
-		if ax.apps {
-			apps = s.Apps
-		}
-		isas, mems, samples := one, one, one
-		if ax.isas {
-			isas = s.ISAs
-		}
-		if ax.mems {
-			mems = s.Mems
-		}
-		if ax.samples {
-			samples = s.Samples
-		}
+		kernels, apps := axis(e.kernel, s.Kernels), axis(e.app, s.Apps)
+		isas, mems, samples := axis(e.isa, s.ISAs), axis(e.mem, s.Mems), axis(e.sample, s.Samples)
 		widths := []int{0}
-		if ax.widths {
+		if e.width {
 			widths = s.Widths
 		}
 		for _, sc := range s.Scales {

@@ -186,6 +186,9 @@ func replayTrace(key traceKey, cfg cpu.Config, model mem.Model, sp SampleSpec, o
 // runWorkload times one workload on the Table 1 machine of the given width
 // with memory model m, through replayTrace.
 func runWorkload(key traceKey, width int, m MemModel, sp SampleSpec, o obs.Observer) (Result, error) {
+	if err := checkWidth(width, m); err != nil {
+		return Result{}, err
+	}
 	res, err := replayTrace(key, cpu.NewConfig(width, key.isa.ext()), m.build(width), sp, o)
 	if err != nil {
 		return Result{}, err
@@ -208,18 +211,8 @@ func CaptureWorkloadTrace(app bool, name string, i ISA, sc Scale) *trace.Trace {
 // before the replay fan-out, so no replay worker blocks behind a capture
 // another configuration also needs.
 func warmTraces(ctx context.Context, app bool, names []string, isas []ISA, sc Scale) error {
-	type wk struct {
-		name string
-		isa  ISA
-	}
-	var jobs []wk
-	for _, n := range names {
-		for _, i := range isas {
-			jobs = append(jobs, wk{n, i})
-		}
-	}
-	return par.For(ctx, len(jobs), func(idx int) error {
-		_, err := workloadTrace(traceKey{app: app, name: jobs[idx].name, isa: jobs[idx].isa, scale: sc})
+	return par.For(ctx, len(names)*len(isas), func(idx int) error {
+		_, err := workloadTrace(traceKey{app: app, name: names[idx/len(isas)], isa: isas[idx%len(isas)], scale: sc})
 		return err
 	})
 }
