@@ -10,10 +10,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 
 	mom "repro"
+	"repro/internal/isa"
 )
 
 func main() {
@@ -25,18 +24,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var level mom.ISA
-	switch strings.ToLower(*isaStr) {
-	case "alpha":
-		level = mom.Alpha
-	case "mmx":
-		level = mom.MMX
-	case "mdmx":
-		level = mom.MDMX
-	case "mom":
-		level = mom.MOM
-	default:
-		fmt.Fprintf(os.Stderr, "momasm: unknown ISA %q\n", *isaStr)
+	level, err := mom.ParseISA(*isaStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "momasm:", err)
 		os.Exit(1)
 	}
 
@@ -49,17 +39,9 @@ func main() {
 	st := p.Stats()
 	fmt.Printf("%s: %d static instructions, %d bytes of data\n",
 		p.Name, st.Total, len(p.Data))
-	type cc struct {
-		name string
-		n    int
-	}
-	var classes []cc
-	for c, n := range st.ByClass {
-		classes = append(classes, cc{c.String(), n})
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i].n > classes[j].n })
-	for _, c := range classes {
-		fmt.Printf("  %-8s %6d (%.1f%%)\n", c.name, c.n, 100*float64(c.n)/float64(st.Total))
+	for _, c := range isa.ClassesByCount(st.ByClass) {
+		n := st.ByClass[c]
+		fmt.Printf("  %-8s %6d (%.1f%%)\n", c, n, 100*float64(n)/float64(st.Total))
 	}
 	if *statsOnly {
 		return

@@ -38,11 +38,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	mom "repro"
+	"repro/internal/metric"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -150,18 +152,21 @@ func main() {
 			logger.Error("drain incomplete", "error", err.Error())
 			os.Exit(1)
 		}
+		// The exit totals carry the series names /metrics exposes.
+		logTotals := func(msg string, set *metric.Set) {
+			var args []any
+			for _, x := range set.Snapshot() {
+				args = append(args, x.Name, strconv.FormatFloat(x.Value, 'f', -1, 64))
+			}
+			logger.Info(msg, args...)
+		}
 		if cfg.Store != nil {
-			s := cfg.Store.Stats()
-			logger.Info("store at exit", "entries", s.Entries, "bytes", s.Bytes,
-				"hits", s.Hits, "misses", s.Misses, "evictions", s.Evictions)
+			logTotals("store at exit", cfg.Store.Metrics())
 		}
 		if cfg.TraceStore != nil {
-			s := cfg.TraceStore.Stats()
-			ts := mom.ReadTraceStats()
-			logger.Info("trace store at exit", "entries", s.Entries, "bytes", s.Bytes,
-				"disk_hits", ts.DiskHits, "disk_writes", ts.DiskWrites,
-				"peer_fetches", ts.PeerFetches)
+			logTotals("trace store at exit", cfg.TraceStore.Metrics())
 		}
+		logTotals("trace layer at exit", mom.TraceMetrics())
 		logger.Info("drained cleanly")
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	mom "repro"
 )
@@ -46,7 +45,7 @@ func main() {
 		verify   = flag.Bool("verify", false, "verify every workload bit-exactly against the goldens")
 		format   = flag.String("format", "table", "experiment output format: table|csv|json")
 		asJSON   = flag.Bool("json", false, "emit JSON (shorthand for -format json; also applies to single runs)")
-		verbose  = flag.Bool("v", false, "report trace capture/replay timing per experiment")
+		verbose  = flag.Bool("v", false, "report the trace layer's counters per experiment")
 		traceDir = flag.String("trace-store", "", "persist captured traces in this directory and replay from it on later runs")
 		traceMax = flag.Int64("trace-store-bytes", 1<<31, "trace artifact store size bound in bytes (<=0: unbounded; needs -trace-store)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -191,12 +190,14 @@ func main() {
 			}
 		}
 		for _, e := range exps {
-			before := mom.ReadTraceStats()
+			before := mom.TraceMetrics().Snapshot()
 			if err := runExperiment(ctx, e, base, i, outFormat); err != nil {
 				fatal(err)
 			}
 			if *verbose {
-				printTraceStats(e, before, mom.ReadTraceStats())
+				// The trace layer's /metrics series (without the
+				// momserved_ prefix), counters as this experiment's share.
+				fmt.Printf("# %s %s\n", e, mom.TraceMetrics().Snapshot().Since(before))
 			}
 		}
 	default:
@@ -355,21 +356,6 @@ func render(exp string, rows any, format string) error {
 		return fmt.Errorf("experiment %q: no text form for %T", exp, rows)
 	}
 	return nil
-}
-
-// printTraceStats reports what the trace layer did during one experiment:
-// captures and replays with their wall-clock totals, and the current cache
-// occupancy.
-func printTraceStats(exp string, before, after mom.TraceStats) {
-	fmt.Printf("# %s traces: %d captured (%v), %d replayed (%v); cache holds %d traces, %.1f MB\n",
-		exp, after.Captures-before.Captures, (after.CaptureTime - before.CaptureTime).Round(time.Millisecond),
-		after.Replays-before.Replays, (after.ReplayTime - before.ReplayTime).Round(time.Millisecond),
-		after.CachedTraces, float64(after.CachedBytes)/(1<<20))
-	if st, ok := mom.TraceArtifactStats(); ok {
-		fmt.Printf("# %s artifacts: %d disk hits, %d disk misses, %d disk writes; store holds %d artifacts, %.1f MB\n",
-			exp, after.DiskHits-before.DiskHits, after.DiskMisses-before.DiskMisses,
-			after.DiskWrites-before.DiskWrites, st.Entries, float64(st.Bytes)/(1<<20))
-	}
 }
 
 // printResult reports one timed run as a human-readable summary (the

@@ -172,16 +172,14 @@ func main() {
 		// artifact layer (disk fill or capture + write-through) and report
 		// what the disk did.
 		if _, ok := mom.TraceArtifactStats(); ok {
-			before := mom.ReadTraceStats()
+			before := mom.TraceMetrics().Snapshot()
 			if mom.CaptureWorkloadTrace(*app != "", workload, level, mom.ScaleTest) == nil {
 				fmt.Fprintln(os.Stderr, "momtrace: artifact-layer capture failed")
 				os.Exit(1)
 			}
-			after := mom.ReadTraceStats()
 			st, _ := mom.TraceArtifactStats()
-			fmt.Printf("  artifacts     disk hits %d, misses %d, writes %d; store holds %d artifacts, %.1f MB\n",
-				after.DiskHits-before.DiskHits, after.DiskMisses-before.DiskMisses,
-				after.DiskWrites-before.DiskWrites, st.Entries, float64(st.Bytes)/(1<<20))
+			fmt.Printf("  artifacts     %s; store holds %d artifacts, %.1f MB\n",
+				mom.TraceMetrics().Snapshot().Since(before), st.Entries, float64(st.Bytes)/(1<<20))
 		}
 		fmt.Println()
 		src = tr.Reader()
@@ -224,17 +222,9 @@ func main() {
 	fmt.Printf("branches: %d (%.1f%% taken)\n\n", branches, 100*float64(taken)/float64(max(branches, 1)))
 
 	fmt.Println("operation mix:")
-	type kv struct {
-		k string
-		v uint64
-	}
-	var mix []kv
-	for c, n := range classCount {
-		mix = append(mix, kv{c.String(), n})
-	}
-	sort.Slice(mix, func(i, j int) bool { return mix[i].v > mix[j].v })
-	for _, e := range mix {
-		fmt.Printf("  %-8s %10d (%.1f%%)\n", e.k, e.v, 100*float64(e.v)/float64(total))
+	for _, c := range isa.ClassesByCount(classCount) {
+		n := classCount[c]
+		fmt.Printf("  %-8s %10d (%.1f%%)\n", c, n, 100*float64(n)/float64(total))
 	}
 
 	if len(vlHist) > 0 {

@@ -16,7 +16,10 @@
 // active word of the matrix register operands.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // RegKind identifies an architectural register file.
 type RegKind uint8
@@ -192,4 +195,21 @@ func (p *Program) Stats() StaticStats {
 		}
 	}
 	return st
+}
+
+// ClassesByCount orders the classes of an operation mix by count, most
+// frequent first, with equal counts in name order, so a printed mix reads
+// the same on every run.
+func ClassesByCount[N int | uint64](mix map[Class]N) []Class {
+	cs := make([]Class, 0, len(mix))
+	for c := range mix {
+		cs = append(cs, c)
+	}
+	sort.Slice(cs, func(i, j int) bool {
+		if mix[cs[i]] != mix[cs[j]] {
+			return mix[cs[i]] > mix[cs[j]]
+		}
+		return cs[i].String() < cs[j].String()
+	})
+	return cs
 }

@@ -132,3 +132,24 @@ func TestClassPredicates(t *testing.T) {
 		t.Error("ClassLoad predicates wrong")
 	}
 }
+
+// TestClassesByCount: a mix orders by count, most frequent first, and
+// equal counts order by class name, whatever the map's iteration order.
+func TestClassesByCount(t *testing.T) {
+	mix := map[Class]uint64{ClassStore: 5, ClassLoad: 5, ClassBranch: 9, ClassIntSimple: 5, ClassNop: 1}
+	want := []Class{ClassBranch, ClassIntSimple, ClassLoad, ClassStore, ClassNop}
+	for run := 0; run < 20; run++ {
+		got := ClassesByCount(mix)
+		if len(got) != len(want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d: got %v, want %v", run, got, want)
+			}
+		}
+	}
+	if got := ClassesByCount(map[Class]int{}); len(got) != 0 {
+		t.Fatalf("empty mix gave %v", got)
+	}
+}

@@ -1,37 +1,6 @@
 package media
 
-// Golden implementations of the pixel-filter kernels: motion compensation
-// (averaging prediction), addblock (residual reconstruction with
-// saturation) and the jpeg h2v2 upsampler.
-
-// AvgPred computes the bidirectional prediction (fwd+bwd+1)>>1 per pixel —
-// the exact semantics of the packed-average instruction.
-func AvgPred(fwd, bwd []byte) []byte {
-	out := make([]byte, len(fwd))
-	for i := range fwd {
-		out[i] = byte((uint16(fwd[i]) + uint16(bwd[i]) + 1) >> 1)
-	}
-	return out
-}
-
-// AddBlock reconstructs pixels: out = sat8(pred + residual). residual is a
-// signed 16-bit block. The original mpeg2 code performs the saturation with
-// a memory lookup table; the multimedia ISAs do it with saturating packed
-// adds — both produce these values.
-func AddBlock(pred []byte, residual []int16) []byte {
-	out := make([]byte, len(pred))
-	for i := range pred {
-		v := int32(pred[i]) + int32(residual[i])
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		out[i] = byte(v)
-	}
-	return out
-}
+// Golden implementation of the jpeg h2v2 upsampler kernel.
 
 // H2V2Upsample doubles a plane in both dimensions with the triangular
 // (3x+y+rounding)/4 filter used by the jpeg "fancy" upsampler. Only the

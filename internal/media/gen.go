@@ -21,13 +21,6 @@ func (p *Plane) At(x, y int) byte { return p.Pix[y*p.Stride+x] }
 // Set stores a pixel at (x, y).
 func (p *Plane) Set(x, y int, v byte) { p.Pix[y*p.Stride+x] = v }
 
-// Clone returns a deep copy.
-func (p *Plane) Clone() *Plane {
-	q := &Plane{W: p.W, H: p.H, Stride: p.Stride, Pix: make([]byte, len(p.Pix))}
-	copy(q.Pix, p.Pix)
-	return q
-}
-
 // GenFrame synthesises a video frame: a smooth gradient background, a set of
 // textured moving objects (so motion estimation has real work to do), and a
 // sprinkle of sensor-like noise. t is the frame time; objects translate with
@@ -114,16 +107,6 @@ func GenPCM(n int, seed uint64) []int16 {
 		out[i] = int16(v)
 	}
 	return out
-}
-
-// GenBlock16 produces a 16x16 pixel block cut from a generated frame.
-func GenBlock16(seed uint64) []byte {
-	f := GenFrame(32, 32, 0, seed)
-	blk := make([]byte, 16*16)
-	for y := 0; y < 16; y++ {
-		copy(blk[y*16:(y+1)*16], f.Pix[(y+8)*f.Stride+8:(y+8)*f.Stride+24])
-	}
-	return blk
 }
 
 func clamp8(v int) byte {

@@ -38,10 +38,12 @@ func (c *ChromeWriter) Observe(ev *Event) {
 // Recorded returns the number of instructions buffered so far.
 func (c *ChromeWriter) Recorded() int { return len(c.recs) }
 
-// chromeEvent is one trace-event record (the "X" complete-event shape).
-type chromeEvent struct {
+// TraceEvent is one Chrome trace-event record: a complete ("X") slice, or
+// a metadata ("M") record such as a process name. Every Chrome export in
+// the program writes this shape.
+type TraceEvent struct {
 	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
+	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	Ts   int64          `json:"ts"`
 	Dur  int64          `json:"dur"`
@@ -50,9 +52,15 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// WriteTrace encodes events as one trace-event JSON document.
+func WriteTrace(w io.Writer, events []TraceEvent) error {
+	if events == nil {
+		events = []TraceEvent{}
+	}
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []TraceEvent `json:"traceEvents"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
+	}{events, "ns"})
 }
 
 func (c *ChromeWriter) label(pc int) string {
@@ -64,7 +72,7 @@ func (c *ChromeWriter) label(pc int) string {
 
 // Flush writes the buffered window as a trace-event JSON document.
 func (c *ChromeWriter) Flush() error {
-	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ns"}
+	var events []TraceEvent
 	// Greedy track packing: an instruction takes the lowest track whose
 	// previous occupant committed before this one fetched.
 	var trackFree []int64
@@ -96,7 +104,7 @@ func (c *ChromeWriter) Flush() error {
 			args["mshr_stalls"] = ev.Mem.MSHRStalls
 			args["write_buf_stalls"] = ev.Mem.WriteBufStalls
 		}
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		events = append(events, TraceEvent{
 			Name: c.label(ev.PC), Cat: "inst", Ph: "X",
 			Ts: ev.Fetch, Dur: end - ev.Fetch, Pid: 0, Tid: tid, Args: args,
 		})
@@ -114,12 +122,11 @@ func (c *ChromeWriter) Flush() error {
 			if dur < 0 {
 				dur = 0
 			}
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			events = append(events, TraceEvent{
 				Name: s.name, Cat: "stage", Ph: "X",
 				Ts: s.from, Dur: dur, Pid: 0, Tid: tid,
 			})
 		}
 	}
-	enc := json.NewEncoder(c.w)
-	return enc.Encode(doc)
+	return WriteTrace(c.w, events)
 }

@@ -149,17 +149,8 @@ func TestChromeTraceValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			Ts   int64          `json:"ts"`
-			Dur  int64          `json:"dur"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []TraceEvent `json:"traceEvents"`
+		DisplayTimeUnit string       `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid trace-event JSON: %v", err)

@@ -123,7 +123,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ResultURL: d.ResultURL,
 		}
 	}
-	s.metrics.batch(len(body.Jobs))
+	s.metrics.batchRequests.Inc()
+	s.metrics.batchItems.Add(int64(len(body.Jobs)))
 	if refused {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 	}

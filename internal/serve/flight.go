@@ -3,12 +3,13 @@ package serve
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	mom "repro"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -188,36 +189,55 @@ func (r *recorder) attachCapture(info trace.CaptureInfo) {
 	r.mu.Unlock()
 }
 
-// captureSubs fans the process-wide trace capture hook out to every live
-// Server — tests (and the two-node suites) run several servers in one
-// process, and each must only see its own flights.
-var captureSubs struct {
+// live is the set of running Servers the process-wide trace hooks fan out
+// to: tests (and the two-node suites) run several servers in one process,
+// and each must see only its own flights. The capture hook and the peer
+// trace fetcher are installed once, on the first subscription.
+var live struct {
 	once sync.Once
 	mu   sync.Mutex
 	subs map[*Server]struct{}
 }
 
-func subscribeCaptures(s *Server) {
-	captureSubs.once.Do(func() {
-		captureSubs.subs = map[*Server]struct{}{}
+func subscribe(s *Server) {
+	live.once.Do(func() {
+		live.subs = map[*Server]struct{}{}
 		trace.SetCaptureHook(func(info trace.CaptureInfo) {
-			captureSubs.mu.Lock()
-			for srv := range captureSubs.subs {
+			for _, srv := range liveServers() {
 				srv.flights.attachCapture(info)
-				srv.metrics.stage("capture", info.Duration)
+				srv.metrics.stages.Observe("capture", info.Duration)
 			}
-			captureSubs.mu.Unlock()
+		})
+		mom.SetTraceFetcher(func(key string) (io.ReadCloser, bool) {
+			for _, srv := range liveServers() {
+				if rc, ok := srv.fetchPeerTrace(key); ok {
+					return rc, true
+				}
+			}
+			return nil, false
 		})
 	})
-	captureSubs.mu.Lock()
-	captureSubs.subs[s] = struct{}{}
-	captureSubs.mu.Unlock()
+	live.mu.Lock()
+	live.subs[s] = struct{}{}
+	live.mu.Unlock()
 }
 
-func unsubscribeCaptures(s *Server) {
-	captureSubs.mu.Lock()
-	delete(captureSubs.subs, s)
-	captureSubs.mu.Unlock()
+func unsubscribe(s *Server) {
+	live.mu.Lock()
+	delete(live.subs, s)
+	live.mu.Unlock()
+}
+
+// liveServers returns the subscribed Servers, so the hooks call into them
+// without holding the set's lock.
+func liveServers() []*Server {
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	subs := make([]*Server, 0, len(live.subs))
+	for srv := range live.subs {
+		subs = append(subs, srv)
+	}
+	return subs
 }
 
 // flightDoc is the public JSON shape of one completed flight.
@@ -291,30 +311,11 @@ func (s *Server) nodeName() string {
 	return "momserver"
 }
 
-// chromeEvent mirrors the "X" complete-event shape of the internal/obs
-// pipeline exporter, so server spans open in chrome://tracing next to the
-// instruction traces.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeMeta struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Args map[string]any `json:"args"`
-}
-
+// writeFlightsChrome renders flights as trace events on one process track
+// named after the node, one thread track per flight.
 func writeFlightsChrome(w http.ResponseWriter, docs []flightDoc, node string) {
-	events := make([]any, 0, len(docs)*4+1)
-	events = append(events, chromeMeta{
+	events := make([]obs.TraceEvent, 0, len(docs)*4+1)
+	events = append(events, obs.TraceEvent{
 		Name: "process_name", Ph: "M", Pid: 0,
 		Args: map[string]any{"name": node},
 	})
@@ -324,7 +325,7 @@ func writeFlightsChrome(w http.ResponseWriter, docs []flightDoc, node string) {
 		if wall < 1 {
 			wall = 1
 		}
-		events = append(events, chromeEvent{
+		events = append(events, obs.TraceEvent{
 			Name: d.Kind + " " + d.Exp, Cat: "flight", Ph: "X",
 			Ts: base, Dur: wall, Pid: 0, Tid: tid,
 			Args: map[string]any{
@@ -337,7 +338,7 @@ func writeFlightsChrome(w http.ResponseWriter, docs []flightDoc, node string) {
 			if dur < 1 {
 				dur = 1
 			}
-			ev := chromeEvent{
+			ev := obs.TraceEvent{
 				Name: sp.Name, Cat: "stage", Ph: "X",
 				Ts: base + sp.StartUS, Dur: dur, Pid: 0, Tid: tid,
 			}
@@ -348,8 +349,5 @@ func writeFlightsChrome(w http.ResponseWriter, docs []flightDoc, node string) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"traceEvents":     events,
-		"displayTimeUnit": "ns",
-	})
+	_ = obs.WriteTrace(w, events) // a failed write means the client hung up
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	mom "repro"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -173,13 +174,8 @@ func TestFlightsChromeExport(t *testing.T) {
 		t.Fatalf("chrome export: status %d", code)
 	}
 	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Cat  string `json:"cat"`
-			Ph   string `json:"ph"`
-			Dur  int64  `json:"dur"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
+		TraceEvents     []obs.TraceEvent `json:"traceEvents"`
+		DisplayTimeUnit string           `json:"displayTimeUnit"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("chrome export is not JSON: %v", err)

@@ -152,14 +152,14 @@ func (s *Server) peerStoreGet(peer, key string, tc traceCtx) ([]byte, bool) {
 	req.Header.Set(TraceHeader, tc.trace)
 	resp, err := s.cfg.Peers.client.Do(req)
 	if err != nil {
-		s.metrics.add(&s.metrics.peerErrors)
+		s.metrics.peerErrors.Inc()
 		s.logPeerError("store-fetch", peer, key, tc.trace, time.Since(t0), err)
 		return nil, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if resp.StatusCode != http.StatusNotFound {
-			s.metrics.add(&s.metrics.peerErrors)
+			s.metrics.peerErrors.Inc()
 			s.logPeerError("store-fetch", peer, key, tc.trace, time.Since(t0),
 				fmt.Errorf("status %d", resp.StatusCode))
 		}
@@ -167,7 +167,7 @@ func (s *Server) peerStoreGet(peer, key string, tc traceCtx) ([]byte, bool) {
 	}
 	val, err := io.ReadAll(resp.Body)
 	if err != nil {
-		s.metrics.add(&s.metrics.peerErrors)
+		s.metrics.peerErrors.Inc()
 		s.logPeerError("store-fetch", peer, key, tc.trace, time.Since(t0), err)
 		return nil, false
 	}
@@ -191,17 +191,17 @@ func (s *Server) runProxy(fl *flight) {
 	out, err := s.proxyRun(ctx, fl, fl.peer, fl.req, fl.timeout)
 	now := time.Now()
 	s.flights.span(fl.rec, "proxy", t0, now, fl.peer)
-	s.metrics.stage("proxy", now.Sub(t0))
+	s.metrics.stages.Observe("proxy", now.Sub(t0))
 	ctxErr := ctx.Err()
 	if err == nil && ctxErr == nil && s.cfg.Store != nil {
 		w0 := time.Now()
 		_ = s.cfg.Store.Fill(fl.key, out)
 		s.flights.span(fl.rec, "store", w0, time.Now(), "fill")
-		s.metrics.stage("store", time.Since(w0))
-		s.metrics.add(&s.metrics.peerFills)
+		s.metrics.stages.Observe("store", time.Since(w0))
+		s.metrics.peerFills.Inc()
 	}
 	if err != nil && ctxErr == nil {
-		s.metrics.add(&s.metrics.peerErrors)
+		s.metrics.peerErrors.Inc()
 		s.logPeerError("proxy", fl.peer, fl.key, fl.rec.trace, now.Sub(t0), err)
 	}
 	s.finish(fl, out, err, ctxErr)

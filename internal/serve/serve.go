@@ -158,7 +158,7 @@ func New(cfg Config) *Server {
 		inflight: map[string]*flight{},
 		flights:  newRecorder(cfg.FlightLog),
 	}
-	s.metrics.init()
+	s.declareMetrics()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)
@@ -182,10 +182,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	subscribeCaptures(s)
-	if cfg.Peers != nil {
-		subscribeTraceFetch(s)
-	}
+	subscribe(s)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -204,8 +201,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		close(s.queue)
-		unsubscribeCaptures(s)
-		unsubscribeTraceFetch(s)
+		unsubscribe(s)
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
@@ -288,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // pathological backlog cannot tell clients to go away for hours.
 func (s *Server) retryAfter() int {
 	depth := len(s.queue)
-	sum, count := s.metrics.durationTotals()
+	sum, count := s.metrics.durations.Totals()
 	avg := 1.0 // no history: assume a one-second job
 	if count > 0 {
 		avg = sum / float64(count)
@@ -311,7 +307,11 @@ func (s *Server) retryAfter() int {
 // admission carries a trace context; the flight recorder logs its
 // timeline under it.
 func (s *Server) admit(req mom.JobRequest, key string, timeout time.Duration, tc traceCtx) (*job, int, error) {
-	s.metrics.submit(req.Exp, req.Sample().Enabled())
+	mode := "exact"
+	if req.Sample().Enabled() {
+		mode = "sampled"
+	}
+	s.metrics.submitted.With(req.Exp, mode).Inc()
 	received := time.Now()
 
 	// Local store hit: the job is born done, no worker consumed.
@@ -338,9 +338,9 @@ func (s *Server) admit(req mom.JobRequest, key string, timeout time.Duration, tc
 					w0 := time.Now()
 					_ = s.cfg.Store.Fill(key, val)
 					s.flights.span(fr, "store", w0, time.Now(), "fill")
-					s.metrics.stage("store", time.Since(w0))
+					s.metrics.stages.Observe("store", time.Since(w0))
 				}
-				s.metrics.add(&s.metrics.peerFills)
+				s.metrics.peerFills.Inc()
 				return s.bornDone(req, key, timeout, val, owner, tc, fr), http.StatusOK, nil
 			}
 		}
@@ -374,7 +374,7 @@ func (s *Server) admit(req mom.JobRequest, key string, timeout time.Duration, tc
 		s.register(j)
 		s.mu.Unlock()
 		s.flights.member(fl.rec, j.reqID, now)
-		s.metrics.add(&s.metrics.coalesced)
+		s.metrics.coalesced.Inc()
 		s.logAdmit(j, "coalesced")
 		return j, http.StatusAccepted, nil
 	}
@@ -398,7 +398,7 @@ func (s *Server) admit(req mom.JobRequest, key string, timeout time.Duration, tc
 			defer s.workers.Done()
 			s.runProxy(fl)
 		}()
-		s.metrics.add(&s.metrics.peerProxied)
+		s.metrics.peerProxied.Inc()
 		s.logAdmit(j, kind)
 		return j, http.StatusAccepted, nil
 	}
@@ -570,7 +570,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if promoted {
-		s.metrics.add(&s.metrics.promotions)
+		s.metrics.promotions.Inc()
 	}
 	s.writeJob(w, http.StatusOK, j)
 }
@@ -603,7 +603,7 @@ func (s *Server) begin(fl *flight) (context.Context, context.CancelFunc, bool) {
 	}
 	s.mu.Unlock()
 	s.flights.span(fl.rec, "queue", fl.rec.start, fl.started, "")
-	s.metrics.stage("queue", fl.started.Sub(fl.rec.start))
+	s.metrics.stages.Observe("queue", fl.started.Sub(fl.rec.start))
 	return ctx, cancel, true
 }
 
@@ -617,7 +617,7 @@ func (s *Server) runFlight(fl *flight) {
 	out, err := s.cfg.Runner(ctx, fl.req)
 	execEnd := time.Now()
 	s.flights.span(fl.rec, "execute", fl.started, execEnd, "")
-	s.metrics.stage("execute", execEnd.Sub(fl.started))
+	s.metrics.stages.Observe("execute", execEnd.Sub(fl.started))
 	ctxErr := ctx.Err()
 
 	// Persist before the flight becomes observable as done, so a client
@@ -627,7 +627,7 @@ func (s *Server) runFlight(fl *flight) {
 		_ = s.cfg.Store.Put(fl.key, out)
 		now := time.Now()
 		s.flights.span(fl.rec, "store", execEnd, now, "put")
-		s.metrics.stage("store", now.Sub(execEnd))
+		s.metrics.stages.Observe("store", now.Sub(execEnd))
 	}
 	s.finish(fl, out, err, ctxErr)
 }
@@ -672,7 +672,8 @@ func (s *Server) finish(fl *flight, out []byte, err, ctxErr error) {
 
 	s.flights.close(fl.rec, state, now)
 	s.logFinish(fl.rec, state, errMsg, now.Sub(fl.rec.start))
-	s.metrics.observe(fl.req.Exp, state, dur)
+	s.metrics.finished.With(state).Inc()
+	s.metrics.durations.Observe(fl.req.Exp, dur)
 }
 
 // jobDoc is the public JSON shape of a job record.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -258,13 +259,13 @@ func TestRetryAfterTracksBacklog(t *testing.T) {
 	// Pretend ten 4-second jobs have completed: avg 4s per job, one
 	// worker, empty queue -> ceil(4 * 1 / 1) = 4.
 	for i := 0; i < 10; i++ {
-		srv.metrics.observe("fig5", StateDone, 4*time.Second)
+		srv.metrics.durations.Observe("fig5", 4*time.Second)
 	}
 	if got := srv.retryAfter(); got != 4 {
 		t.Fatalf("hint with 4s average %d, want 4", got)
 	}
 	// A pathological average is clamped to five minutes.
-	srv.metrics.observe("fig7", StateDone, 24*time.Hour)
+	srv.metrics.durations.Observe("fig7", 24*time.Hour)
 	if got := srv.retryAfter(); got != 300 {
 		t.Fatalf("clamped hint %d, want 300", got)
 	}
@@ -407,28 +408,67 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition: the endpoint serves parseable samples for the
-// core series even on a fresh server.
+// TestMetricsExposition pins the /metrics surface: on a node with a result
+// store, a trace store and a two-node peer set, after one finished job,
+// every TYPE line and every series identity (name and label set, sample
+// value stripped) in testdata/metrics_series.txt is still exposed, each
+// sample follows its own family's TYPE line, and every family has a
+// non-empty HELP.
 func TestMetricsExposition(t *testing.T) {
-	st, _ := store.Open(t.TempDir(), 0)
-	srv := New(Config{Workers: 1, QueueCap: 4, Store: st, Runner: stubRunner(nil)})
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	for _, name := range []string{
-		"momserved_queue_depth",
-		"momserved_queue_capacity",
-		"momserved_workers",
-		"momserved_store_hits_total",
-		"momserved_store_misses_total",
-		"momserved_store_evictions_total",
-		"momserved_trace_captures_total",
-		"momserved_trace_replays_total",
-	} {
-		metricValue(t, ts, name) // fails the test if absent
-	}
-	if v := metricValue(t, ts, "momserved_queue_capacity"); v != 4 {
+	release := make(chan struct{})
+	close(release)
+	ts, srvs := twoNodes(t, func(int) Config {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tst, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Workers: 1, QueueCap: 4, Store: st, TraceStore: tst, Runner: stubRunner(release)}
+	})
+	body, _ := requestOwnedBy(t, srvs[0].cfg.Peers, srvs[0].cfg.Peers.Self())
+	d, _ := post(t, ts[0], body)
+	waitState(t, ts[0], d.ID, StateDone)
+	if v := metricValue(t, ts[0], "momserved_queue_capacity"); v != 4 {
 		t.Fatalf("queue capacity metric %v, want 4", v)
+	}
+
+	code, b := get(t, ts[0].URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	got := map[string]bool{}
+	help := map[string]string{}
+	var family string
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			name, text, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
+			help[name] = strings.TrimSpace(text)
+		case strings.HasPrefix(line, "# TYPE "):
+			family = strings.Fields(line)[2]
+			if help[family] == "" {
+				t.Errorf("family %s has no HELP", family)
+			}
+			got[line] = true
+		default:
+			id := line[:strings.LastIndexByte(line, ' ')]
+			name, _, _ := strings.Cut(id, "{")
+			if name != family && !strings.HasPrefix(name, family+"_") {
+				t.Errorf("sample %s outside its family (after TYPE %s)", id, family)
+			}
+			got[id] = true
+		}
+	}
+	want, err := os.ReadFile("testdata/metrics_series.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
+		if !got[line] {
+			t.Errorf("/metrics lost %q", line)
+		}
 	}
 }

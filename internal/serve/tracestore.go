@@ -6,18 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
-
-	mom "repro"
 )
 
 // Trace artifacts over the peer fabric: a node whose local artifact store
 // misses asks the key's rendezvous owner before recapturing, exactly like
 // result documents fill from their owner's store. The serving side is
 // GET /v1/traces/{key} (raw artifact bytes; a miss is a plain 404), the
-// asking side is a process-wide mom.TraceFetcher installed once and fanned
-// out to every live Server with a peer set. Artifact bytes are verified by
+// asking side is the process-wide mom.TraceFetcher, installed once and
+// fanned out to every live Server (see subscribe). Artifact bytes are verified by
 // the trace decoder on arrival, so a damaged or lying peer costs a
 // recapture, never a wrong trace.
 
@@ -87,7 +84,7 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 	settle := func(state string) {
 		now := time.Now()
 		s.flights.span(fr, "trace-fetch", t0, now, owner)
-		s.metrics.stage("trace-fetch", now.Sub(t0))
+		s.metrics.stages.Observe("trace-fetch", now.Sub(t0))
 		s.flights.close(fr, state, now)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -100,7 +97,7 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 	req.Header.Set(TraceHeader, tc.trace)
 	resp, err := s.cfg.Peers.client.Do(req)
 	if err != nil {
-		s.metrics.add(&s.metrics.peerErrors)
+		s.metrics.peerErrors.Inc()
 		s.logPeerError("trace-fetch", owner, key, tc.trace, time.Since(t0), err)
 		settle(StateFailed)
 		return nil, false
@@ -108,7 +105,7 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		if resp.StatusCode != http.StatusNotFound {
-			s.metrics.add(&s.metrics.peerErrors)
+			s.metrics.peerErrors.Inc()
 			s.logPeerError("trace-fetch", owner, key, tc.trace, time.Since(t0),
 				fmt.Errorf("status %d", resp.StatusCode))
 		}
@@ -117,50 +114,12 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 	}
 	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
-		s.metrics.add(&s.metrics.peerErrors)
+		s.metrics.peerErrors.Inc()
 		s.logPeerError("trace-fetch", owner, key, tc.trace, time.Since(t0), err)
 		settle(StateFailed)
 		return nil, false
 	}
-	s.metrics.add(&s.metrics.traceFetches)
+	s.metrics.traceFetches.Inc()
 	settle(StateDone)
 	return io.NopCloser(bytes.NewReader(blob)), true
-}
-
-// traceFetchSubs fans the process-wide mom.TraceFetcher out to every live
-// Server with a peer set, mirroring captureSubs: tests run several servers
-// in one process, and the hook is installed exactly once.
-var traceFetchSubs struct {
-	once sync.Once
-	mu   sync.Mutex
-	subs map[*Server]struct{}
-}
-
-func subscribeTraceFetch(s *Server) {
-	traceFetchSubs.once.Do(func() {
-		traceFetchSubs.subs = map[*Server]struct{}{}
-		mom.SetTraceFetcher(func(key string) (io.ReadCloser, bool) {
-			traceFetchSubs.mu.Lock()
-			subs := make([]*Server, 0, len(traceFetchSubs.subs))
-			for srv := range traceFetchSubs.subs {
-				subs = append(subs, srv)
-			}
-			traceFetchSubs.mu.Unlock()
-			for _, srv := range subs {
-				if rc, ok := srv.fetchPeerTrace(key); ok {
-					return rc, true
-				}
-			}
-			return nil, false
-		})
-	})
-	traceFetchSubs.mu.Lock()
-	traceFetchSubs.subs[s] = struct{}{}
-	traceFetchSubs.mu.Unlock()
-}
-
-func unsubscribeTraceFetch(s *Server) {
-	traceFetchSubs.mu.Lock()
-	delete(traceFetchSubs.subs, s)
-	traceFetchSubs.mu.Unlock()
 }

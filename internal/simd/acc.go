@@ -8,12 +8,6 @@ type Acc struct {
 	raw [3]uint64 // little-endian 192 bits
 }
 
-// Bits returns the raw 192-bit contents.
-func (a *Acc) Bits() [3]uint64 { return a.raw }
-
-// SetBits overwrites the raw contents.
-func (a *Acc) SetBits(b [3]uint64) { a.raw = b }
-
 // Clear zeroes the accumulator.
 func (a *Acc) Clear() { a.raw = [3]uint64{} }
 

@@ -30,12 +30,6 @@ func SetH(x uint64, i int, v uint16) uint64 {
 	return x&^(0xffff<<sh) | uint64(v)<<sh
 }
 
-// SetW returns x with word lane i replaced by v.
-func SetW(x uint64, i int, v uint32) uint64 {
-	sh := uint(i) * 32
-	return x&^(0xffffffff<<sh) | uint64(v)<<sh
-}
-
 // PackB builds a word from 8 byte lanes.
 func PackB(b [8]uint8) uint64 {
 	var x uint64

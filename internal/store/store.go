@@ -24,13 +24,16 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/metric"
 )
 
 // fileMagic heads every entry file; the trailing 1 is the on-disk format
 // version (independent of the value schema, which is part of the key).
 const fileMagic = "momstore 1"
 
-// Stats is a snapshot of the store counters.
+// Stats is a snapshot of the store counters, a view of the series in
+// Metrics.
 type Stats struct {
 	Hits      uint64 // Get found a valid entry
 	Misses    uint64 // Get found nothing (or a corrupt entry)
@@ -57,7 +60,9 @@ type Store struct {
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
 	bytes   int64
-	stats   Stats
+
+	metrics                              metric.Set
+	hits, misses, puts, fills, evictions *metric.Counter
 }
 
 // Open loads (or creates) a store rooted at dir, bounded to maxBytes on
@@ -74,6 +79,13 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		entries: map[string]*entry{},
 		lru:     list.New(),
 	}
+	s.hits = s.metrics.Counter("hits_total", "Lookups served from disk.")
+	s.misses = s.metrics.Counter("misses_total", "Lookups that missed.")
+	s.puts = s.metrics.Counter("puts_total", "Entries written by local computation.")
+	s.fills = s.metrics.Counter("fills_total", "Entries written from a peer instead of computed locally.")
+	s.evictions = s.metrics.Counter("evictions_total", "Entries evicted by the size bound.")
+	s.metrics.Gauge("entries", "Entries currently stored.", func() int64 { return int64(s.Stats().Entries) })
+	s.metrics.Gauge("bytes", "On-disk bytes currently stored.", func() int64 { return s.Stats().Bytes })
 	type found struct {
 		key   string
 		size  int64
@@ -133,45 +145,17 @@ func (s *Store) path(key string) string {
 // truncated file, checksum mismatch — is a miss; damaged entries are
 // removed so they are not re-verified on every lookup.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, false
-	}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.lru.MoveToFront(e.elem)
-	}
-	s.mu.Unlock()
-	if !ok {
-		s.count(func(st *Stats) { st.Misses++ })
+	if !s.lookup(key) {
 		return nil, false
 	}
 	val, err := readEntry(s.path(key))
 	if err != nil {
 		s.removeDamaged(key)
-		s.count(func(st *Stats) { st.Misses++ })
+		s.misses.Inc()
 		return nil, false
 	}
-	// Refresh the mtime (best effort) so LRU order survives a restart.
-	now := time.Now()
-	_ = os.Chtimes(s.path(key), now, now)
-	s.count(func(st *Stats) { st.Hits++ })
+	s.hit(key)
 	return val, true
-}
-
-// Has reports whether key is currently indexed, without opening or
-// verifying the entry and without touching recency or the hit/miss
-// counters. Callers that need the bytes still use Get/GetStream — an
-// indexed entry can turn out damaged.
-func (s *Store) Has(key string) bool {
-	if !validKey(key) {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
 }
 
 // GetStream opens the stored value for key as a payload reader, so large
@@ -183,9 +167,25 @@ func (s *Store) Has(key string) bool {
 // Invalidate. The returned size is the declared payload length; the reader
 // yields at most that many bytes and the caller owns Close.
 func (s *Store) GetStream(key string) (io.ReadCloser, int64, bool) {
-	if !validKey(key) {
-		s.count(func(st *Stats) { st.Misses++ })
+	if !s.lookup(key) {
 		return nil, 0, false
+	}
+	e, _, err := openEntry(s.path(key))
+	if err != nil {
+		s.removeDamaged(key)
+		s.misses.Inc()
+		return nil, 0, false
+	}
+	s.hit(key)
+	return e, e.n, true
+}
+
+// lookup reports whether key is indexed, moving it to the front of the
+// recency list; an invalid or absent key counts a miss.
+func (s *Store) lookup(key string) bool {
+	if !validKey(key) {
+		s.misses.Inc()
+		return false
 	}
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -194,38 +194,24 @@ func (s *Store) GetStream(key string) (io.ReadCloser, int64, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, 0, false
+		s.misses.Inc()
 	}
-	f, err := os.Open(s.path(key))
-	if err != nil {
-		s.removeDamaged(key)
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, 0, false
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	header, err := br.ReadString('\n')
-	var n int64
-	if err == nil {
-		var wantHex string
-		_, err = fmt.Sscanf(header, fileMagic+" %64s %d\n", &wantHex, &n)
-	}
-	if err != nil || n < 0 {
-		f.Close()
-		s.removeDamaged(key)
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, 0, false
-	}
+	return ok
+}
+
+// hit counts a served entry and refreshes its mtime (best effort) so LRU
+// order survives a restart.
+func (s *Store) hit(key string) {
 	now := time.Now()
 	_ = os.Chtimes(s.path(key), now, now)
-	s.count(func(st *Stats) { st.Hits++ })
-	return &streamEntry{r: io.LimitReader(br, n), f: f}, n, true
+	s.hits.Inc()
 }
 
 // streamEntry couples a payload-bounded reader with its file handle.
 type streamEntry struct {
 	r io.Reader
 	f *os.File
+	n int64 // declared payload length
 }
 
 func (s *streamEntry) Read(p []byte) (int, error) { return s.r.Read(p) }
@@ -246,6 +232,15 @@ func (s *Store) Invalidate(key string) {
 // until the store fits its budget. Re-putting an existing key refreshes
 // its value and recency.
 func (s *Store) Put(key string, val []byte) error {
+	if err := s.write(key, val); err != nil {
+		return err
+	}
+	s.puts.Inc()
+	return nil
+}
+
+// write is Put without the count.
+func (s *Store) write(key string, val []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
@@ -292,7 +287,6 @@ func (s *Store) Put(key string, val []byte) error {
 		s.entries[key] = e
 		s.bytes += info.Size()
 	}
-	s.stats.Puts++
 	s.evictLocked()
 	s.mu.Unlock()
 	return nil
@@ -313,10 +307,10 @@ func (s *Store) Fill(key string, val []byte) error {
 	if ok {
 		return nil
 	}
-	if err := s.Put(key, val); err != nil {
+	if err := s.write(key, val); err != nil {
 		return err
 	}
-	s.count(func(st *Stats) { st.Fills++; st.Puts-- })
+	s.fills.Inc()
 	return nil
 }
 
@@ -335,7 +329,7 @@ func (s *Store) evictLocked() {
 		s.lru.Remove(back)
 		delete(s.entries, e.key)
 		s.bytes -= e.size
-		s.stats.Evictions++
+		s.evictions.Inc()
 		os.Remove(s.path(e.key))
 	}
 }
@@ -355,50 +349,63 @@ func (s *Store) removeDamaged(key string) {
 // Stats returns a snapshot of the counters and current occupancy.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Entries = len(s.entries)
-	st.Bytes = s.bytes
-	return st
+	entries, bytes := len(s.entries), s.bytes
+	s.mu.Unlock()
+	return Stats{
+		Hits: uint64(s.hits.Load()), Misses: uint64(s.misses.Load()),
+		Puts: uint64(s.puts.Load()), Fills: uint64(s.fills.Load()),
+		Evictions: uint64(s.evictions.Load()),
+		Entries:   entries, Bytes: bytes,
+	}
 }
 
-func (s *Store) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
+// Metrics returns the store's series: lookups, writes, evictions and
+// occupancy.
+func (s *Store) Metrics() *metric.Set { return &s.metrics }
+
+// openEntry opens one entry file and parses its header line. The declared
+// payload length must account for the rest of the file exactly, so a
+// damaged header can neither promise more bytes than the file holds nor
+// make a reader allocate them.
+func openEntry(path string) (e *streamEntry, sum string, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, "", err
+	}
+	br := bufio.NewReader(f)
+	var n int64
+	header, err := br.ReadString('\n')
+	if err == nil {
+		_, err = fmt.Sscanf(header, fileMagic+" %64s %d\n", &sum, &n)
+	}
+	var info os.FileInfo
+	if err == nil {
+		info, err = f.Stat()
+	}
+	if err == nil && (n < 0 || int64(len(header))+n != info.Size()) {
+		err = fmt.Errorf("payload length %d does not match the file", n)
+	}
+	if err != nil {
+		f.Close()
+		return nil, "", fmt.Errorf("store: bad entry %s: %w", path, err)
+	}
+	return &streamEntry{r: io.LimitReader(br, n), f: f, n: n}, sum, nil
 }
 
 // readEntry reads and verifies one entry file: header line, declared
 // length, payload checksum. Any mismatch is an error (the caller treats
 // it as a miss).
 func readEntry(path string) ([]byte, error) {
-	f, err := os.Open(path)
+	e, sum, err := openEntry(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	header, err := r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	var wantHex string
-	var n int
-	if _, err := fmt.Sscanf(header, fileMagic+" %64s %d\n", &wantHex, &n); err != nil {
-		return nil, fmt.Errorf("store: bad header in %s: %w", path, err)
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("store: bad length in %s", path)
-	}
-	val := make([]byte, n)
-	if _, err := io.ReadFull(r, val); err != nil {
+	defer e.Close()
+	val := make([]byte, e.n)
+	if _, err := io.ReadFull(e, val); err != nil {
 		return nil, fmt.Errorf("store: truncated %s: %w", path, err)
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("store: trailing bytes in %s", path)
-	}
-	sum := sha256.Sum256(val)
-	if hex.EncodeToString(sum[:]) != wantHex {
+	if got := sha256.Sum256(val); hex.EncodeToString(got[:]) != sum {
 		return nil, fmt.Errorf("store: checksum mismatch in %s", path)
 	}
 	return val, nil

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -98,6 +99,11 @@ func TestCorruptionIsAMiss(t *testing.T) {
 		}},
 		{"emptied", func(p string) error {
 			return os.WriteFile(p, nil, 0o644)
+		}},
+		{"length-bomb", func(p string) error {
+			// A header claiming 128 GiB over a 5-byte payload must read as
+			// a miss, not as an allocation of the claimed size.
+			return os.WriteFile(p, []byte(fmt.Sprintf("%s %064x %d\nbytes", fileMagic, 0, int64(1)<<37)), 0o644)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,27 +260,6 @@ func TestFill(t *testing.T) {
 	}
 }
 
-// TestHas probes the index without disturbing counters or recency.
-func TestHas(t *testing.T) {
-	s := open(t, t.TempDir(), 0)
-	if s.Has(key("a")) {
-		t.Fatal("Has on empty store")
-	}
-	if s.Has("bogus") {
-		t.Fatal("Has accepted an invalid key")
-	}
-	if err := s.Put(key("a"), []byte("alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(key("a")) {
-		t.Fatal("Has missed a stored key")
-	}
-	st := s.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Has touched the hit/miss counters: %+v", st)
-	}
-}
-
 // TestGetStream streams a payload back byte-identically, counts a hit, and
 // treats header damage as a removing miss.
 func TestGetStream(t *testing.T) {
@@ -308,7 +293,7 @@ func TestGetStream(t *testing.T) {
 	if _, _, ok := s.GetStream(key("a")); ok {
 		t.Fatal("GetStream served a damaged header")
 	}
-	if s.Has(key("a")) {
+	if st := s.Stats(); st.Entries != 0 {
 		t.Fatal("damaged entry still indexed")
 	}
 }
@@ -321,7 +306,7 @@ func TestInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Invalidate(key("a"))
-	if s.Has(key("a")) {
+	if st := s.Stats(); st.Entries != 0 {
 		t.Fatal("Invalidate left the entry indexed")
 	}
 	if _, ok := s.Get(key("a")); ok {
@@ -329,4 +314,60 @@ func TestInvalidate(t *testing.T) {
 	}
 	s.Invalidate(key("a")) // absent key: no-op
 	s.Invalidate("bogus")  // invalid key: no-op
+}
+
+// FuzzEntryFile puts one value, overwrites its entry file with fuzzed
+// bytes and reads it back. Get must return a miss or exactly the bytes
+// Put wrote. GetStream verifies only the header, so it must return a miss
+// or a reader of exactly its declared length, and agree with Get whenever
+// Get verifies the payload. Neither may crash on what a header claims.
+//
+//	go test -run '^$' -fuzz '^FuzzEntryFile$' -fuzztime 20s ./internal/store/
+func FuzzEntryFile(f *testing.F) {
+	val := []byte("precious result bytes")
+	k := key("victim")
+	dir := f.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Put(k, val); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(s.path(k))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(append(append([]byte(nil), good...), '!'))
+	f.Add([]byte{})
+	f.Add([]byte("garbage"))
+	f.Add([]byte(fmt.Sprintf("%s %064x %d\nbytes", fileMagic, 0, int64(1)<<37)))
+	f.Add([]byte(fmt.Sprintf("%s %064x %d\nbytes", fileMagic, 0, -1)))
+	f.Fuzz(func(t *testing.T, file []byte) {
+		s := open(t, t.TempDir(), 0)
+		if err := s.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.path(k), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var streamed []byte
+		rc, n, streamOK := s.GetStream(k)
+		if streamOK {
+			streamed, err = io.ReadAll(rc)
+			rc.Close()
+			if err != nil || int64(len(streamed)) != n {
+				t.Fatalf("GetStream yielded %d bytes (err %v), declared %d", len(streamed), err, n)
+			}
+		}
+		got, ok := s.Get(k)
+		if ok && !bytes.Equal(got, val) {
+			t.Fatalf("Get served %q, Put wrote %q", got, val)
+		}
+		if ok && streamOK && !bytes.Equal(streamed, got) {
+			t.Fatalf("GetStream yielded %q, Get verified %q", streamed, got)
+		}
+	})
 }

@@ -246,13 +246,16 @@ func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{prog: p, n: records, chunks: make([]chunk, chunks)}
+	// Chunks are appended as their frames verify: the header's count is a
+	// claim, and only frames actually read may cost memory.
+	t := &Trace{prog: p, n: records}
 	var scratch []byte
 	for i := 0; i < chunks; i++ {
-		c := &t.chunks[i]
-		if err := readFrame(br, c, &scratch, i == chunks-1); err != nil {
+		var c chunk
+		if err := readFrame(br, &c, &scratch, i == chunks-1); err != nil {
 			return nil, err
 		}
+		t.chunks = append(t.chunks, c)
 		t.bytes += frameSize(len(c.si), len(c.ea), len(c.stride))
 	}
 	if _, err := br.ReadByte(); err != io.EOF {

@@ -148,4 +148,64 @@ func TestArtifactCorruption(t *testing.T) {
 		hdr := []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, fp, records-1, chunks))
 		check(t, append(hdr, blob[headerLen:]...))
 	})
+	t.Run("chunk count bomb", func(t *testing.T) {
+		// A one-line artifact claiming 2^45 records (2^30 chunks) must fail
+		// on its first missing frame, not allocate what the header claims.
+		check(t, bombHeader(p))
+	})
+}
+
+// bombHeader is a valid header for p claiming 2^45 records, with no frames.
+func bombHeader(p *isa.Program) []byte {
+	const records = 1 << 45
+	return []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, Fingerprint(p), records, records/chunkRecords))
+}
+
+// FuzzDecode: Decode never crashes on any bytes, and an artifact it
+// accepts re-encodes to exactly those bytes. Seeds are the artifacts and
+// damaged forms of the tests above.
+//
+//	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
+func FuzzDecode(f *testing.F) {
+	k, err := kernels.ByName("idct", kernels.ScaleTest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := k.Build(isa.ExtMOM)
+	var blobs [][]byte
+	for _, ext := range []isa.Ext{isa.ExtMOM, isa.ExtAlpha} {
+		tr, err := Capture(emu.New(k.Build(ext)), testMaxSteps, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		blobs = append(blobs, buf.Bytes())
+	}
+	blob := blobs[0]
+	headerLen := bytes.IndexByte(blob, '\n') + 1
+	f.Add(blob)
+	f.Add(blobs[1])
+	f.Add(blob[:headerLen])
+	f.Add(blob[:headerLen+(len(blob)-headerLen)/2])
+	f.Add(append(append([]byte(nil), blob...), 0))
+	f.Add(bombHeader(p))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data), p)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Decode error %v does not wrap ErrFormat", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted artifact re-encodes to %d different bytes (input %d)", buf.Len(), len(data))
+		}
+	})
 }

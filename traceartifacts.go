@@ -25,6 +25,13 @@ import (
 
 var artifactStore atomic.Pointer[store.Store]
 
+var (
+	traceDiskHits    = traceMetrics.Counter("trace_disk_hits_total", "Traces materialised from a local disk artifact.")
+	traceDiskMisses  = traceMetrics.Counter("trace_disk_misses_total", "Artifact lookups that found nothing usable locally.")
+	traceDiskWrites  = traceMetrics.Counter("trace_disk_writes_total", "Traces persisted to the local artifact store.")
+	tracePeerFetches = traceMetrics.Counter("trace_fetches_total", "Traces filled from a peer's artifact store.")
+)
+
 // SetTraceArtifacts installs s as the process-wide trace artifact store
 // consulted (and written through) by the trace cache; nil uninstalls it.
 // Like the trace cache itself, the artifact store is process-global: every
@@ -130,20 +137,22 @@ func loadArtifact(key traceKey, prog *isa.Program) *trace.Trace {
 			tr, err := trace.Decode(rc, prog)
 			rc.Close()
 			if err == nil {
-				traceStats.diskHits.Add(1)
+				traceDiskHits.Inc()
 				return tr
 			}
 			st.Invalidate(akey) // corrupt artifact: drop it, fall through to refetch
 		}
-		traceStats.diskMisses.Add(1)
+		traceDiskMisses.Inc()
 	}
 	if f != nil {
 		if rc, ok := (*f)(akey); ok {
 			tr, err := trace.Decode(rc, prog)
 			rc.Close()
 			if err == nil {
-				traceStats.peerFetches.Add(1)
-				fillArtifact(st, akey, tr)
+				tracePeerFetches.Inc()
+				if st != nil {
+					saveArtifact(akey, tr, st.Fill)
+				}
 				return tr
 			}
 		}
@@ -151,41 +160,15 @@ func loadArtifact(key traceKey, prog *isa.Program) *trace.Trace {
 	return nil
 }
 
-// encodeArtifact renders a trace's artifact bytes.
-func encodeArtifact(tr *trace.Trace) ([]byte, error) {
+// saveArtifact writes a trace through to the artifact store with write:
+// Put for a fresh capture, Fill (no overwrite) for a peer-fetched one. Best
+// effort, like every store write: a failure only costs a future recapture.
+func saveArtifact(akey string, tr *trace.Trace, write func(key string, val []byte) error) {
 	buf := bytes.NewBuffer(make([]byte, 0, tr.EncodedSize()))
 	if _, err := tr.WriteTo(buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// storeArtifact writes a fresh capture through to the artifact store. Best
-// effort, like every store write: a failure only costs a future recapture.
-func storeArtifact(key traceKey, tr *trace.Trace) {
-	st := artifactStore.Load()
-	if st == nil {
 		return
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		return
-	}
-	if st.Put(key.artifactKey(), blob) == nil {
-		traceStats.diskWrites.Add(1)
-	}
-}
-
-// fillArtifact persists a peer-fetched trace locally (no overwrite).
-func fillArtifact(st *store.Store, akey string, tr *trace.Trace) {
-	if st == nil {
-		return
-	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		return
-	}
-	if st.Fill(akey, blob) == nil {
-		traceStats.diskWrites.Add(1)
+	if write(akey, buf.Bytes()) == nil {
+		traceDiskWrites.Inc()
 	}
 }

@@ -32,6 +32,16 @@ func installArtifactDir(t testing.TB, dir string) *store.Store {
 	return s
 }
 
+// artifactBytes renders a trace's artifact bytes.
+func artifactBytes(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // artifactPath locates the on-disk file of one workload's artifact.
 func artifactPath(t *testing.T, dir string, key traceKey) string {
 	t.Helper()
@@ -70,7 +80,7 @@ func TestArtifactWriteThroughAndWarmReload(t *testing.T) {
 	if w := st1.DiskWrites - base.DiskWrites; w != 1 {
 		t.Fatalf("cold fill wrote %d artifacts, want 1", w)
 	}
-	if !st.Has(key.artifactKey()) {
+	if st.Stats().Entries != 1 {
 		t.Fatal("capture did not persist an artifact")
 	}
 
@@ -170,7 +180,7 @@ func TestArtifactCorruptionRecaptures(t *testing.T) {
 	if h := stats.DiskHits - base.DiskHits; h != 0 {
 		t.Fatalf("corrupt artifact counted as %d disk hits", h)
 	}
-	if !st.Has(key.artifactKey()) {
+	if st.Stats().Entries != 1 {
 		t.Fatal("recapture did not rewrite the artifact")
 	}
 
@@ -198,10 +208,7 @@ func TestArtifactFingerprintMismatchRecaptures(t *testing.T) {
 	if tr == nil {
 		t.Fatal("donor capture failed")
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := artifactBytes(t, tr)
 	if err := st.Put(victim.artifactKey(), blob); err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +311,7 @@ func TestArtifactPeerFetcher(t *testing.T) {
 	if tr == nil {
 		t.Fatal("donor capture failed")
 	}
-	blob, err := encodeArtifact(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := artifactBytes(t, tr)
 
 	// Simulate a restart with an empty local store but a peer that has the
 	// artifact: the fetcher serves the encoded bytes.
@@ -342,7 +346,7 @@ func TestArtifactPeerFetcher(t *testing.T) {
 		t.Fatal("fetched trace shape differs from the donor")
 	}
 	// Write-through: the next restart finds the artifact locally.
-	if !st.Has(key.artifactKey()) {
+	if st.Stats().Entries != 1 {
 		t.Fatal("fetched artifact was not persisted locally")
 	}
 	resetTraceEntry(t, key)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -30,7 +30,8 @@ import (
 // needs no byte budget: its key space is finite (8 kernels and 5 apps × 4
 // ISAs × 2 scales = 104 traces, 207.5 MB by Trace.Bytes in total).
 
-// TraceStats reports the accumulated activity of the trace layer.
+// TraceStats reports the accumulated activity of the trace layer, a view of
+// the series in TraceMetrics.
 type TraceStats struct {
 	Captures     int64         // traces recorded by a fresh capture
 	CaptureTime  time.Duration // wall-clock spent in those captures
@@ -50,33 +51,50 @@ type TraceStats struct {
 	PeerFetches int64 // traces fetched from a peer's artifact store
 }
 
-var traceStats struct {
-	captures, captureNS, replays, replayNS        atomic.Int64
-	diskHits, diskMisses, diskWrites, peerFetches atomic.Int64
+var traceMetrics metric.Set
+
+// TraceMetrics returns the trace layer's series: what momserver's /metrics
+// exposes with a momserved_ prefix and momsim -v prints per experiment.
+func TraceMetrics() *metric.Set { return &traceMetrics }
+
+var (
+	traceCaptures    = traceMetrics.Counter("trace_captures_total", "Workload traces recorded.")
+	traceReplays     = traceMetrics.Counter("trace_replays_total", "Timing runs fed from a recorded trace.")
+	traceCaptureTime = traceMetrics.Seconds("trace_capture_seconds_total", "Wall-clock spent capturing traces.")
+	traceReplayTime  = traceMetrics.Seconds("trace_replay_seconds_total", "Wall-clock spent in trace-fed timing runs.")
+)
+
+func init() {
+	traceMetrics.Gauge("trace_cached_traces", "Traces currently held in memory.", func() int64 { n, _ := cacheHeld(); return n })
+	traceMetrics.Gauge("trace_cached_bytes", "Trace bytes currently held in memory.", func() int64 { _, b := cacheHeld(); return b })
+}
+
+// cacheHeld returns the number and bytes of the traces the cache holds.
+func cacheHeld() (traces, bytes int64) {
+	traceCache.mu.Lock()
+	defer traceCache.mu.Unlock()
+	for _, e := range traceCache.entries {
+		if e.tr != nil {
+			traces++
+		}
+	}
+	return traces, traceCache.bytes
 }
 
 // ReadTraceStats returns a snapshot of the trace-layer counters.
 func ReadTraceStats() TraceStats {
-	traceCache.mu.Lock()
-	var held int64
-	for _, e := range traceCache.entries {
-		if e.tr != nil {
-			held++
-		}
-	}
-	bytes := traceCache.bytes
-	traceCache.mu.Unlock()
+	held, bytes := cacheHeld()
 	return TraceStats{
-		Captures:     traceStats.captures.Load(),
-		CaptureTime:  time.Duration(traceStats.captureNS.Load()),
-		Replays:      traceStats.replays.Load(),
-		ReplayTime:   time.Duration(traceStats.replayNS.Load()),
+		Captures:     traceCaptures.Load(),
+		CaptureTime:  time.Duration(traceCaptureTime.Load()),
+		Replays:      traceReplays.Load(),
+		ReplayTime:   time.Duration(traceReplayTime.Load()),
 		CachedTraces: held,
 		CachedBytes:  bytes,
-		DiskHits:     traceStats.diskHits.Load(),
-		DiskMisses:   traceStats.diskMisses.Load(),
-		DiskWrites:   traceStats.diskWrites.Load(),
-		PeerFetches:  traceStats.peerFetches.Load(),
+		DiskHits:     traceDiskHits.Load(),
+		DiskMisses:   traceDiskMisses.Load(),
+		DiskWrites:   traceDiskWrites.Load(),
+		PeerFetches:  tracePeerFetches.Load(),
 	}
 }
 
@@ -155,9 +173,11 @@ func fillTrace(key traceKey) (*trace.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mom: capture %s on %s: %w", key.name, key.isa, err)
 	}
-	traceStats.captures.Add(1)
-	traceStats.captureNS.Add(int64(time.Since(t0)))
-	storeArtifact(key, tr)
+	traceCaptures.Inc()
+	traceCaptureTime.Add(int64(time.Since(t0)))
+	if st := artifactStore.Load(); st != nil {
+		saveArtifact(key.artifactKey(), tr, st.Put)
+	}
 	return tr, nil
 }
 
@@ -175,8 +195,8 @@ func replayTrace(key traceKey, cfg cpu.Config, model mem.Model, sp SampleSpec, o
 	sim.Obs = o
 	t0 := time.Now()
 	res, err := sim.RunSampled(tr.Reader(), maxDynInsts, sp.cpu())
-	traceStats.replays.Add(1)
-	traceStats.replayNS.Add(int64(time.Since(t0)))
+	traceReplays.Inc()
+	traceReplayTime.Add(int64(time.Since(t0)))
 	if err != nil {
 		return cpu.Result{}, fmt.Errorf("mom: %s on %s/%d-way: %w", key.name, key.isa, cfg.Width, err)
 	}
