@@ -109,42 +109,47 @@ func TestGoldenDocs(t *testing.T) {
 		got = append(got, goldenDoc{ID: g.id, Key: key, SHA256: digest(doc)})
 	}
 	got = append(got, goldenTables(t)...)
+	checkManifest(t, goldenPath, got, func(d goldenDoc) string { return d.ID })
+}
 
+// checkManifest compares got with the JSON manifest at path, entry by entry
+// under each entry's id. On a mismatch it lists every moved, new and
+// vanished entry and prints the regenerated manifest.
+func checkManifest[E comparable](t *testing.T, path string, got []E, id func(E) string) {
+	t.Helper()
 	regenerated, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	regenerated = append(regenerated, '\n')
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v; regenerated manifest:\n%s", err, regenerated)
 	}
-	var want []goldenDoc
+	var want []E
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
-	old := map[string]goldenDoc{}
+	old := map[string]E{}
 	for _, w := range want {
-		old[w.ID] = w
+		old[id(w)] = w
 	}
 	moved := false
 	for _, g := range got {
-		w, ok := old[g.ID]
-		delete(old, g.ID)
+		w, ok := old[id(g)]
+		delete(old, id(g))
 		switch {
 		case !ok:
-			t.Errorf("%s: not in the manifest (new digest %s)", g.ID, g.SHA256)
-		case w.Key != g.Key:
-			t.Errorf("%s: request key moved: old %s, new %s", g.ID, w.Key, g.Key)
-		case w.SHA256 != g.SHA256:
-			t.Errorf("%s: document moved: old %s, new %s", g.ID, w.SHA256, g.SHA256)
+			t.Errorf("%s: not in the manifest (new entry %+v)", id(g), g)
+		case w != g:
+			t.Errorf("%s: moved: old %+v, new %+v", id(g), w, g)
 		default:
 			continue
 		}
 		moved = true
 	}
-	for id, w := range old {
-		t.Errorf("%s: in the manifest (digest %s) but no longer computed", id, w.SHA256)
+	for k, w := range old {
+		t.Errorf("%s: in the manifest (%+v) but no longer computed", k, w)
 		moved = true
 	}
 	if moved {

@@ -112,27 +112,103 @@ func (m *Machine) acc(r isa.Reg) *simd.Acc {
 	}
 }
 
+// MetaTaken flags a taken branch in a record's meta byte (see Columns);
+// the low five bits hold the vector length (0..MaxVL).
+const MetaTaken = 0x80
+
+// Columns is a run of dynamic records in column form, the layout a trace
+// stores: the static index and the meta byte (vector length | MetaTaken)
+// of every record, the effective address of every memory record and the
+// byte stride of every vector memory record, each column in stream order.
+// Everything else about a record (opcode, class, branch target, element
+// size and count) is a property of its static instruction.
+type Columns struct {
+	SI     []int32
+	Meta   []uint8
+	EA     []uint64
+	Stride []int64
+}
+
+// guard turns a memory fault raised by the instruction at PC into Err.
+// Every entry point that executes instructions defers it once, however
+// many instructions it runs; any other panic goes on.
+func (m *Machine) guard() {
+	if r := recover(); r != nil {
+		f, isFault := r.(memFault)
+		if !isFault {
+			panic(r)
+		}
+		m.Err = fmt.Errorf("%s: pc=%d %s: %w",
+			m.Prog.Name, m.PC, m.Prog.Insts[m.PC].String(), error(f))
+	}
+}
+
 // Step executes one instruction and returns its dynamic record.
 // ok is false when the program has finished (or faulted; check m.Err).
 func (m *Machine) Step() (d Dyn, ok bool) {
 	if m.Done() {
 		return Dyn{}, false
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if f, isFault := r.(memFault); isFault {
-				m.Err = fmt.Errorf("%s: pc=%d %s: %w",
-					m.Prog.Name, m.PC, m.Prog.Insts[m.PC].String(), error(f))
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer m.guard()
+	pc, vl := m.PC, m.VL
+	in := &m.Prog.Insts[pc]
+	ea, stride, taken, executed := m.exec(in)
+	if !executed {
+		return Dyn{}, false
+	}
+	d = Dyn{SI: pc, Op: in.Op, Class: in.Op.Info().Class, Taken: taken, VL: vl}
+	switch d.Class {
+	case isa.ClassBranch:
+		d.Target = in.Target
+	case isa.ClassLoad, isa.ClassStore:
+		d.EA, d.NElem, d.Size = ea, 1, in.Op.ElemSize()
+	case isa.ClassMomLoad, isa.ClassMomStore:
+		d.EA, d.Stride, d.NElem, d.Size = ea, stride, vl, in.Op.ElemSize()
+	}
+	return d, true
+}
 
-	in := &m.Prog.Insts[m.PC]
-	info := in.Op.Info()
-	d = Dyn{SI: m.PC, Op: in.Op, Class: info.Class, VL: m.VL}
+// Record executes up to max instructions under one fault guard, appending
+// each one's record to c unless c is nil, and returns how many it
+// executed. It stops early at the end of the program or on a fault (check
+// Err); the records before a faulting instruction stay in c. It allocates
+// nothing while c's columns have room for max more records.
+func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
+	defer m.guard()
+	insts := m.Prog.Insts
+	for ; n < max && !m.Done(); n++ {
+		pc, vl := m.PC, m.VL
+		in := &insts[pc]
+		ea, stride, taken, ok := m.exec(in)
+		if !ok {
+			break
+		}
+		if c == nil {
+			continue
+		}
+		meta := uint8(vl)
+		if taken {
+			meta |= MetaTaken
+		}
+		c.SI = append(c.SI, int32(pc))
+		c.Meta = append(c.Meta, meta)
+		switch in.Op.Info().Class {
+		case isa.ClassLoad, isa.ClassStore:
+			c.EA = append(c.EA, ea)
+		case isa.ClassMomLoad, isa.ClassMomStore:
+			c.EA = append(c.EA, ea)
+			c.Stride = append(c.Stride, stride)
+		}
+	}
+	return n
+}
+
+// exec executes in, the instruction at PC, and returns its dynamic facts:
+// the effective address (memory classes), the byte stride (vector memory
+// classes) and the branch outcome. It advances PC and Steps. A memory
+// fault panics with memFault, which the caller's guard records; any other
+// fault sets Err and returns ok == false, leaving PC at the instruction.
+func (m *Machine) exec(in *isa.Inst) (ea uint64, stride int64, taken, ok bool) {
 	next := m.PC + 1
 
 	switch in.Op {
@@ -151,7 +227,7 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 		den := m.op2(in)
 		if den == 0 {
 			m.Err = fmt.Errorf("%s: pc=%d divide by zero", m.Prog.Name, m.PC)
-			return Dyn{}, false
+			return 0, 0, false, false
 		}
 		m.setInt(in.Dst, uint64(int64(m.reg(in.Src[0]))/den))
 	case isa.UMULH:
@@ -206,69 +282,56 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 
 	// ---- scalar memory ----
 	case isa.LDBU:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 1
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.setInt(in.Dst, uint64(m.Mem.Load8(ea)))
 	case isa.LDWU:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 2
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.setInt(in.Dst, uint64(m.Mem.Load16(ea)))
 	case isa.LDL:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 4
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.setInt(in.Dst, uint64(int64(int32(m.Mem.Load32(ea)))))
 	case isa.LDQ:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.setInt(in.Dst, m.Mem.Load64(ea))
 	case isa.STB:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 1
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store8(ea, uint8(m.reg(in.Src[0])))
 	case isa.STW:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 2
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store16(ea, uint16(m.reg(in.Src[0])))
 	case isa.STL:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 4
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store32(ea, uint32(m.reg(in.Src[0])))
 	case isa.STQ:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store64(ea, m.reg(in.Src[0]))
 	case isa.LDT:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.F[in.Dst.Idx] = f64frombits(m.Mem.Load64(ea))
 	case isa.STT:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store64(ea, f64bits(m.F[in.Src[0].Idx]))
 
 	// ---- branches ----
 	case isa.BR:
-		d.Taken, d.Target = true, in.Target
-		next = in.Target
+		taken, next = true, in.Target
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BLE, isa.BGT, isa.BGE:
 		v := int64(m.reg(in.Src[0]))
-		var t bool
 		switch in.Op {
 		case isa.BEQ:
-			t = v == 0
+			taken = v == 0
 		case isa.BNE:
-			t = v != 0
+			taken = v != 0
 		case isa.BLT:
-			t = v < 0
+			taken = v < 0
 		case isa.BLE:
-			t = v <= 0
+			taken = v <= 0
 		case isa.BGT:
-			t = v > 0
+			taken = v > 0
 		case isa.BGE:
-			t = v >= 0
+			taken = v >= 0
 		}
-		d.Taken, d.Target = t, in.Target
-		if t {
+		if taken {
 			next = in.Target
 		}
 
@@ -288,12 +351,10 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 
 	// ---- media moves / loads ----
 	case isa.LDQM:
-		ea := m.reg(in.Src[0]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
 		m.setMedia(in.Dst, m.Mem.Load64(ea))
 	case isa.STQM:
-		ea := m.reg(in.Src[1]) + uint64(in.Imm)
-		d.EA, d.NElem, d.Size = ea, 1, 8
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
 		m.Mem.Store64(ea, m.M[in.Src[0].Idx])
 	case isa.MTM:
 		m.setMedia(in.Dst, m.reg(in.Src[0]))
@@ -333,22 +394,20 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 		v := in.Imm
 		if v < 0 || v > isa.MaxVL {
 			m.Err = fmt.Errorf("%s: pc=%d setvli %d out of range", m.Prog.Name, m.PC, v)
-			return Dyn{}, false
+			return 0, 0, false, false
 		}
 		m.VL = int(v)
 	case isa.MOMLDQ:
-		base := m.reg(in.Src[0]) + uint64(in.Imm)
-		stride := int64(m.reg(in.Src[1]))
-		d.EA, d.Stride, d.NElem, d.Size = base, stride, m.VL, 8
+		ea = m.reg(in.Src[0]) + uint64(in.Imm)
+		stride = int64(m.reg(in.Src[1]))
 		for k := 0; k < m.VL; k++ {
-			m.V[in.Dst.Idx][k] = m.Mem.Load64(base + uint64(int64(k)*stride))
+			m.V[in.Dst.Idx][k] = m.Mem.Load64(ea + uint64(int64(k)*stride))
 		}
 	case isa.MOMSTQ:
-		base := m.reg(in.Src[1]) + uint64(in.Imm)
-		stride := int64(m.reg(in.Src[2]))
-		d.EA, d.Stride, d.NElem, d.Size = base, stride, m.VL, 8
+		ea = m.reg(in.Src[1]) + uint64(in.Imm)
+		stride = int64(m.reg(in.Src[2]))
 		for k := 0; k < m.VL; k++ {
-			m.Mem.Store64(base+uint64(int64(k)*stride), m.V[in.Src[0].Idx][k])
+			m.Mem.Store64(ea+uint64(int64(k)*stride), m.V[in.Src[0].Idx][k])
 		}
 	case isa.MOMSPLAT:
 		for k := 0; k < isa.MaxVL; k++ {
@@ -398,28 +457,23 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 	default:
 		if !m.execPacked(in) {
 			m.Err = fmt.Errorf("%s: pc=%d unknown opcode %d", m.Prog.Name, m.PC, in.Op)
-			return Dyn{}, false
+			return 0, 0, false, false
 		}
 	}
 
 	m.PC = next
 	m.Steps++
-	return d, true
+	return ea, stride, taken, true
 }
 
 // Run executes until completion or maxSteps, returning the dynamic
 // instruction count.
 func (m *Machine) Run(maxSteps uint64) (uint64, error) {
-	start := m.Steps
-	for !m.Done() {
-		if m.Steps-start >= maxSteps {
-			return m.Steps - start, fmt.Errorf("%s: exceeded %d steps", m.Prog.Name, maxSteps)
-		}
-		if _, ok := m.Step(); !ok {
-			break
-		}
+	n := m.Record(maxSteps, nil)
+	if !m.Done() {
+		return n, fmt.Errorf("%s: exceeded %d steps", m.Prog.Name, maxSteps)
 	}
-	return m.Steps - start, m.Err
+	return n, m.Err
 }
 
 func b2u(b bool) uint64 {

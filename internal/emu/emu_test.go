@@ -125,7 +125,9 @@ func TestMemoryFaultReported(t *testing.T) {
 	b.Ldq(isa.R(2), isa.R(1), 0)
 	p := b.Build()
 	m := emu.New(p)
-	if _, err := m.Run(10); err == nil {
-		t.Fatal("expected a memory fault error")
+	n, err := m.Run(10)
+	const want = "fault: pc=1 ldq r2, r1, #0: memory fault: access of 8 bytes at 0x10000000000"
+	if err == nil || err.Error() != want || n != 1 {
+		t.Fatalf("Run: %d steps, %v; want 1 step, %q", n, err, want)
 	}
 }

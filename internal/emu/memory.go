@@ -20,7 +20,7 @@ func NewMemory(size uint64) *Memory {
 func (m *Memory) Size() uint64 { return uint64(len(m.buf)) }
 
 // memFault is panicked on out-of-range accesses and recovered by the
-// emulator's step loop.
+// guard of the entry point executing the instruction (Machine.guard).
 type memFault struct {
 	addr uint64
 	size int

@@ -283,7 +283,10 @@ type Info struct {
 	Lat   int // execution latency in cycles (memory ops: address-gen latency)
 }
 
-var infoTab = map[Opcode]Info{}
+// infoTab holds every registered opcode's Info, indexed by opcode: the
+// scalar and packed opcodes, then the vector twins at +VectorDelta. An
+// unregistered opcode's entry has an empty name.
+var infoTab [packedEnd + VectorDelta]Info
 
 func reg(op Opcode, name string, c Class, lat int) {
 	infoTab[op] = Info{name, c, lat}
@@ -457,10 +460,7 @@ func init() {
 
 	// Derive the MOM vector twins of every packed opcode.
 	for op := packedFirst; op < packedEnd; op++ {
-		in, ok := infoTab[op]
-		if !ok {
-			continue // gap (there are none, but be safe)
-		}
+		in := infoTab[op]
 		cls := ClassMomSimple
 		if in.Class == ClassMedComplex {
 			cls = ClassMomComplex
@@ -471,11 +471,10 @@ func init() {
 
 // Info returns the static description of op.
 func (op Opcode) Info() Info {
-	in, ok := infoTab[op]
-	if !ok {
-		return Info{Name: "op?", Class: ClassNop, Lat: 1}
+	if op.Known() {
+		return infoTab[op]
 	}
-	return in
+	return Info{Name: "op?", Class: ClassNop, Lat: 1}
 }
 
 // ElemSize returns the element size in bytes a memory opcode accesses.
@@ -493,15 +492,17 @@ func (op Opcode) ElemSize() int {
 
 // Known reports whether op is a registered opcode.
 func (op Opcode) Known() bool {
-	_, ok := infoTab[op]
-	return ok
+	return int(op) < len(infoTab) && infoTab[op].Name != ""
 }
 
-// AllOpcodes returns every registered opcode (useful for exhaustive tests).
+// AllOpcodes returns every registered opcode in ascending order (useful
+// for exhaustive tests).
 func AllOpcodes() []Opcode {
-	ops := make([]Opcode, 0, len(infoTab))
-	for op := range infoTab {
-		ops = append(ops, op)
+	var ops []Opcode
+	for op := range Opcode(len(infoTab)) {
+		if op.Known() {
+			ops = append(ops, op)
+		}
 	}
 	return ops
 }
@@ -511,9 +512,8 @@ func AllOpcodes() []Opcode {
 // MOM ~121). Scalar/branch/FP opcodes are excluded (they belong to the
 // Alpha base).
 func CountByExtension() (mmx, mdmx, mom int) {
-	for op := range infoTab {
-		in := infoTab[op]
-		switch in.Class {
+	for _, op := range AllOpcodes() {
+		switch infoTab[op].Class {
 		case ClassMedSimple, ClassMedComplex:
 			if op >= ACLR && op <= ACCSQDH || op >= RACH && op <= WACB {
 				mdmx++ // accumulator ops: MDMX and MOM only

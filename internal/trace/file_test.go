@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -161,20 +162,37 @@ func bombHeader(p *isa.Program) []byte {
 	return []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, Fingerprint(p), records, records/chunkRecords))
 }
 
+// fuzzSeedProgram is a program small enough for a seed artifact of under
+// 200 bytes whose trace still holds every record kind: ALU ops, a MOM
+// strided load and store, scalar loads and stores, and one taken and one
+// not-taken branch.
+func fuzzSeedProgram(name string) *isa.Program {
+	b := asm.New(name)
+	buf := b.Alloc("buf", 256, 8)
+	base, stride, ctr, tmp := isa.R(1), isa.R(2), isa.R(3), isa.R(4)
+	b.MovI(base, int64(buf))
+	b.MovI(stride, 16)
+	b.SetVLI(4)
+	b.MomLd(isa.V(0), base, stride, 0)
+	b.MomSt(isa.V(0), base, stride, 64)
+	b.Loop(ctr, 2, func() {
+		b.Ldq(tmp, base, 0)
+		b.Stq(tmp, base, 8)
+	})
+	return b.Build()
+}
+
 // FuzzDecode: Decode never crashes on any bytes, and an artifact it
-// accepts re-encodes to exactly those bytes. Seeds are the artifacts and
-// damaged forms of the tests above.
+// accepts re-encodes to exactly those bytes. Seeds are the artifact of
+// fuzzSeedProgram, another program's artifact, and the damaged forms of
+// the tests above.
 //
 //	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
 func FuzzDecode(f *testing.F) {
-	k, err := kernels.ByName("idct", kernels.ScaleTest)
-	if err != nil {
-		f.Fatal(err)
-	}
-	p := k.Build(isa.ExtMOM)
+	p := fuzzSeedProgram("seed")
 	var blobs [][]byte
-	for _, ext := range []isa.Ext{isa.ExtMOM, isa.ExtAlpha} {
-		tr, err := Capture(emu.New(k.Build(ext)), testMaxSteps, 0)
+	for _, prog := range []*isa.Program{p, fuzzSeedProgram("other")} {
+		tr, err := Capture(emu.New(prog), testMaxSteps, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -208,4 +226,37 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted artifact re-encodes to %d different bytes (input %d)", buf.Len(), len(data))
 		}
 	})
+}
+
+// TestFuzzSeedProgram: the seed program's trace holds every record kind
+// and encodes to less than 2 KB.
+func TestFuzzSeedProgram(t *testing.T) {
+	p := fuzzSeedProgram("seed")
+	tr, err := Capture(emu.New(p), testMaxSteps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := map[isa.Class]bool{}
+	taken := map[bool]bool{}
+	for r := tr.Reader(); ; {
+		d, ok := r.Next()
+		if !ok {
+			break
+		}
+		classes[d.Class] = true
+		if d.Class == isa.ClassBranch {
+			taken[d.Taken] = true
+		}
+	}
+	for _, c := range []isa.Class{isa.ClassIntSimple, isa.ClassLoad, isa.ClassStore, isa.ClassMomLoad, isa.ClassMomStore, isa.ClassBranch} {
+		if !classes[c] {
+			t.Errorf("the seed trace has no %s record", c)
+		}
+	}
+	if !taken[true] || !taken[false] {
+		t.Errorf("the seed trace's branches are taken %v, want both outcomes", taken)
+	}
+	if n := len(encode(t, tr)); n >= 2048 {
+		t.Errorf("the seed artifact is %d bytes, want less than 2 KB", n)
+	}
 }

@@ -45,24 +45,19 @@ type Source interface {
 	Err() error
 }
 
-// Batch is a run of consecutive records in the chunk encoding: one static
-// index and one meta byte (vector length | MetaTaken) per record, one
-// effective address per memory record and one stride per vector-memory
-// record, both in stream order. Everything else about a record (opcode,
-// class, element size) is a property of its static instruction.
-type Batch struct {
-	SI     []int32
-	Meta   []uint8
-	EA     []uint64
-	Stride []int64
-}
+// Batch is a run of consecutive records in the chunk encoding, the column
+// form the emulator records (emu.Columns): one static index and one meta
+// byte (vector length | MetaTaken) per record, one effective address per
+// memory record and one stride per vector-memory record, both in stream
+// order.
+type Batch = emu.Columns
 
 // Live adapts a functional emulator into a Source (the interleaved
 // emulate-and-time path). It is single-use: the machine advances as the
 // timing model consumes it.
 type Live struct {
 	m   *emu.Machine
-	buf chunk // NextBatch's columns, reused by every call
+	buf Batch // NextBatch's columns, reused by every call
 }
 
 // liveBatchRecords caps how many instructions one Live.NextBatch call
@@ -82,16 +77,10 @@ func (l *Live) Next() (emu.Dyn, bool) { return l.m.Step() }
 // buffer and returns them as a batch; it stops early at the end of the
 // program or on a fault.
 func (l *Live) NextBatch(max uint64) Batch {
-	c := &l.buf
-	c.si, c.meta, c.ea, c.stride = c.si[:0], c.meta[:0], c.ea[:0], c.stride[:0]
-	for n := min(max, liveBatchRecords); uint64(len(c.si)) < n; {
-		d, ok := l.m.Step()
-		if !ok {
-			break
-		}
-		c.add(d)
-	}
-	return Batch{SI: c.si, Meta: c.meta, EA: c.ea, Stride: c.stride}
+	b := &l.buf
+	b.SI, b.Meta, b.EA, b.Stride = b.SI[:0], b.Meta[:0], b.EA[:0], b.Stride[:0]
+	l.m.Record(min(max, liveBatchRecords), b)
+	return *b
 }
 
 // Err returns the machine fault, if any.
@@ -104,7 +93,7 @@ const chunkRecords = 1 << 15
 
 // MetaTaken flags a taken branch in a record's meta byte; the low five
 // bits hold the vector length (0..MaxVL).
-const MetaTaken = 0x80
+const MetaTaken = emu.MetaTaken
 
 // A chunk stores chunkRecords dynamic instructions as struct-of-slices
 // columns. Only the dynamic facts are stored: the static index, the vector
@@ -121,26 +110,6 @@ type chunk struct {
 
 // bytesPerRecord is the fixed per-record cost (si + meta).
 const bytesPerRecord = 5
-
-// add appends one dynamic instruction to the chunk's columns and returns
-// the bytes it added.
-func (c *chunk) add(d emu.Dyn) int64 {
-	c.si = append(c.si, int32(d.SI))
-	meta := uint8(d.VL)
-	if d.Taken {
-		meta |= MetaTaken
-	}
-	c.meta = append(c.meta, meta)
-	if !d.Class.IsMem() {
-		return bytesPerRecord
-	}
-	c.ea = append(c.ea, d.EA)
-	if d.Class != isa.ClassMomLoad && d.Class != isa.ClassMomStore {
-		return bytesPerRecord + 8
-	}
-	c.stride = append(c.stride, d.Stride)
-	return bytesPerRecord + 16
-}
 
 // Memory kind of a static instruction, for replay reconstruction.
 const (
@@ -272,37 +241,53 @@ func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err er
 	return capture(m, maxSteps, maxBytes)
 }
 
+// capture records the machine's stream chunk by chunk: the emulator
+// appends each chunk's columns to one scratch batch, which is copied out
+// at its exact sizes when the chunk fills or the program ends.
 func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 	t := &Trace{prog: m.Prog}
-	var c *chunk
-	var bytes int64
-	for {
-		d, ok := m.Step()
-		if !ok {
-			break
-		}
-		if t.n >= maxSteps {
-			return nil, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
-		}
-		if c == nil || len(c.si) == chunkRecords {
-			t.chunks = append(t.chunks, chunk{
-				si:   make([]int32, 0, chunkRecords),
-				meta: make([]uint8, 0, chunkRecords),
-			})
-			c = &t.chunks[len(t.chunks)-1]
-		}
-		bytes += c.add(d)
-		t.n++
-		if maxBytes > 0 && bytes > maxBytes {
+	buf := Batch{
+		SI:     make([]int32, 0, chunkRecords),
+		Meta:   make([]uint8, 0, chunkRecords),
+		EA:     make([]uint64, 0, chunkRecords),
+		Stride: make([]int64, 0, chunkRecords),
+	}
+	for !m.Done() && t.n < maxSteps {
+		t.n += m.Record(min(chunkRecords-uint64(len(buf.SI)), maxSteps-t.n), &buf)
+		if maxBytes > 0 && t.bytes+frameSize(len(buf.SI), len(buf.EA), len(buf.Stride)) > maxBytes {
 			return nil, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, maxBytes)
 		}
+		if len(buf.SI) == chunkRecords {
+			t.closeChunk(&buf)
+		}
+	}
+	// After maxSteps records, the budget is exceeded if one more
+	// instruction executes; if it faults instead, the fault is the error.
+	if !m.Done() && m.Record(1, nil) == 1 {
+		return nil, fmt.Errorf("trace: %s exceeded %d steps", m.Prog.Name, maxSteps)
 	}
 	if m.Err != nil {
 		return nil, m.Err
 	}
+	if len(buf.SI) > 0 {
+		t.closeChunk(&buf)
+	}
 	t.static = buildStatic(m.Prog)
-	t.bytes = bytes
 	return t, nil
+}
+
+// closeChunk appends the scratch batch to the trace as a chunk whose
+// columns are copied out at their exact sizes, and empties the scratch.
+// An empty column stays nil, so no chunk keeps the scratch alive.
+func (t *Trace) closeChunk(buf *Batch) {
+	t.chunks = append(t.chunks, chunk{
+		si:     append([]int32(nil), buf.SI...),
+		meta:   append([]uint8(nil), buf.Meta...),
+		ea:     append([]uint64(nil), buf.EA...),
+		stride: append([]int64(nil), buf.Stride...),
+	})
+	t.bytes += frameSize(len(buf.SI), len(buf.EA), len(buf.Stride))
+	buf.SI, buf.Meta, buf.EA, buf.Stride = buf.SI[:0], buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
 }
 
 // Program returns the traced program.

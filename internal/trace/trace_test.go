@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -87,30 +91,179 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestCaptureByteBudget: a tiny budget must yield ErrTooLarge, not a
-// truncated trace.
-func TestCaptureByteBudget(t *testing.T) {
+// budgetTraces captures idct/Alpha and mpeg2decode/MOM at test scale:
+// each spans more than one chunk, and the MOM trace carries strides.
+func budgetTraces(t *testing.T) []*Trace {
+	t.Helper()
 	k, err := kernels.ByName("idct", kernels.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Capture(emu.New(k.Build(isa.ExtMOM)), testMaxSteps, 64)
-	if err == nil {
-		t.Fatal("expected ErrTooLarge")
+	alpha, err := Capture(emu.New(k.Build(isa.ExtAlpha)), testMaxSteps, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("want ErrTooLarge, got %v", err)
+	if alpha.Records() <= chunkRecords+1 {
+		t.Fatalf("idct/Alpha has %d records, the test needs more than one chunk", alpha.Records())
+	}
+	mpeg, _ := batchTestTrace(t)
+	return []*Trace{alpha, mpeg}
+}
+
+// TestCaptureByteBudget: a capture may take exactly maxBytes bytes, and a
+// byte less is ErrTooLarge, not a truncated trace, wherever the budget
+// falls in a chunk.
+func TestCaptureByteBudget(t *testing.T) {
+	for _, tr := range budgetTraces(t) {
+		p, b := tr.Program(), tr.Bytes()
+		for _, max := range []int64{b, b + 1} {
+			got, err := Capture(emu.New(p), testMaxSteps, max)
+			if err != nil {
+				t.Fatalf("%s: maxBytes %d (the trace's size %d): %v", p.Name, max, b, err)
+			}
+			if !bytes.Equal(encode(t, got), encode(t, tr)) {
+				t.Fatalf("%s: maxBytes %d: the trace differs from an unbounded capture", p.Name, max)
+			}
+		}
+		for _, max := range []int64{b - 1, b / 2, 64, 1} {
+			_, err := Capture(emu.New(p), testMaxSteps, max)
+			want := fmt.Sprintf("trace: exceeds memory budget: %s needs more than %d bytes", p.Name, max)
+			if !errors.Is(err, ErrTooLarge) || err.Error() != want {
+				t.Fatalf("%s: maxBytes %d: got %v, want %q", p.Name, max, err, want)
+			}
+		}
 	}
 }
 
-// TestCaptureStepBudget: exceeding maxSteps is an error.
+// TestCaptureStepBudget: a capture may take exactly maxSteps records, and
+// one more is an error, wherever the budget falls in a chunk. When both
+// budgets run out, the one exhausted by the earlier record is reported.
 func TestCaptureStepBudget(t *testing.T) {
-	k, err := kernels.ByName("idct", kernels.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
+	for _, tr := range budgetTraces(t) {
+		p, n := tr.Program(), tr.Records()
+		for _, max := range []uint64{n, n + 1} {
+			got, err := Capture(emu.New(p), max, 0)
+			if err != nil {
+				t.Fatalf("%s: maxSteps %d (the trace's length %d): %v", p.Name, max, n, err)
+			}
+			if !bytes.Equal(encode(t, got), encode(t, tr)) {
+				t.Fatalf("%s: maxSteps %d: the trace differs from an unbounded capture", p.Name, max)
+			}
+		}
+		for _, max := range []uint64{n - 1, chunkRecords + 1, chunkRecords, chunkRecords - 1, 10, 0} {
+			_, err := Capture(emu.New(p), max, 0)
+			want := fmt.Sprintf("trace: %s exceeded %d steps", p.Name, max)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s: maxSteps %d: got %v, want %q", p.Name, max, err, want)
+			}
+		}
+		// The last record overruns both budgets: the step check comes first.
+		_, err := Capture(emu.New(p), n-1, tr.Bytes()-1)
+		if want := fmt.Sprintf("trace: %s exceeded %d steps", p.Name, n-1); err == nil || err.Error() != want {
+			t.Fatalf("%s: both budgets one short: got %v, want %q", p.Name, err, want)
+		}
+		// Half the bytes run out long before the steps.
+		_, err = Capture(emu.New(p), n-1, tr.Bytes()/2)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%s: half the bytes and one step short: got %v, want ErrTooLarge", p.Name, err)
+		}
 	}
-	if _, err := Capture(emu.New(k.Build(isa.ExtMOM)), 10, 0); err == nil {
-		t.Fatal("expected step-budget error")
+}
+
+// faultCase is a program that faults after a known number of records, and
+// the exact error every entry point must report for it.
+type faultCase struct {
+	prog   *isa.Program
+	before int // records executed before the faulting instruction
+	want   string
+}
+
+// faultCases covers each way an instruction can fault: an out-of-range
+// load after more records than one Live batch holds, a divide by zero, a
+// setvli out of range, and an unknown opcode both inside and past the
+// opcode table.
+func faultCases() []faultCase {
+	load := asm.New("load")
+	load.MovI(isa.R(1), 1<<40)
+	load.Loop(isa.R(2), 100, func() { load.AddI(isa.R(3), isa.R(3), 1) })
+	load.Ldq(isa.R(4), isa.R(1), 8)
+
+	div := asm.New("div")
+	div.MovI(isa.R(1), 7)
+	div.Op(isa.DIVQ, isa.R(2), isa.R(1), isa.Zero)
+
+	vl := asm.New("setvli")
+	vl.MovI(isa.R(1), 7)
+	vl.SetVLI(isa.MaxVL + 1)
+
+	hole := asm.New("hole")
+	hole.MovI(isa.R(1), 7)
+	hole.Emit(isa.Inst{Op: isa.VectorDelta - 1})
+
+	past := asm.New("past")
+	past.MovI(isa.R(1), 7)
+	past.Emit(isa.Inst{Op: 0xffff})
+
+	return []faultCase{
+		{load.Build(), 302, "load: pc=5 ldq r4, r1, #8: memory fault: access of 8 bytes at 0x10000000008"},
+		{div.Build(), 1, "div: pc=1 divide by zero"},
+		{vl.Build(), 1, "setvli: pc=1 setvli 17 out of range"},
+		{hole.Build(), 1, "hole: pc=1 unknown opcode 511"},
+		{past.Build(), 1, "past: pc=1 unknown opcode 65535"},
+	}
+}
+
+// TestFaultText: every entry point that executes instructions reports a
+// fault with the same text, keeps the records before it, and stops there.
+func TestFaultText(t *testing.T) {
+	for _, fc := range faultCases() {
+		p := fc.prog
+		t.Run(p.Name, func(t *testing.T) {
+			m := emu.New(p)
+			n, err := m.Run(testMaxSteps)
+			if err == nil || err.Error() != fc.want || n != uint64(fc.before) {
+				t.Fatalf("Run: %d steps, %v; want %d steps, %q", n, err, fc.before, fc.want)
+			}
+
+			m = emu.New(p)
+			var sis []int32
+			for {
+				d, ok := m.Step()
+				if !ok {
+					break
+				}
+				sis = append(sis, int32(d.SI))
+			}
+			if m.Err == nil || m.Err.Error() != fc.want || len(sis) != fc.before {
+				t.Fatalf("Step: %d records, %v; want %d records, %q", len(sis), m.Err, fc.before, fc.want)
+			}
+
+			if _, err := Capture(emu.New(p), testMaxSteps, 0); err == nil || err.Error() != fc.want {
+				t.Fatalf("Capture: %v, want %q", err, fc.want)
+			}
+
+			l := NewLive(emu.New(p))
+			var got []int32
+			for {
+				b := l.NextBatch(testMaxSteps)
+				if len(b.SI) == 0 {
+					break
+				}
+				if l.Err() != nil && len(got)+len(b.SI) != fc.before {
+					t.Fatalf("Live.NextBatch: fault set after %d records", len(got)+len(b.SI))
+				}
+				got = append(got, b.SI...)
+			}
+			if l.Err() == nil || l.Err().Error() != fc.want {
+				t.Fatalf("Live.NextBatch: %v, want %q", l.Err(), fc.want)
+			}
+			if !slices.Equal(got, sis) {
+				t.Fatalf("Live.NextBatch: %d records before the fault, Step %d", len(got), len(sis))
+			}
+			if b := l.NextBatch(1); len(b.SI) != 0 {
+				t.Fatalf("Live.NextBatch after the fault: %d records", len(b.SI))
+			}
+		})
 	}
 }
 
