@@ -3,6 +3,7 @@ package mom
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Machine-readable exports of the experiment rows (for plotting the
@@ -64,17 +65,7 @@ func WriteProfileCSV(w io.Writer, rows []ProfileRow) error {
 }
 
 // csvBucketName flattens display bucket names into CSV-safe column names.
-func csvBucketName(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			out[i] = '_'
-		} else {
-			out[i] = s[i]
-		}
-	}
-	return string(out)
-}
+func csvBucketName(s string) string { return strings.ReplaceAll(s, "/", "_") }
 
 // WriteHotspotsCSV emits one row per workload×isa×static-instruction with
 // the full per-PC stall taxonomy and memory-event counts. The asm field is

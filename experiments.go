@@ -322,29 +322,11 @@ func Table1(i ISA) []Table1Row {
 	return rows
 }
 
-// Table2Entry mirrors the register-file comparison row.
-type Table2Entry struct {
-	ISA            string  `json:"isa"`
-	MediaRegs      string  `json:"media_regs"`
-	AccRegs        string  `json:"acc_regs"`
-	MediaPorts     string  `json:"media_ports"`
-	AccPorts       string  `json:"acc_ports"`
-	SizeBytes      int     `json:"size_bytes"`
-	NormalizedArea float64 `json:"normalized_area"`
-}
+// Table2Entry is one row of the register-file comparison.
+type Table2Entry = regfile.Table2Entry
 
 // Table2 reproduces the multimedia register-file comparison (4-way machine).
-func Table2() []Table2Entry {
-	var out []Table2Entry
-	for _, e := range regfile.Table2() {
-		out = append(out, Table2Entry{
-			ISA: e.ISA, MediaRegs: e.MediaRegs, AccRegs: e.AccRegs,
-			MediaPorts: e.MediaPorts, AccPorts: e.AccPorts,
-			SizeBytes: e.SizeBytes, NormalizedArea: e.NormalizedArea,
-		})
-	}
-	return out
-}
+func Table2() []Table2Entry { return regfile.Table2() }
 
 // Table3Row describes one memory-model column (port configuration).
 type Table3Row struct {

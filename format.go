@@ -237,8 +237,9 @@ func FormatHotspots(reps []HotspotReport) string {
 // dominantBucket returns the largest bucket of a profile (display name and
 // cycles), preferring the earlier bucket in canonical order on ties.
 func dominantBucket(p Profile) (string, int64) {
-	best := ProfileBucket{Name: "commit"}
-	for _, b := range p.Buckets() {
+	buckets := p.Buckets()
+	best := buckets[0]
+	for _, b := range buckets[1:] {
 		if b.Cycles > best.Cycles {
 			best = b
 		}

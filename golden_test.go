@@ -11,8 +11,9 @@ import (
 )
 
 // goldenPath is the tier-1 record of every result document at ScaleTest:
-// one entry per request (or momsim-only table envelope) with the request's
-// content-address key and the SHA-256 of the document it produces. It was
+// one entry per request (or momsim-only table envelope, or pipeline export
+// file) with the request's content-address key and the SHA-256 of the
+// document it produces. It was
 // generated once and is never edited by hand; a change that moves a digest
 // must explain why in the change that regenerates it.
 const goldenPath = "testdata/golden_docs.json"
@@ -87,6 +88,42 @@ func goldenTables(t *testing.T) []goldenDoc {
 	return out
 }
 
+// goldenPipelines exports one window (instructions 1000 to 2999) of the
+// pipeline lifetimes in both formats: idct on every ISA at 4-way perfect
+// memory, and mpeg2decode/MOM on 4-way multi-address memory.
+func goldenPipelines(t *testing.T) []goldenDoc {
+	type point struct {
+		app  bool
+		name string
+		isa  ISA
+		mem  MemModel
+		id   string
+	}
+	var points []point
+	for _, i := range AllISAs {
+		points = append(points, point{false, "idct", i, PerfectMemory(1), "pipeline/idct/" + i.String()})
+	}
+	points = append(points, point{true, "mpeg2decode", MOM, DetailedMemory(MultiAddress), "pipeline/mpeg2decode/MOM/multi"})
+	var out []goldenDoc
+	for _, p := range points {
+		var konata, chrome bytes.Buffer
+		opt := PipelineOptions{Start: 1000, Count: 2000, Konata: &konata, Chrome: &chrome}
+		var err error
+		if p.app {
+			_, err = ExportAppPipeline(p.name, p.isa, 4, p.mem, ScaleTest, opt)
+		} else {
+			_, err = ExportKernelPipeline(p.name, p.isa, 4, p.mem, ScaleTest, opt)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", p.id, err)
+		}
+		out = append(out,
+			goldenDoc{ID: p.id + "/konata", SHA256: digest(konata.Bytes())},
+			goldenDoc{ID: p.id + "/chrome", SHA256: digest(chrome.Bytes())})
+	}
+	return out
+}
+
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
@@ -109,6 +146,7 @@ func TestGoldenDocs(t *testing.T) {
 		got = append(got, goldenDoc{ID: g.id, Key: key, SHA256: digest(doc)})
 	}
 	got = append(got, goldenTables(t)...)
+	got = append(got, goldenPipelines(t)...)
 	checkManifest(t, goldenPath, got, func(d goldenDoc) string { return d.ID })
 }
 

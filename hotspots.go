@@ -58,15 +58,7 @@ func (h HotspotReport) CheckInvariants() error {
 			return fmt.Errorf("%s/%s/%d-way (%s): PC %d row profile sums to %d, want %d",
 				h.Workload, h.ISA, h.Width, h.MemName, r.PC, r.Profile.Total(), r.Cycles)
 		}
-		sum.Commit += r.Profile.Commit
-		sum.Frontend += r.Profile.Frontend
-		sum.Mispredict += r.Profile.Mispredict
-		sum.RenameROB += r.Profile.RenameROB
-		sum.IssueQueue += r.Profile.IssueQueue
-		sum.FU += r.Profile.FU
-		sum.MemWait += r.Profile.MemWait
-		sum.StoreCommit += r.Profile.StoreCommit
-		sum.DepLatency += r.Profile.DepLatency
+		sum.Add(r.Profile)
 	}
 	if sum != h.Profile {
 		return fmt.Errorf("%s/%s/%d-way (%s): per-PC buckets sum to %+v, want %+v",
@@ -99,18 +91,7 @@ func hotspotReport(key traceKey, width int, m MemModel, sp SampleSpec) (HotspotR
 		if n == 0 {
 			continue
 		}
-		b := hot.Buckets(pc)
-		prof := Profile{
-			Commit:      b[obs.BucketCommit],
-			Frontend:    b[obs.BucketFrontend],
-			Mispredict:  b[obs.BucketMispredict],
-			RenameROB:   b[obs.BucketRenameROB],
-			IssueQueue:  b[obs.BucketIssueQueue],
-			FU:          b[obs.BucketFU],
-			MemWait:     b[obs.BucketMemWait],
-			StoreCommit: b[obs.BucketStoreCommit],
-			DepLatency:  b[obs.BucketDepLatency],
-		}
+		prof := hot.Profile(pc)
 		l1, l2, mshr, wbuf := hot.MemEvents(pc)
 		rep.Rows = append(rep.Rows, HotspotRow{
 			PC: pc, Asm: p.Insts[pc].String(), Count: n,

@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/isa"
@@ -22,53 +24,13 @@ type Result struct {
 	Stores      uint64
 	ByClass     [16]uint64 // graduated instructions per isa.Class
 	Mem         mem.Stats
-	Profile     Profile
+	Profile     obs.Profile // cycle attribution; sums to Cycles
 	// Sampled is non-nil only for RunSampled runs; it describes the sampling
 	// regime and the statistical quality of the estimate. For sampled runs
 	// Cycles/Insts/WordOps/Profile cover the measured intervals only (so IPC
 	// and the attribution identity stay exact), while Mem covers every
 	// detailed-simulated access including warmup prefixes.
 	Sampled *Sampled
-}
-
-// Profile attributes every simulated cycle to the machine structure that
-// bounded forward progress during it. The commit stage is in order, so the
-// simulated time is exactly the path of the commit frontier: whenever the
-// frontier advances past a cycle in which nothing graduated, that cycle was
-// lost to whichever constraint held back the instruction that eventually
-// advanced it. The buckets always sum to Result.Cycles — the identity every
-// profile consumer (and TestProfileAttributionIdentity) relies on.
-type Profile struct {
-	// Commit counts cycles in which at least one instruction graduated.
-	Commit int64
-	// Frontend counts cycles lost refilling the fetch/decode pipe: initial
-	// fill, taken-branch fetch breaks and BTB-miss bubbles.
-	Frontend int64
-	// Mispredict counts cycles lost to branch-mispredict redirects.
-	Mispredict int64
-	// RenameROB counts dispatch stalls on a full ROB, LSQ or exhausted
-	// physical (rename) registers.
-	RenameROB int64
-	// IssueQueue counts cycles waiting for an issue slot (issue-width
-	// contention among ready instructions).
-	IssueQueue int64
-	// FU counts cycles waiting for a functional unit or vector lane.
-	FU int64
-	// MemWait counts cycles waiting for load data (scalar or vector) to
-	// return from the memory system.
-	MemWait int64
-	// StoreCommit counts commit stalls draining stores into the memory
-	// system (write-buffer back-pressure at graduation).
-	StoreCommit int64
-	// DepLatency counts cycles serialised on data dependences and raw
-	// execution latency with no structural resource at fault.
-	DepLatency int64
-}
-
-// Total sums every bucket; it equals Result.Cycles for any completed run.
-func (p Profile) Total() int64 {
-	return p.Commit + p.Frontend + p.Mispredict + p.RenameROB +
-		p.IssueQueue + p.FU + p.MemWait + p.StoreCommit + p.DepLatency
 }
 
 // IPC returns graduated instructions per cycle.
@@ -86,6 +48,35 @@ func (r Result) OPC() float64 {
 		return 0
 	}
 	return float64(r.WordOps) / float64(r.Cycles)
+}
+
+// MarshalJSON encodes r under its Go field names, Mem's and Profile's
+// included. Those two types carry the json tags of the public result
+// documents (mom.Result); the timing core's own result keeps the untagged
+// encoding that perfbench's pinned timing-core digests (cpu_sha256 in
+// perfbench/golden.json) were taken in.
+func (r Result) MarshalJSON() ([]byte, error) { return goFieldNames(reflect.ValueOf(r)) }
+
+// goFieldNames encodes a struct as a JSON object keyed by its Go field
+// names, recursing into struct-valued fields; any other value is encoded
+// by encoding/json.
+func goFieldNames(v reflect.Value) ([]byte, error) {
+	if v.Kind() != reflect.Struct {
+		return json.Marshal(v.Interface())
+	}
+	out := []byte{'{'}
+	for i := 0; i < v.NumField(); i++ {
+		f, err := goFieldNames(v.Field(i))
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(append(out, '"'), v.Type().Field(i).Name...), '"', ':')
+		out = append(out, f...)
+	}
+	return append(out, '}'), nil
 }
 
 // ---- resource helpers ----

@@ -182,16 +182,8 @@ func addDelta(dst, cur, snap *Result) {
 	for i := range dst.ByClass {
 		dst.ByClass[i] += cur.ByClass[i] - snap.ByClass[i]
 	}
-	dp, cp, sp := &dst.Profile, &cur.Profile, &snap.Profile
-	dp.Commit += cp.Commit - sp.Commit
-	dp.Frontend += cp.Frontend - sp.Frontend
-	dp.Mispredict += cp.Mispredict - sp.Mispredict
-	dp.RenameROB += cp.RenameROB - sp.RenameROB
-	dp.IssueQueue += cp.IssueQueue - sp.IssueQueue
-	dp.FU += cp.FU - sp.FU
-	dp.MemWait += cp.MemWait - sp.MemWait
-	dp.StoreCommit += cp.StoreCommit - sp.StoreCommit
-	dp.DepLatency += cp.DepLatency - sp.DepLatency
+	dst.Profile.Add(cur.Profile)
+	dst.Profile.Sub(snap.Profile)
 }
 
 // meanStdErr returns the sample mean and the standard error of that mean

@@ -44,30 +44,36 @@ type Model interface {
 //
 // Event counters never feed back into timing: two models that report
 // different statistics for the same access sequence are a bug, but fixing a
-// counter must never move a cycle.
+// counter must never move a cycle. The json tags name the fields of the
+// public result documents (mom.MemStats is this type).
 type Stats struct {
-	Loads, Stores       uint64
-	VecLoads, VecStores uint64
-	VecElems            uint64
+	Loads     uint64 `json:"loads"`
+	Stores    uint64 `json:"stores"`
+	VecLoads  uint64 `json:"vec_loads"`
+	VecStores uint64 `json:"vec_stores"`
+	VecElems  uint64 `json:"vec_elems"`
 
-	L1Lookups        uint64 // every L1 tag probe (loads, stores, vector elements)
-	L1Hits, L1Misses uint64
+	L1Lookups uint64 `json:"l1_lookups"` // every L1 tag probe (loads, stores, vector elements)
+	L1Hits    uint64 `json:"l1_hits"`
+	L1Misses  uint64 `json:"l1_misses"`
 	// Store components of the L1 probes above. L1 is write-through
 	// no-allocate: a store miss is counted but never fills the line.
-	L1StoreHits, L1StoreMisses uint64
-	L1VecInvals                uint64 // L1 lines invalidated by MOM stores (inclusion coherence)
+	L1StoreHits   uint64 `json:"l1_store_hits"`
+	L1StoreMisses uint64 `json:"l1_store_misses"`
+	L1VecInvals   uint64 `json:"l1_vec_invals"` // L1 lines invalidated by MOM stores (inclusion coherence)
 
-	L2Lookups        uint64
-	L2Hits, L2Misses uint64
+	L2Lookups uint64 `json:"l2_lookups"`
+	L2Hits    uint64 `json:"l2_hits"`
+	L2Misses  uint64 `json:"l2_misses"`
 
-	LineAccesses   uint64 // vector-cache line(-pair) accesses
-	BankConflicts  uint64
-	MSHRStalls     uint64 // accesses delayed because every MSHR was in flight
-	WriteBufStalls uint64
-	WriteBufDrains uint64 // write-buffer entries drained into L2 (non-coalesced stores)
-	DRAMChanBusy   uint64 // cycles requests waited for the Rambus channel
-	DRAMBankBusy   uint64 // cycles requests waited for a busy DRAM bank
-	Unaligned      uint64
+	LineAccesses   uint64 `json:"line_accesses"` // vector-cache line(-pair) accesses
+	BankConflicts  uint64 `json:"bank_conflicts"`
+	MSHRStalls     uint64 `json:"mshr_stalls"` // accesses delayed because every MSHR was in flight
+	WriteBufStalls uint64 `json:"write_buf_stalls"`
+	WriteBufDrains uint64 `json:"write_buf_drains"` // write-buffer entries drained into L2 (non-coalesced stores)
+	DRAMChanBusy   uint64 `json:"dram_chan_busy"`   // cycles requests waited for the Rambus channel
+	DRAMBankBusy   uint64 `json:"dram_bank_busy"`   // cycles requests waited for a busy DRAM bank
+	Unaligned      uint64 `json:"unaligned"`
 }
 
 // Outcome summarises the memory-system events one dynamic instruction's

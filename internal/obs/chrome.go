@@ -5,39 +5,6 @@ import (
 	"io"
 )
 
-// ChromeWriter exports the pipeline lifetimes of a (windowed) slice of the
-// dynamic instruction stream as Chrome trace-event JSON, loadable in
-// Perfetto (ui.perfetto.dev) or chrome://tracing. One simulated cycle maps
-// to one microsecond of trace time. Each instruction becomes a complete
-// ("X") slice named by its disassembly, spanning fetch to commit, with
-// nested child slices for the four pipeline stages (F/D/X/C); instructions
-// are packed onto the fewest tracks (tids) such that slices on a track
-// never overlap, so the track count visualises the in-flight window.
-type ChromeWriter struct {
-	w      io.Writer
-	start  uint64
-	count  uint64
-	disasm []string
-	recs   []Event
-}
-
-// NewChrome returns a writer recording count instructions starting at
-// dynamic instruction start (count 0 records to the end of the run).
-func NewChrome(w io.Writer, start, count uint64, disasm []string) *ChromeWriter {
-	return &ChromeWriter{w: w, start: start, count: count, disasm: disasm}
-}
-
-// Observe buffers one instruction if it falls inside the window.
-func (c *ChromeWriter) Observe(ev *Event) {
-	if ev.Seq < c.start || (c.count > 0 && ev.Seq >= c.start+c.count) {
-		return
-	}
-	c.recs = append(c.recs, *ev)
-}
-
-// Recorded returns the number of instructions buffered so far.
-func (c *ChromeWriter) Recorded() int { return len(c.recs) }
-
 // TraceEvent is one Chrome trace-event record: a complete ("X") slice, or
 // a metadata ("M") record such as a process name. Every Chrome export in
 // the program writes this shape.
@@ -63,20 +30,22 @@ func WriteTrace(w io.Writer, events []TraceEvent) error {
 	}{events, "ns"})
 }
 
-func (c *ChromeWriter) label(pc int) string {
-	if pc >= 0 && pc < len(c.disasm) {
-		return c.disasm[pc]
-	}
-	return "@?"
-}
-
-// Flush writes the buffered window as a trace-event JSON document.
-func (c *ChromeWriter) Flush() error {
-	var events []TraceEvent
+// WriteChrome writes events — one window of the dynamic instruction
+// stream in program order, as a Recorder keeps it — as Chrome trace-event
+// JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. One
+// simulated cycle maps to one microsecond of trace time. Each instruction
+// becomes a complete ("X") slice named by its disassembly (from disasm),
+// spanning fetch to commit, with nested child slices for the four pipeline
+// stages (F/D/X/C); instructions are packed onto the fewest tracks (tids)
+// such that slices on a track never overlap, so the track count visualises
+// the in-flight window.
+func WriteChrome(w io.Writer, events []Event, disasm []string) error {
+	var out []TraceEvent
 	// Greedy track packing: an instruction takes the lowest track whose
 	// previous occupant committed before this one fetched.
 	var trackFree []int64
-	for _, ev := range c.recs {
+	for i := range events {
+		ev := &events[i]
 		end := ev.Commit + 1
 		tid := -1
 		for t, free := range trackFree {
@@ -104,8 +73,8 @@ func (c *ChromeWriter) Flush() error {
 			args["mshr_stalls"] = ev.Mem.MSHRStalls
 			args["write_buf_stalls"] = ev.Mem.WriteBufStalls
 		}
-		events = append(events, TraceEvent{
-			Name: c.label(ev.PC), Cat: "inst", Ph: "X",
+		out = append(out, TraceEvent{
+			Name: label(disasm, ev.PC), Cat: "inst", Ph: "X",
 			Ts: ev.Fetch, Dur: end - ev.Fetch, Pid: 0, Tid: tid, Args: args,
 		})
 		stages := [4]struct {
@@ -122,11 +91,11 @@ func (c *ChromeWriter) Flush() error {
 			if dur < 0 {
 				dur = 0
 			}
-			events = append(events, TraceEvent{
+			out = append(out, TraceEvent{
 				Name: s.name, Cat: "stage", Ph: "X",
 				Ts: s.from, Dur: dur, Pid: 0, Tid: tid,
 			})
 		}
 	}
-	return WriteTrace(c.w, events)
+	return WriteTrace(w, out)
 }

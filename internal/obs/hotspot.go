@@ -4,26 +4,26 @@ package obs
 // profile: dynamic execution count, attributed cycles per stall bucket, and
 // memory-event counts. The attribution is exact by construction — every
 // cycle the commit frontier crosses is charged to precisely one (PC, bucket)
-// pair — so summing the per-PC buckets reproduces the run's cycle profile,
-// the invariant mom.HotspotReport.CheckInvariants enforces.
+// pair — so summing the per-PC profiles reproduces the run's Profile, the
+// invariant mom.HotspotReport.CheckInvariants enforces.
 type Hotspot struct {
-	counts  []uint64
-	buckets [][NumBuckets]int64
-	l1Miss  []uint64
-	l2Miss  []uint64
-	mshr    []uint64
-	wbuf    []uint64
+	counts   []uint64
+	profiles []Profile
+	l1Miss   []uint64
+	l2Miss   []uint64
+	mshr     []uint64
+	wbuf     []uint64
 }
 
 // NewHotspot returns an aggregator for a program of nStatic instructions.
 func NewHotspot(nStatic int) *Hotspot {
 	return &Hotspot{
-		counts:  make([]uint64, nStatic),
-		buckets: make([][NumBuckets]int64, nStatic),
-		l1Miss:  make([]uint64, nStatic),
-		l2Miss:  make([]uint64, nStatic),
-		mshr:    make([]uint64, nStatic),
-		wbuf:    make([]uint64, nStatic),
+		counts:   make([]uint64, nStatic),
+		profiles: make([]Profile, nStatic),
+		l1Miss:   make([]uint64, nStatic),
+		l2Miss:   make([]uint64, nStatic),
+		mshr:     make([]uint64, nStatic),
+		wbuf:     make([]uint64, nStatic),
 	}
 }
 
@@ -31,10 +31,10 @@ func NewHotspot(nStatic int) *Hotspot {
 func (h *Hotspot) Observe(ev *Event) {
 	pc := ev.PC
 	h.counts[pc]++
-	b := &h.buckets[pc]
-	b[BucketCommit] += ev.Committed
-	b[BucketStoreCommit] += ev.StoreGap
-	b[ev.Bucket] += ev.ExecGap
+	p := &h.profiles[pc]
+	p.Commit += ev.Committed
+	p.StoreCommit += ev.StoreGap
+	*p.buckets()[ev.Bucket] += ev.ExecGap
 	h.l1Miss[pc] += ev.Mem.L1Misses
 	h.l2Miss[pc] += ev.Mem.L2Misses
 	h.mshr[pc] += ev.Mem.MSHRStalls
@@ -44,9 +44,9 @@ func (h *Hotspot) Observe(ev *Event) {
 // Count returns the dynamic execution count of a static instruction.
 func (h *Hotspot) Count(pc int) uint64 { return h.counts[pc] }
 
-// Buckets returns the attributed cycles per stall bucket of a static
-// instruction.
-func (h *Hotspot) Buckets(pc int) [NumBuckets]int64 { return h.buckets[pc] }
+// Profile returns the cycles attributed to a static instruction, per
+// stall bucket.
+func (h *Hotspot) Profile(pc int) Profile { return h.profiles[pc] }
 
 // MemEvents returns the accumulated memory-event counts of a static
 // instruction: L1 misses, L2 misses, MSHR stalls and write-buffer stalls.

@@ -9,66 +9,6 @@ import (
 	"strings"
 )
 
-// KonataWriter exports the pipeline lifetimes of a (windowed) slice of the
-// dynamic instruction stream in the Kanata log format (version 0004), the
-// input of the Konata pipeline viewer (also produced by gem5's O3PipeView
-// converters). Each instruction renders as four stages on lane 0:
-//
-//	F  fetch   -> dispatch   (front-end)
-//	D  dispatch -> issue     (rename/queue wait)
-//	X  issue   -> complete   (execute, including memory wait)
-//	C  complete -> commit    (waiting for in-order graduation)
-//
-// Events are buffered as they are observed and the log is assembled by
-// Flush, which interleaves the per-instruction records into one
-// cycle-ordered command stream.
-type KonataWriter struct {
-	w      io.Writer
-	start  uint64 // first dynamic instruction recorded
-	count  uint64 // instructions recorded (0 = unbounded)
-	disasm []string
-	recs   []konataRec
-}
-
-type konataRec struct {
-	seq                              uint64
-	pc                               int
-	fetch, dispatch, issue, complete int64
-	commit                           int64
-	detail                           string
-}
-
-// NewKonata returns a writer recording count instructions starting at
-// dynamic instruction start (count 0 records to the end of the run).
-// disasm supplies the per-PC label text; missing entries fall back to the
-// PC number.
-func NewKonata(w io.Writer, start, count uint64, disasm []string) *KonataWriter {
-	return &KonataWriter{w: w, start: start, count: count, disasm: disasm}
-}
-
-// Observe buffers one instruction if it falls inside the window.
-func (k *KonataWriter) Observe(ev *Event) {
-	if ev.Seq < k.start || (k.count > 0 && ev.Seq >= k.start+k.count) {
-		return
-	}
-	k.recs = append(k.recs, konataRec{
-		seq: ev.Seq, pc: ev.PC,
-		fetch: ev.Fetch, dispatch: ev.Dispatch, issue: ev.Issue,
-		complete: ev.Complete, commit: ev.Commit,
-		detail: fmt.Sprintf("bucket:%s exec:%d store:%d", ev.Bucket, ev.ExecGap, ev.StoreGap),
-	})
-}
-
-// Recorded returns the number of instructions buffered so far.
-func (k *KonataWriter) Recorded() int { return len(k.recs) }
-
-func (k *KonataWriter) label(pc int) string {
-	if pc >= 0 && pc < len(k.disasm) {
-		return k.disasm[pc]
-	}
-	return fmt.Sprintf("@%d", pc)
-}
-
 // konataCmd is one log line pinned to a cycle; ord keeps a stable
 // within-cycle order (ends before starts before retires is not required by
 // the format, but per-instruction command order must be preserved).
@@ -79,31 +19,44 @@ type konataCmd struct {
 	text  string
 }
 
-// Flush assembles and writes the buffered window as a Kanata log.
-func (k *KonataWriter) Flush() error {
-	bw := bufio.NewWriter(k.w)
+// WriteKonata writes events — one window of the dynamic instruction
+// stream in program order, as a Recorder keeps it — in the Kanata log
+// format (version 0004), the input of the Konata pipeline viewer (also
+// produced by gem5's O3PipeView converters). disasm supplies the per-PC
+// label text. Each instruction renders as four stages on lane 0:
+//
+//	F  fetch   -> dispatch   (front-end)
+//	D  dispatch -> issue     (rename/queue wait)
+//	X  issue   -> complete   (execute, including memory wait)
+//	C  complete -> commit    (waiting for in-order graduation)
+//
+// The per-instruction records are interleaved into one cycle-ordered
+// command stream.
+func WriteKonata(w io.Writer, events []Event, disasm []string) error {
+	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "Kanata\t0004\n"); err != nil {
 		return err
 	}
 	var cmds []konataCmd
-	for sid, r := range k.recs {
+	for sid := range events {
+		ev := &events[sid]
 		ord := 0
 		add := func(cycle int64, format string, args ...any) {
 			cmds = append(cmds, konataCmd{cycle, sid, ord, fmt.Sprintf(format, args...)})
 			ord++
 		}
-		add(r.fetch, "I\t%d\t%d\t0", sid, r.seq)
-		add(r.fetch, "L\t%d\t0\t%d: %s", sid, r.seq, k.label(r.pc))
-		add(r.fetch, "L\t%d\t1\tpc:%d %s", sid, r.pc, r.detail)
-		add(r.fetch, "S\t%d\t0\tF", sid)
-		add(r.dispatch, "E\t%d\t0\tF", sid)
-		add(r.dispatch, "S\t%d\t0\tD", sid)
-		add(r.issue, "E\t%d\t0\tD", sid)
-		add(r.issue, "S\t%d\t0\tX", sid)
-		add(r.complete, "E\t%d\t0\tX", sid)
-		add(r.complete, "S\t%d\t0\tC", sid)
-		add(r.commit, "E\t%d\t0\tC", sid)
-		add(r.commit, "R\t%d\t%d\t0", sid, sid)
+		add(ev.Fetch, "I\t%d\t%d\t0", sid, ev.Seq)
+		add(ev.Fetch, "L\t%d\t0\t%d: %s", sid, ev.Seq, label(disasm, ev.PC))
+		add(ev.Fetch, "L\t%d\t1\tpc:%d bucket:%s exec:%d store:%d", sid, ev.PC, ev.Bucket, ev.ExecGap, ev.StoreGap)
+		add(ev.Fetch, "S\t%d\t0\tF", sid)
+		add(ev.Dispatch, "E\t%d\t0\tF", sid)
+		add(ev.Dispatch, "S\t%d\t0\tD", sid)
+		add(ev.Issue, "E\t%d\t0\tD", sid)
+		add(ev.Issue, "S\t%d\t0\tX", sid)
+		add(ev.Complete, "E\t%d\t0\tX", sid)
+		add(ev.Complete, "S\t%d\t0\tC", sid)
+		add(ev.Commit, "E\t%d\t0\tC", sid)
+		add(ev.Commit, "R\t%d\t%d\t0", sid, sid)
 	}
 	sort.SliceStable(cmds, func(a, b int) bool {
 		if cmds[a].cycle != cmds[b].cycle {
@@ -144,7 +97,7 @@ type KonataStats struct {
 
 // ParseKonata validates a Kanata log: header, known commands, numeric
 // fields, monotonic cycle stream, stages opened before they are closed and
-// every instruction retired. It is the round-trip check for KonataWriter
+// every instruction retired. It is the round-trip check for WriteKonata
 // output (and accepts the common subset of the format generally).
 func ParseKonata(r io.Reader) (KonataStats, error) {
 	var st KonataStats
@@ -242,7 +195,7 @@ func ParseKonata(r io.Reader) (KonataStats, error) {
 			if f[3] == "0" {
 				st.Retired++
 			}
-		case "W": // dependency edges are legal but KonataWriter never emits them
+		case "W": // dependency edges are legal but WriteKonata never emits them
 		default:
 			return fail("unknown command %q", f[0])
 		}

@@ -47,13 +47,15 @@ func TestHotspotAggregation(t *testing.T) {
 	if got := h.Count(0); got != 2 {
 		t.Errorf("PC 0 count = %d, want 2", got)
 	}
-	b := h.Buckets(0)
-	if b[BucketCommit] != 2 || b[BucketFrontend] != 2 || b[BucketDepLatency] != 0 {
-		t.Errorf("PC 0 buckets = %v", b)
+	p := h.Profile(0)
+	if p.Commit != 2 || p.Frontend != 2 || p.DepLatency != 0 {
+		t.Errorf("PC 0 profile = %+v", p)
 	}
-	b = h.Buckets(2)
-	if b[BucketCommit] != 1 || b[BucketStoreCommit] != 1 {
-		t.Errorf("PC 2 buckets = %v", b)
+	if p = h.Profile(1); p.Commit != 1 || p.MemWait != 5 {
+		t.Errorf("PC 1 profile = %+v", p)
+	}
+	if p = h.Profile(2); p.Commit != 1 || p.StoreCommit != 1 {
+		t.Errorf("PC 2 profile = %+v", p)
 	}
 	l1, l2, mshr, wbuf := h.MemEvents(1)
 	if l1 != 1 || l2 != 0 || mshr != 0 || wbuf != 0 {
@@ -64,29 +66,38 @@ func TestHotspotAggregation(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Error("Multi of no live observers should be nil")
+// TestProfileBuckets pins the taxonomy's order and names against the
+// Profile fields, and the bucket-wise arithmetic.
+func TestProfileBuckets(t *testing.T) {
+	p := Profile{Commit: 1, Frontend: 2, Mispredict: 3, RenameROB: 4, IssueQueue: 5,
+		FU: 6, MemWait: 7, StoreCommit: 8, DepLatency: 9}
+	want := []string{"commit", "frontend", "mispredict", "rename/rob", "issue", "fu", "mem", "store", "dep/lat"}
+	for b, pb := range p.Buckets() {
+		if pb.Name != want[b] || pb.Name != Bucket(b).String() || pb.Cycles != int64(b+1) {
+			t.Errorf("bucket %d = %+v, want %s with %d cycles", b, pb, want[b], b+1)
+		}
 	}
-	r := &Recorder{}
-	if Multi(nil, r) != Observer(r) {
-		t.Error("Multi of one live observer should return it unwrapped")
+	if p.Total() != 45 {
+		t.Errorf("Total = %d, want 45", p.Total())
 	}
-	r2 := &Recorder{}
-	feed(Multi(r, r2), synthEvents())
-	if len(r.Events) != 5 || len(r2.Events) != 5 {
-		t.Errorf("fan-out recorded %d/%d events, want 5/5", len(r.Events), len(r2.Events))
+	sum := p
+	sum.Add(p)
+	if sum.Total() != 90 || sum.DepLatency != 18 {
+		t.Errorf("Add: %+v", sum)
+	}
+	if sum.Sub(p); sum != p {
+		t.Errorf("Sub: %+v, want %+v", sum, p)
 	}
 }
 
 func TestKonataRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	k := NewKonata(&buf, 0, 0, synthDisasm)
-	feed(k, synthEvents())
-	if k.Recorded() != 5 {
-		t.Fatalf("recorded %d, want 5", k.Recorded())
+	r := &Recorder{}
+	feed(r, synthEvents())
+	if len(r.Events) != 5 {
+		t.Fatalf("recorded %d, want 5", len(r.Events))
 	}
-	if err := k.Flush(); err != nil {
+	if err := WriteKonata(&buf, r.Events, synthDisasm); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -108,12 +119,12 @@ func TestKonataRoundTrip(t *testing.T) {
 
 func TestKonataWindow(t *testing.T) {
 	var buf bytes.Buffer
-	k := NewKonata(&buf, 1, 2, synthDisasm)
-	feed(k, synthEvents())
-	if k.Recorded() != 2 {
-		t.Fatalf("windowed recorder kept %d, want 2", k.Recorded())
+	r := &Recorder{Start: 1, Count: 2}
+	feed(r, synthEvents())
+	if len(r.Events) != 2 || r.Events[0].Seq != 1 || r.Events[1].Seq != 2 {
+		t.Fatalf("windowed recorder kept %d events, want seq 1 and 2", len(r.Events))
 	}
-	if err := k.Flush(); err != nil {
+	if err := WriteKonata(&buf, r.Events, synthDisasm); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ParseKonata(bytes.NewReader(buf.Bytes()))
@@ -140,12 +151,7 @@ func TestParseKonataRejectsGarbage(t *testing.T) {
 
 func TestChromeTraceValidates(t *testing.T) {
 	var buf bytes.Buffer
-	c := NewChrome(&buf, 0, 0, synthDisasm)
-	feed(c, synthEvents())
-	if c.Recorded() != 5 {
-		t.Fatalf("recorded %d, want 5", c.Recorded())
-	}
-	if err := c.Flush(); err != nil {
+	if err := WriteChrome(&buf, synthEvents(), synthDisasm); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -59,15 +59,16 @@ func (m Model) Area(c Config) float64 {
 // SizeBytes returns the raw storage of the file.
 func SizeBytes(c Config) int { return c.Regs * c.BitsPer / 8 }
 
-// Table2Entry is one row of the reproduced table.
+// Table2Entry is one row of the reproduced table. The json tags name the
+// fields of the public table2 document (mom.Table2Entry is this type).
 type Table2Entry struct {
-	ISA            string
-	MediaRegs      string // log/phys
-	AccRegs        string
-	MediaPorts     string // rd/wr
-	AccPorts       string
-	SizeBytes      int
-	NormalizedArea float64
+	ISA            string  `json:"isa"`
+	MediaRegs      string  `json:"media_regs"` // log/phys
+	AccRegs        string  `json:"acc_regs"`
+	MediaPorts     string  `json:"media_ports"` // rd/wr
+	AccPorts       string  `json:"acc_ports"`
+	SizeBytes      int     `json:"size_bytes"`
+	NormalizedArea float64 `json:"normalized_area"`
 }
 
 // The Table 2 register-file configurations of the 4-way machine: MMX

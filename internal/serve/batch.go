@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -12,6 +11,17 @@ import (
 // maxBatchItems bounds one POST /v1/jobs:batch payload; a sweep larger
 // than this submits in slices.
 const maxBatchItems = 1024
+
+// maxBodyBytes bounds the body of POST /v1/jobs and /v1/jobs:batch, so no
+// request makes the server read or decode without limit; a longer body is
+// answered 413 before the items are counted. It is sized for a batch of
+// maxBatchItems of the longest request: with every field at the widest
+// value its vocabulary or integer type allows (exp "hotspots", scale
+// "bench", isa "Alpha", mem "collapsing", kernel "ltpparameters", app
+// "mpeg2encode", each integer 20 characters) one request encodes in 288
+// bytes, and 1,024 of them with the envelope in 295,980 bytes. 512 KiB
+// leaves room for the spacing and indentation of pretty-printed bodies.
+const maxBodyBytes = 512 << 10
 
 // Per-item error strings of refused admissions. They are part of the
 // batch endpoint's contract: clients (the sweep engine's batch client)
@@ -57,11 +67,8 @@ type BatchResponse struct {
 // Retry-After header, so a client resubmitting the refused slice knows
 // how long to back off.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var body mom.BatchRequest
-	if err := dec.Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Jobs) == 0 {

@@ -177,3 +177,57 @@ func TestBatchValidation(t *testing.T) {
 		t.Errorf("oversized batch: status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestBodyLimit bounds both POST bodies at maxBodyBytes: a batch of
+// maxBatchItems of the longest valid item passes, a body padded to exactly
+// the limit is decoded, and one byte more is answered 413 on both
+// endpoints.
+func TestBodyLimit(t *testing.T) {
+	release := make(chan struct{})
+	close(release)
+	srv := New(Config{Workers: 1, QueueCap: 4, Runner: stubRunner(release)})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	// hotspots validates width and the sample fields, so those take their
+	// widest valid values; every other field takes its longest name.
+	item := `{"exp":"hotspots","scale":"bench","width":8,"isa":"Alpha","mem":"collapsing",` +
+		`"kernel":"ltpparameters","app":"mpeg2encode","sample_period":18446744073709551615,` +
+		`"sample_warmup":9000000000000000000,"sample_interval":9000000000000000000,"sample_par":9223372036854775807}`
+	body := `{"jobs":[` + strings.Repeat(item+",", maxBatchItems-1) + item + `],"timeout_ms":9223372036854775807}`
+	if len(body) > maxBodyBytes {
+		t.Fatalf("maximal batch is %d bytes, over the %d-byte limit", len(body), maxBodyBytes)
+	}
+	items, resp := postBatch(t, ts, body)
+	if resp.StatusCode != http.StatusOK || len(items) != maxBatchItems {
+		t.Fatalf("maximal batch: status %d with %d items, want 200 with %d", resp.StatusCode, len(items), maxBatchItems)
+	}
+	for _, it := range items {
+		if it.Error != "" || it.ID == "" {
+			t.Fatalf("maximal batch item %d = %+v", it.Index, it)
+		}
+	}
+
+	// pad widens a JSON object to n bytes with spaces before its closing
+	// brace, so the decoder must read every byte to finish the value.
+	pad := func(obj string, n int) string {
+		return obj[:len(obj)-1] + strings.Repeat(" ", n-len(obj)) + "}"
+	}
+	for _, c := range []struct{ path, obj string }{
+		{"/v1/jobs", `{"exp":"fig5"}`},
+		{"/v1/jobs:batch", `{"jobs":[{"exp":"fig5"}]}`},
+	} {
+		for _, n := range []int{maxBodyBytes, maxBodyBytes + 1} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(pad(c.obj, n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			tooLarge := resp.StatusCode == http.StatusRequestEntityTooLarge
+			if tooLarge != (n > maxBodyBytes) || (!tooLarge && resp.StatusCode >= 300) {
+				t.Errorf("%s with a %d-byte body: status %d", c.path, n, resp.StatusCode)
+			}
+		}
+	}
+}

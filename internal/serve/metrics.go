@@ -20,7 +20,7 @@ type metrics struct {
 	coalesced, promotions     *metric.Counter
 	batchRequests, batchItems *metric.Counter
 	peerProxied, peerFills    *metric.Counter
-	peerErrors, traceFetches  *metric.Counter
+	peerErrors                *metric.Counter
 }
 
 // declareMetrics declares the server's series, gauges reading its state at
@@ -72,7 +72,6 @@ func (s *Server) declareMetrics() {
 	m.peerProxied = set.Counter("peer_proxied_total", "Flights forwarded to their owning peer.")
 	m.peerFills = set.Counter("peer_fills_total", "Local store fills from a peer.")
 	m.peerErrors = set.Counter("peer_errors_total", "Failed peer round trips.")
-	m.traceFetches = set.Counter("trace_peer_fetches_total", "Trace artifacts fetched from their owning peer.")
 	if s.cfg.Peers != nil {
 		set.Gauge("peers", "Configured cluster size (this node included).", func() int64 { return int64(s.cfg.Peers.Size()) })
 	}

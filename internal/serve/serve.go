@@ -245,12 +245,28 @@ var (
 	errQueueFull = errors.New("job queue full")
 )
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+// decodeBody decodes a POST body of at most maxBodyBytes into v,
+// rejecting unknown fields. On failure it answers 413 (body too large) or
+// 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	var body submitBody
-	if err := dec.Decode(&body); err != nil {
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	case err != nil:
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	default:
+		return true
+	}
+	return false
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var body submitBody
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	req, err := body.JobRequest.Normalized()

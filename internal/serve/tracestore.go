@@ -119,7 +119,6 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 		settle(StateFailed)
 		return nil, false
 	}
-	s.metrics.traceFetches.Inc()
 	settle(StateDone)
 	return io.NopCloser(bytes.NewReader(blob)), true
 }

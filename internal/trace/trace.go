@@ -241,24 +241,37 @@ func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err er
 	return capture(m, maxSteps, maxBytes)
 }
 
-// capture records the machine's stream chunk by chunk: the emulator
-// appends each chunk's columns to one scratch batch, which is copied out
-// at its exact sizes when the chunk fills or the program ends.
-func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
-	t := &Trace{prog: m.Prog}
-	buf := Batch{
+// scratchPool keeps the chunk-sized scratch batches of finished captures
+// for later ones: a capture then allocates only its chunks' exact copies,
+// however short its program, and a long one no longer pays for a fresh
+// scratch either. (A scratch grown by append from empty instead costs
+// about 20 reallocations of each column on the way to one chunk.)
+var scratchPool = sync.Pool{New: func() any {
+	return &Batch{
 		SI:     make([]int32, 0, chunkRecords),
 		Meta:   make([]uint8, 0, chunkRecords),
 		EA:     make([]uint64, 0, chunkRecords),
 		Stride: make([]int64, 0, chunkRecords),
 	}
+}}
+
+// capture records the machine's stream chunk by chunk: the emulator
+// appends each chunk's columns to one scratch batch from scratchPool,
+// which is copied out at its exact sizes when the chunk fills or the
+// program ends.
+func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
+	t := &Trace{prog: m.Prog}
+	buf := scratchPool.Get().(*Batch)
+	defer scratchPool.Put(buf)
+	// A capture that failed mid-chunk put its scratch back unflushed.
+	buf.SI, buf.Meta, buf.EA, buf.Stride = buf.SI[:0], buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
 	for !m.Done() && t.n < maxSteps {
-		t.n += m.Record(min(chunkRecords-uint64(len(buf.SI)), maxSteps-t.n), &buf)
+		t.n += m.Record(min(chunkRecords-uint64(len(buf.SI)), maxSteps-t.n), buf)
 		if maxBytes > 0 && t.bytes+frameSize(len(buf.SI), len(buf.EA), len(buf.Stride)) > maxBytes {
 			return nil, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, maxBytes)
 		}
 		if len(buf.SI) == chunkRecords {
-			t.closeChunk(&buf)
+			t.closeChunk(buf)
 		}
 	}
 	// After maxSteps records, the budget is exceeded if one more
@@ -270,7 +283,7 @@ func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 		return nil, m.Err
 	}
 	if len(buf.SI) > 0 {
-		t.closeChunk(&buf)
+		t.closeChunk(buf)
 	}
 	t.static = buildStatic(m.Prog)
 	return t, nil

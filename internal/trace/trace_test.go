@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -131,6 +132,39 @@ func TestCaptureByteBudget(t *testing.T) {
 			if !errors.Is(err, ErrTooLarge) || err.Error() != want {
 				t.Fatalf("%s: maxBytes %d: got %v, want %q", p.Name, max, err, want)
 			}
+		}
+		// A failed capture returns its scratch batch unflushed; the next
+		// capture must not inherit those records.
+		if got, err := Capture(emu.New(p), testMaxSteps, 0); err != nil || !bytes.Equal(encode(t, got), encode(t, tr)) {
+			t.Fatalf("%s: a capture after failed ones differs from an unbounded capture (%v)", p.Name, err)
+		}
+	}
+}
+
+// TestConcurrentCaptures: captures running at once each take their own
+// pooled scratch batch, failed ones hand theirs back unflushed, and every
+// successful capture still encodes like a serial one.
+func TestConcurrentCaptures(t *testing.T) {
+	want := budgetTraces(t)
+	got := make([]*Trace, 4*len(want))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p := want[i%len(want)].Program()
+			if _, err := Capture(emu.New(p), testMaxSteps, 64); !errors.Is(err, ErrTooLarge) {
+				t.Errorf("%s: a 64-byte budget gave %v", p.Name, err)
+			}
+			got[i], errs[i] = Capture(emu.New(p), testMaxSteps, 0)
+		}(i)
+	}
+	wg.Wait()
+	for i, tr := range got {
+		w := want[i%len(want)]
+		if errs[i] != nil || !bytes.Equal(encode(t, tr), encode(t, w)) {
+			t.Fatalf("%s: concurrent capture %d differs from a serial one (%v)", w.Program().Name, i, errs[i])
 		}
 	}
 }

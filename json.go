@@ -21,6 +21,12 @@ import (
 // envelope or row encodings; the bump flows into every JobRequest key, so
 // stale store entries are never served across a schema change.
 //
+// The row encodings are not all declared in this package: MemStats,
+// Profile and Table2Entry are mem.Stats, obs.Profile and
+// regfile.Table2Entry, whose json tags are part of the schema too.
+// TestGoldenDocs guards every one of them: a changed tag or field order
+// moves a pinned document digest.
+//
 // Version 2 added the optional "sampled" block to Result and the
 // experiment rows (absent in exact mode) plus the sample_* request
 // parameters.

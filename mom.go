@@ -135,34 +135,11 @@ func DetailedMemory(mode CacheMode) MemModel {
 	}
 }
 
-// MemStats is the public mirror of the memory-system statistics. The
-// counters obey the invariants documented on mem.Stats (and enforced by
+// MemStats is the memory-system statistics of a run. The counters obey
+// the invariants documented on mem.Stats (and enforced by
 // Result.CheckInvariants): L1Hits+L1Misses == L1Lookups across loads AND
 // stores, likewise for L2.
-type MemStats struct {
-	Loads          uint64 `json:"loads"`
-	Stores         uint64 `json:"stores"`
-	VecLoads       uint64 `json:"vec_loads"`
-	VecStores      uint64 `json:"vec_stores"`
-	VecElems       uint64 `json:"vec_elems"`
-	L1Lookups      uint64 `json:"l1_lookups"`
-	L1Hits         uint64 `json:"l1_hits"`
-	L1Misses       uint64 `json:"l1_misses"`
-	L1StoreHits    uint64 `json:"l1_store_hits"`
-	L1StoreMisses  uint64 `json:"l1_store_misses"`
-	L1VecInvals    uint64 `json:"l1_vec_invals"`
-	L2Lookups      uint64 `json:"l2_lookups"`
-	L2Hits         uint64 `json:"l2_hits"`
-	L2Misses       uint64 `json:"l2_misses"`
-	LineAccesses   uint64 `json:"line_accesses"`
-	BankConflicts  uint64 `json:"bank_conflicts"`
-	MSHRStalls     uint64 `json:"mshr_stalls"`
-	WriteBufStalls uint64 `json:"write_buf_stalls"`
-	WriteBufDrains uint64 `json:"write_buf_drains"`
-	DRAMChanBusy   uint64 `json:"dram_chan_busy"`
-	DRAMBankBusy   uint64 `json:"dram_bank_busy"`
-	Unaligned      uint64 `json:"unaligned"`
-}
+type MemStats = mem.Stats
 
 // Result reports one timed run.
 type Result struct {
@@ -218,37 +195,8 @@ func fromCPU(name string, i ISA, width int, memName string, c cpu.Result) Result
 		Cycles: c.Cycles, Insts: c.Insts, WordOps: c.WordOps,
 		Branches: c.Branches, Mispredicts: c.Mispredicts,
 		Loads: c.Loads, Stores: c.Stores, OpMix: mix,
+		Mem: c.Mem, Profile: c.Profile,
 		Sampled: sampledInfo(c.Sampled, c.Cycles, c.Insts),
-		Mem: MemStats{
-			Loads: c.Mem.Loads, Stores: c.Mem.Stores,
-			VecLoads: c.Mem.VecLoads, VecStores: c.Mem.VecStores,
-			VecElems:  c.Mem.VecElems,
-			L1Lookups: c.Mem.L1Lookups,
-			L1Hits:    c.Mem.L1Hits, L1Misses: c.Mem.L1Misses,
-			L1StoreHits: c.Mem.L1StoreHits, L1StoreMisses: c.Mem.L1StoreMisses,
-			L1VecInvals: c.Mem.L1VecInvals,
-			L2Lookups:   c.Mem.L2Lookups,
-			L2Hits:      c.Mem.L2Hits, L2Misses: c.Mem.L2Misses,
-			LineAccesses:   c.Mem.LineAccesses,
-			BankConflicts:  c.Mem.BankConflicts,
-			MSHRStalls:     c.Mem.MSHRStalls,
-			WriteBufStalls: c.Mem.WriteBufStalls,
-			WriteBufDrains: c.Mem.WriteBufDrains,
-			DRAMChanBusy:   c.Mem.DRAMChanBusy,
-			DRAMBankBusy:   c.Mem.DRAMBankBusy,
-			Unaligned:      c.Mem.Unaligned,
-		},
-		Profile: Profile{
-			Commit:      c.Profile.Commit,
-			Frontend:    c.Profile.Frontend,
-			Mispredict:  c.Profile.Mispredict,
-			RenameROB:   c.Profile.RenameROB,
-			IssueQueue:  c.Profile.IssueQueue,
-			FU:          c.Profile.FU,
-			MemWait:     c.Profile.MemWait,
-			StoreCommit: c.Profile.StoreCommit,
-			DepLatency:  c.Profile.DepLatency,
-		},
 	}
 }
 

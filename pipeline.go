@@ -19,13 +19,14 @@ type PipelineOptions struct {
 }
 
 // PipelineExport reports one pipeline-trace export: the timed run the trace
-// was cut from and how many instructions each sink recorded.
+// was cut from and how many instructions the export window holds.
 type PipelineExport struct {
 	Result   Result
 	Recorded int // instructions inside the export window
 }
 
-// exportPipeline runs one workload with the requested exporters attached.
+// exportPipeline runs one workload with a Recorder on the export window
+// attached, then encodes the window into each requested sink.
 func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scale, opt PipelineOptions) (PipelineExport, error) {
 	if opt.Konata == nil && opt.Chrome == nil {
 		return PipelineExport{}, fmt.Errorf("mom: pipeline export needs at least one output (Konata or Chrome)")
@@ -39,31 +40,19 @@ func exportPipeline(app bool, name string, i ISA, width int, m MemModel, sc Scal
 	for pc, in := range p.Insts {
 		disasm[pc] = in.String()
 	}
-	var kw *obs.KonataWriter
-	var cw *obs.ChromeWriter
-	var observers []obs.Observer
-	if opt.Konata != nil {
-		kw = obs.NewKonata(opt.Konata, opt.Start, opt.Count, disasm)
-		observers = append(observers, kw)
-	}
-	if opt.Chrome != nil {
-		cw = obs.NewChrome(opt.Chrome, opt.Start, opt.Count, disasm)
-		observers = append(observers, cw)
-	}
-	res, err := runWorkload(key, width, m, SampleSpec{}, obs.Multi(observers...))
+	rec := &obs.Recorder{Start: opt.Start, Count: opt.Count}
+	res, err := runWorkload(key, width, m, SampleSpec{}, rec)
 	if err != nil {
 		return PipelineExport{}, err
 	}
-	exp := PipelineExport{Result: res}
-	if kw != nil {
-		exp.Recorded = kw.Recorded()
-		if err := kw.Flush(); err != nil {
+	exp := PipelineExport{Result: res, Recorded: len(rec.Events)}
+	if opt.Konata != nil {
+		if err := obs.WriteKonata(opt.Konata, rec.Events, disasm); err != nil {
 			return exp, fmt.Errorf("mom: konata export: %w", err)
 		}
 	}
-	if cw != nil {
-		exp.Recorded = cw.Recorded()
-		if err := cw.Flush(); err != nil {
+	if opt.Chrome != nil {
+		if err := obs.WriteChrome(opt.Chrome, rec.Events, disasm); err != nil {
 			return exp, fmt.Errorf("mom: chrome trace export: %w", err)
 		}
 	}

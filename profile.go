@@ -1,50 +1,20 @@
 package mom
 
-import "fmt"
+import (
+	"fmt"
 
-// Profile is the public cycle-attribution breakdown of a timed run: every
+	"repro/internal/obs"
+)
+
+// Profile is the cycle-attribution breakdown of a timed run: every
 // simulated cycle is classified into exactly one bucket of the stall
-// taxonomy, so the buckets always sum to Result.Cycles. See cpu.Profile for
+// taxonomy, so the buckets always sum to Result.Cycles. See obs.Profile for
 // how each cycle is attributed (the commit frontier walks forward and every
 // cycle it crosses is charged to the structure that held it back).
-type Profile struct {
-	Commit      int64 `json:"commit"`       // cycles with at least one graduation
-	Frontend    int64 `json:"frontend"`     // fetch/decode refill, BTB bubbles
-	Mispredict  int64 `json:"mispredict"`   // branch-mispredict redirects
-	RenameROB   int64 `json:"rename_rob"`   // ROB/LSQ/rename-register back-pressure
-	IssueQueue  int64 `json:"issue_queue"`  // issue-width contention
-	FU          int64 `json:"fu"`           // functional-unit / lane contention
-	MemWait     int64 `json:"mem_wait"`     // outstanding load data (scalar or vector)
-	StoreCommit int64 `json:"store_commit"` // commit stalled draining stores
-	DepLatency  int64 `json:"dep_latency"`  // data dependences / raw execution latency
-}
-
-// Total sums every bucket; it equals Result.Cycles for any run.
-func (p Profile) Total() int64 {
-	return p.Commit + p.Frontend + p.Mispredict + p.RenameROB +
-		p.IssueQueue + p.FU + p.MemWait + p.StoreCommit + p.DepLatency
-}
+type Profile = obs.Profile
 
 // ProfileBucket is one named entry of the stall taxonomy.
-type ProfileBucket struct {
-	Name   string
-	Cycles int64
-}
-
-// Buckets returns the taxonomy in canonical display order.
-func (p Profile) Buckets() []ProfileBucket {
-	return []ProfileBucket{
-		{"commit", p.Commit},
-		{"frontend", p.Frontend},
-		{"mispredict", p.Mispredict},
-		{"rename/rob", p.RenameROB},
-		{"issue", p.IssueQueue},
-		{"fu", p.FU},
-		{"mem", p.MemWait},
-		{"store", p.StoreCommit},
-		{"dep/lat", p.DepLatency},
-	}
-}
+type ProfileBucket = obs.ProfileBucket
 
 // CheckInvariants verifies the accounting identities that keep the profile
 // and the memory-event counters honest: the stall-attribution buckets sum
