@@ -146,8 +146,8 @@ func main() {
 
 		// Checkpoint sweep: phase 1 of parallel sampled simulation — one
 		// functional-warming pass (default regime, 4-way multi-address)
-		// that materialises the per-window checkpoints the interval
-		// workers replay from.
+		// that logs, at every window start, the trace cursor and what the
+		// period before it changed; the interval workers replay from it.
 		sim := cpu.New(cpu.NewConfig(4, extOf(level)),
 			mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mem.ModeMultiAddress}))
 		spec := cpu.SampleSpec{
@@ -162,10 +162,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "momtrace: checkpoint sweep:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  ckpt sweep    %12v (%d checkpoints, %.1f KB snapshots, %.1f Minsts/s)\n",
+		fmt.Printf("  ckpt sweep    %12v (%d windows, %.1f KB log, %.1f Minsts/s)\n",
 			sweepT.Round(time.Microsecond),
-			sw.Checkpoints,
-			float64(sw.SnapshotBytes)/1024,
+			sw.Windows,
+			float64(sw.LogBytes)/1024,
 			float64(sw.Insts)/max(sweepT.Seconds(), 1e-9)/1e6)
 
 		// With a store installed, run the same workload through the full

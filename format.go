@@ -2,7 +2,6 @@ package mom
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -259,17 +258,4 @@ func orderedKeys[T any](rows []T, key func(T) string) []string {
 		}
 	}
 	return out
-}
-
-// SortRowsFigure5 orders rows kernel-major for stable output.
-func SortRowsFigure5(rows []KernelSpeedup) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		if rows[a].Kernel != rows[b].Kernel {
-			return rows[a].Kernel < rows[b].Kernel
-		}
-		if rows[a].ISA != rows[b].ISA {
-			return rows[a].ISA < rows[b].ISA
-		}
-		return rows[a].Width < rows[b].Width
-	})
 }

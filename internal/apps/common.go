@@ -102,13 +102,7 @@ func addBlock8(pred []byte, off, w int, res []int16, out []byte) {
 	}
 }
 
-// copyBlock16 / avgBlock16 are the golden compensation primitives.
-func copyBlock16(src []byte, srcOff int, dst []byte, dstOff, w int) {
-	for j := 0; j < 16; j++ {
-		copy(dst[dstOff+j*w:dstOff+j*w+16], src[srcOff+j*w:srcOff+j*w+16])
-	}
-}
-
+// avgBlock16 is the golden compensation primitive.
 func avgBlock16(a []byte, aOff int, b []byte, bOff int, dst []byte, dstOff, w int) {
 	for j := 0; j < 16; j++ {
 		for i := 0; i < 16; i++ {

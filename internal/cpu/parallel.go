@@ -1,6 +1,6 @@
 package cpu
 
-// Parallel sampled simulation: a two-phase checkpoint/execute pipeline.
+// Parallel sampled simulation: a two-phase sweep/execute pipeline.
 //
 // Serial sampling (RunSampled) runs the window loop, runWindows, from the
 // start of the stream to its end, so the whole run is one long dependence
@@ -9,36 +9,48 @@ package cpu
 // the long-lived structures (branch predictor, BTB, cache tag arrays) that
 // functional warming maintains anyway.
 //
-// Phase 1 (checkpoint sweep) exploits that: a single fast pass over the
-// recorded trace drives every record — including the spans the window loop
-// simulates in detail — through functional warming, and snapshots the
-// long-lived state plus the trace position into compact Checkpoint values.
-// Window k starts at record k·Period, so a checkpoint is due every
-// every·Period records: the sweep warms that many records between two
-// checkpoints and keeps no window structure of its own. The coarse grain
-// amortises the snapshot/restore cost while still feeding every core (the
-// windows inside a block chain exactly like the serial run, so nothing is
-// lost).
+// Phase 1 (the sweep) exploits that: a single fast pass over the recorded
+// trace drives every record — including the spans the window loop
+// simulates in detail — through functional warming, once, and logs at
+// every window start k·Period the trace cursor and what the period before
+// it changed (sweepLog): the final tag, valid/dirty bits and LRU stamp of
+// every L1/L2 slot it touched, with the arrays' LRU ticks, and the counter
+// and tag of every predictor entry and BTB entry it changed. The log does
+// not depend on how windows are grouped into blocks.
 //
-// Phase 2 fans the blocks out across par.ForN workers. Each worker seeds
-// a private runState and a private memory-model clone from its checkpoint,
-// opens its own trace cursor at the checkpoint position (Trace.ReaderAt),
-// and runs runWindows over its block for up to every windows. The ordered
-// reduce (sampledResult, the serial path's final step too) then folds the
-// blocks in stream order, so the result is bit-identical to the serial
-// run:
+// Phase 2 fans blocks of consecutive windows out across par.ForN workers.
+// Each worker seeds a private runState and a private memory-model clone
+// from the log's start, rolls them forward through the deltas to the
+// block's first window, opens its own trace cursor there
+// (Trace.ReaderAtCursor), and runs runWindows over the block for up to
+// every windows. Between two windows a block does not warm the skip span:
+// it applies the period's delta and seeks its reader to the next window's
+// cursor, so no block re-warms what the sweep warmed. The ordered reduce
+// (sampledResult, the serial path's final step too) then folds the blocks
+// in stream order, so the result is bit-identical to the serial run:
 //
-//   - Counter deltas and interval (insts, cycles) pairs are integers and a
-//     pure function of the window's inherited long-lived state, which the
-//     sweep reproduces exactly (warming and detailed execution train the
-//     predictor/BTB identically and touch the same tag-array lines).
+//   - At every window start a block's long-lived state is the sweep's,
+//     stamps included. The serial run's state there has the same lines,
+//     dirty bits and per-set LRU order in both tag arrays, and the same
+//     predictor and BTB (TestSweepMatchesSerial pins this for every Figure
+//     7 unit); only the absolute LRU stamps differ, because a store the
+//     write buffer coalesces skips the L2 touch warming makes. Replacement
+//     compares stamps only within a set, so a window's counter deltas and
+//     (insts, cycles) pairs — integers, and a function of that state —
+//     are the serial run's.
+//   - A window's detailed accesses touch only slots its period's warming
+//     touched too, so the period's delta overwrites every one of them with
+//     the sweep's contents, stamps and tick: a block never mixes its own
+//     stamps with the sweep's. The predictor and BTB train identically on
+//     both paths, so their delta does the same.
 //   - A block's cycle arithmetic is translation-invariant: the window loop
 //     re-anchors each window at a base past which every busy-until cursor
 //     has drained, so replaying the block with its first window at base 0
 //     shifts every window's base by the same constant and leaves every
 //     per-window cycle delta unchanged. The minParallelSkip gate below
 //     enforces the "drained" part at block boundaries (within a block the
-//     worker chains its own cursors, faithfully shifted).
+//     worker chains its own cursors, faithfully shifted, and crosses each
+//     skip span with the same base advance the serial run makes).
 //   - The IPC list is assembled in block order, window order within each
 //     block — the identical float sequence into meanStdErr.
 //   - Mem stats count only detailed-simulated accesses; summing the
@@ -72,8 +84,8 @@ const minParallelSkip = 1024
 
 // blockOversubscribe is how many blocks the parallel path carves per
 // worker. Windows are near-uniform in cost, so a small factor is enough to
-// smooth the tail while keeping the checkpoint count — and with it the
-// snapshot, clone and cursor-positioning overhead — low.
+// smooth the tail while keeping the block count — and with it the clones
+// and their roll-forward through the log — low.
 const blockOversubscribe = 4
 
 // recordedSpec is the spec as recorded in Sampled: the parallelism knob is
@@ -104,83 +116,165 @@ func (s *Sim) parallelOK(src trace.Source, spec SampleSpec) bool {
 	return ok
 }
 
-// Checkpoint is the complete inheritance of one block of detailed windows:
-// the trace position and global instruction index where the block's first
-// window starts, and the long-lived microarchitectural state as functional
-// warming left it — branch-predictor counters, BTB tags and the memory
-// model's tag arrays. Everything transient (pipeline rings, issue slots,
-// busy-until cursors) is deliberately absent: windows re-anchor on cleared
-// transient state in a serial run too.
-type Checkpoint struct {
-	Cur     trace.Cursor // trace position at the block's first window
-	Idx     uint64       // dynamic instructions consumed before the block
-	PredCtr []uint8
-	BTBTag  []int32
-	Tags    *mem.TagSnapshot // nil for stateless models
+// sweepLog is phase 1's output: the memory model's tag state where the
+// sweep started and, for every window that starts before min(Records,
+// maxInsts), the trace cursor at its start and what its period changed in
+// the long-lived state. The predictor and BTB start fresh, as in a serial
+// run. Every phase-2 block of every later run over the trace reads the log,
+// concurrently and read-only.
+type sweepLog struct {
+	start   *mem.TagSnapshot // nil for stateless models
+	windows []logWindow
 }
 
-// Bytes returns the approximate in-memory size of the checkpoint.
-func (c *Checkpoint) Bytes() int64 {
-	return int64(len(c.PredCtr)) + 4*int64(len(c.BTBTag)) + c.Tags.Bytes() + 16
+// logWindow is the sweep's record of one window: the cursor at its start,
+// and the slots, counters and tags its period (from this window's start to
+// the next one's) changed, as the period left them. The last window's
+// period is empty: no window follows it.
+type logWindow struct {
+	cur  trace.Cursor
+	tags mem.TagDelta
+	br   []brEntry
 }
 
-// sweepCheckpoints is phase 1: one functional-warming pass over the first
-// min(Records, maxInsts) records of tr that materialises a Checkpoint at the
-// start of every every-th window, warming the every·Period records between
-// two checkpoints in one span. A block whose first window ends inside its
-// warmup still gets a checkpoint: detailed warmup accesses count in the Mem
-// stats.
-func (s *Sim) sweepCheckpoints(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter, every int) []Checkpoint {
-	rs := acquireState(&s.Cfg)
-	defer releaseState(rs)
-	rd := tr.Reader()
-	end, stride := min(tr.Records(), maxInsts), uint64(every)*spec.Period
-	var cps []Checkpoint
-	for idx := uint64(0); idx < end; idx += stride {
-		if idx > 0 {
-			warmSpan(rd, statics, rs, sm, stride)
-		}
-		cps = append(cps, Checkpoint{
-			Cur:     rd.Cursor(),
-			Idx:     idx,
-			PredCtr: rs.pred.snapshot(),
-			BTBTag:  rs.targets.snapshot(),
-			Tags:    sm.SnapshotTags(),
-		})
+// brEntry is one predictor counter, or with btbEntry set in idx one BTB
+// tag, as a period left it.
+type brEntry struct {
+	idx uint32
+	val int32
+}
+
+const btbEntry = 1 << 31
+
+// bytes returns the approximate in-memory size of the log.
+func (l *sweepLog) bytes() int64 {
+	n := l.start.Bytes()
+	for i := range l.windows {
+		w := &l.windows[i]
+		n += 48 + w.tags.Bytes() + 8*int64(len(w.br)) // 48: the cursor and br's slice header
 	}
-	return cps
+	return n
 }
 
-// runBlock runs up to every windows from checkpoint cp on private state: a
-// fresh runState seeded with the checkpoint's predictor/BTB tables, a
-// memory-model clone seeded with its tag arrays, and a trace cursor opened
-// at its position. The block's first window runs at base 0 (a pure
-// translation; see the file comment), and the fast-forward after its last
-// window is left out (the next block's checkpoint already embodies it).
-func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter, cp *Checkpoint, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
-	wsim := &Sim{Cfg: s.Cfg, Mem: sm.NewFromSnapshot(cp.Tags)}
+// sweep is phase 1: one functional-warming pass over tr up to the start of
+// its last window (within maxInsts), warming each record once and logging
+// every window. It reads whole chunk batches and cuts windows inside them;
+// the memory model and the two branch tables journal what they change, a
+// slot, counter or tag at most once per period. The sweep warms sm itself.
+func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) *sweepLog {
+	p := spec.Period
+	nw := (min(tr.Records(), maxInsts) + p - 1) / p
+	lg := &sweepLog{start: sm.SnapshotTags(), windows: make([]logWindow, nw)}
+	if nw == 0 {
+		return lg
+	}
+	pred, targets := newBimodal(s.Cfg.BimodalSize), newBTB(s.Cfg.BTBEntries)
+	pred.jr, targets.jr = mem.NewJournal(len(pred.ctr)), mem.NewJournal(len(targets.tag))
+	tj := sm.StartJournal()
+	defer tj.Stop()
+	rd := tr.Reader()
+	lg.windows[0].cur = rd.Cursor()
+	last := (nw - 1) * p
+	for pos, k := uint64(0), uint64(1); pos < last; {
+		b := rd.NextBatch(last - pos)
+		lo, eaI, strI := 0, 0, 0
+		for lo < len(b.SI) {
+			hi := lo + int(min(uint64(len(b.SI)-lo), k*p-pos))
+			eaI, strI = warmRecords(b, lo, hi, eaI, strI, statics, pred, targets, sm)
+			pos += uint64(hi - lo)
+			lo = hi
+			if pos == k*p {
+				w := &lg.windows[k-1]
+				w.tags, w.br = tj.Cut(), cutBranches(pred, targets)
+				lg.windows[k].cur = rd.CursorAt(b, hi, eaI, strI)
+				k++
+			}
+		}
+	}
+	return lg
+}
+
+// cutBranches returns the counters and tags the two journals listed, as
+// they stand, and empties the journals.
+func cutBranches(pred *bimodal, targets *btb) []brEntry {
+	n := len(pred.jr.Touched) + len(targets.jr.Touched)
+	if n == 0 {
+		return nil
+	}
+	es := make([]brEntry, 0, n)
+	for _, i := range pred.jr.Touched {
+		es = append(es, brEntry{idx: uint32(i), val: int32(pred.ctr[i])})
+	}
+	for _, i := range targets.jr.Touched {
+		es = append(es, brEntry{idx: uint32(i) | btbEntry, val: targets.tag[i]})
+	}
+	pred.jr.Reset()
+	targets.jr.Reset()
+	return es
+}
+
+// apply writes window k's period delta into a block's predictor, BTB and
+// memory model.
+func (l *sweepLog) apply(k int, rs *runState, m mem.Snapshotter) {
+	w := &l.windows[k]
+	m.ApplyDelta(&w.tags)
+	for _, e := range w.br {
+		if e.idx&btbEntry != 0 {
+			rs.targets.tag[e.idx&^btbEntry] = e.val
+		} else {
+			rs.pred.ctr[e.idx] = uint8(e.val)
+		}
+	}
+}
+
+// cross takes a block from the end of a window's detailed spans (rs.idx)
+// to the start of the next window without walking the skip span: it
+// applies the period's delta and seeks rd to the next window's cursor. Like
+// warmSpan it reports the records it passed and whether a window may
+// follow; past the last logged window none does.
+func (l *sweepLog) cross(rs *runState, m mem.Snapshotter, rd *trace.Reader, period uint64) (uint64, bool) {
+	k := rs.idx / period
+	if k+1 >= uint64(len(l.windows)) {
+		return 0, false
+	}
+	l.apply(int(k), rs, m)
+	next := l.windows[k+1].cur
+	rd.Seek(next)
+	return next.Pos() - rs.idx, true
+}
+
+// runBlock runs up to every windows from window first on private state: a
+// fresh runState and a memory-model clone of the log's start, both rolled
+// forward through the log to the block's first window, and a trace cursor
+// opened there. The block's first window runs at base 0 (a pure
+// translation; see the file comment), and the crossing after its last
+// window is left out (the next block starts from the log).
+func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter, lg *sweepLog, first, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
+	m := sm.NewFromSnapshot(lg.start)
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)
-	rs.pred.restore(cp.PredCtr)
-	rs.targets.restore(cp.BTBTag)
-	rs.idx = cp.Idx
-	return wsim.runWindows(rs, tr.ReaderAtCursor(cp.Cur), statics, maxInsts, spec, every, nil, out)
+	for k, msn := 0, m.(mem.Snapshotter); k < first; k++ {
+		lg.apply(k, rs, msn)
+	}
+	rs.idx = uint64(first) * spec.Period
+	wsim := &Sim{Cfg: s.Cfg, Mem: m}
+	return wsim.runWindows(rs, tr.ReaderAtCursor(lg.windows[first].cur), statics, maxInsts, spec, every, lg, nil, out)
 }
 
-// ckptKey identifies a checkpoint library in a trace's ckptMemo: the
-// sweep's output is a deterministic function of the recording, the
-// sampling regime, the instruction budget, the block grain, the warming
-// behaviour of the memory model (Name captures mode and width) and the
-// predictor/BTB geometry. Parallelism is deliberately absent — checkpoints
-// are identical for every worker count at the same grain.
+// ckptKey identifies a sweep log in a trace's ckptMemo: the sweep's output
+// is a deterministic function of the recording, the period, the
+// instruction budget, the warming behaviour of the memory model (Name
+// captures mode and width) and the predictor/BTB geometry. The rest of the
+// spec and the block grain are deliberately absent — the sweep warms every
+// record whatever the warmup and interval, and one log serves every worker
+// count and every grouping of windows into blocks.
 type ckptKey struct {
-	period, warmup, interval, maxInsts uint64
-	every                              int
-	mem                                string
-	bimodal, btb                       int
+	period, maxInsts uint64
+	mem              string
+	bimodal, btb     int
 }
 
-// maxCkptLibraries bounds how many checkpoint libraries one trace keeps.
+// maxCkptLibraries bounds how many sweep logs one trace keeps.
 // Sample specs come from users, so a long-running server would otherwise
 // keep a library for every spec it was ever asked for; one Figure 7 run
 // puts at most 6 keys on a trace (3 MOM cache modes × 2 widths).
@@ -191,11 +285,11 @@ type ckptMemoKey struct{}
 
 // ckptMemo is one trace's checkpoint libraries, at most maxCkptLibraries
 // of them; inserting past the cap evicts the oldest insertion. A library is
-// a cached phase-1 result: the block checkpoints, shared read-only by every
-// phase-2 worker of every later run, so repeat experiments over the same
-// trace pay the functional-warming pass once — the sampled-simulation
-// analogue of capture-once / replay-many. Concurrent sampled runs over the
-// trace share the memo.
+// a cached phase-1 result: the sweep log, shared read-only by every phase-2
+// worker of every later run, so repeat experiments over the same trace pay
+// the functional-warming pass once — the sampled-simulation analogue of
+// capture-once / replay-many. Concurrent sampled runs over the trace share
+// the memo.
 type ckptMemo struct {
 	mu   sync.Mutex
 	libs []ckptEntry // oldest first
@@ -203,7 +297,7 @@ type ckptMemo struct {
 
 type ckptEntry struct {
 	key ckptKey
-	cps []Checkpoint
+	log *sweepLog
 }
 
 // ckptMemoFor returns the trace's checkpoint-library memo.
@@ -215,20 +309,20 @@ func ckptMemoFor(tr *trace.Trace) *ckptMemo {
 }
 
 // get returns the library stored under k and whether there is one.
-func (m *ckptMemo) get(k ckptKey) ([]Checkpoint, bool) {
+func (m *ckptMemo) get(k ckptKey) (*sweepLog, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.libs {
 		if e.key == k {
-			return e.cps, true
+			return e.log, true
 		}
 	}
 	return nil, false
 }
 
-// put stores cps under k unless a library is there already (a concurrent
+// put stores lg under k unless a library is there already (a concurrent
 // sweep of the same key got there first; both are identical).
-func (m *ckptMemo) put(k ckptKey, cps []Checkpoint) {
+func (m *ckptMemo) put(k ckptKey, lg *sweepLog) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.libs {
@@ -239,58 +333,50 @@ func (m *ckptMemo) put(k ckptKey, cps []Checkpoint) {
 	if len(m.libs) == maxCkptLibraries {
 		m.libs = append(m.libs[:0], m.libs[1:]...)
 	}
-	m.libs = append(m.libs, ckptEntry{key: k, cps: cps})
+	m.libs = append(m.libs, ckptEntry{key: k, log: lg})
 }
 
 // runSampledParallel is the two-phase pipeline behind RunSampled when
-// parallelOK holds: sweep checkpoints (or reuse the trace's cached
-// library), fan the blocks out over spec.Parallelism workers, and reduce
-// in block order. The result is bit-identical to the serial run's.
+// parallelOK holds: sweep the log (or reuse the trace's cached one), fan
+// blocks of windows out over spec.Parallelism workers, and reduce in block
+// order. The result is bit-identical to the serial run's.
 func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) (Result, error) {
 	statics := staticsForTrace(tr)
-
-	// Block grain: enough blocks to feed every worker several times over,
-	// as few checkpoints as that allows.
-	records := min(tr.Records(), maxInsts)
-	nWindows := (records + spec.Period - 1) / spec.Period
-	blocks := max(1, min(uint64(spec.Parallelism)*blockOversubscribe, nWindows))
-	// An empty run has no windows; every stays 1 so the sweep's stride is
-	// never zero.
-	every := max(1, int((nWindows+blocks-1)/blocks))
-
 	key := ckptKey{
-		period: spec.Period, warmup: spec.Warmup, interval: spec.Interval,
-		maxInsts: maxInsts, every: every, mem: s.Mem.Name(),
+		period: spec.Period, maxInsts: maxInsts, mem: s.Mem.Name(),
 		bimodal: s.Cfg.BimodalSize, btb: s.Cfg.BTBEntries,
 	}
 	memo := ckptMemoFor(tr)
-	cps, ok := memo.get(key)
+	lg, ok := memo.get(key)
 	if !ok {
-		cps = s.sweepCheckpoints(tr, statics, maxInsts, spec, sm, every)
-		memo.put(key, cps)
+		lg = s.sweep(tr, statics, maxInsts, spec, sm)
+		memo.put(key, lg)
 	}
 
-	runs := make([]windows, len(cps))
-	err := par.ForN(context.Background(), spec.Parallelism, len(cps), func(i int) error {
-		return s.runBlock(tr, statics, sm, &cps[i], every, maxInsts, spec, &runs[i])
+	// Block grain: enough blocks to feed every worker several times over,
+	// as few as that allows (each block rolls a clone forward to its start).
+	nw, blocks := len(lg.windows), spec.Parallelism*blockOversubscribe
+	every := max(1, (nw+blocks-1)/blocks)
+	runs := make([]windows, (nw+every-1)/every)
+	err := par.ForN(context.Background(), spec.Parallelism, len(runs), func(i int) error {
+		return s.runBlock(tr, statics, sm, lg, i*every, every, maxInsts, spec, &runs[i])
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return sampledResult(spec, runs, records), nil
+	return sampledResult(spec, runs, min(tr.Records(), maxInsts)), nil
 }
 
-// SweepStats summarises a phase-1 checkpoint sweep (momtrace -stats).
+// SweepStats summarises a phase-1 sweep (momtrace -stats).
 type SweepStats struct {
-	Checkpoints   int    // windows materialised
-	SnapshotBytes int64  // total checkpoint footprint
-	Insts         uint64 // trace records the sweep covered
+	Windows  int    // windows logged
+	LogBytes int64  // the log's footprint
+	Insts    uint64 // trace records the log covers
 }
 
-// SweepCheckpoints runs the phase-1 checkpoint sweep alone, at the finest
-// grain (one checkpoint per window), and reports its footprint — the
-// diagnostic behind momtrace -stats. It requires an enabled spec and a
-// snapshottable memory model.
+// SweepCheckpoints runs the phase-1 sweep alone and reports its log's
+// footprint — the diagnostic behind momtrace -stats. It requires an enabled
+// spec and a snapshottable memory model.
 func (s *Sim) SweepCheckpoints(tr *trace.Trace, maxInsts uint64, spec SampleSpec) (SweepStats, error) {
 	if err := spec.Validate(); err != nil {
 		return SweepStats{}, err
@@ -302,10 +388,6 @@ func (s *Sim) SweepCheckpoints(tr *trace.Trace, maxInsts uint64, spec SampleSpec
 	if !ok {
 		return SweepStats{}, fmt.Errorf("cpu: memory model %s cannot snapshot", s.Mem.Name())
 	}
-	cps := s.sweepCheckpoints(tr, staticsForTrace(tr), maxInsts, spec, sm, 1)
-	st := SweepStats{Checkpoints: len(cps), Insts: min(tr.Records(), maxInsts)}
-	for i := range cps {
-		st.SnapshotBytes += cps[i].Bytes()
-	}
-	return st, nil
+	lg := s.sweep(tr, staticsForTrace(tr), maxInsts, spec, sm)
+	return SweepStats{Windows: len(lg.windows), LogBytes: lg.bytes(), Insts: min(tr.Records(), maxInsts)}, nil
 }

@@ -54,14 +54,21 @@ func parTestModels(width int) []struct {
 // SkippedInsts — for every memory-model organisation. idct and motion1
 // run to the end of their traces, an empty trace must give the serial
 // run's zero result, and mpeg2decode (49 windows of parTestSpec on MOM at
-// test scale) is also cut short by maxInsts at every kind of point.
+// test scale) is also cut short by maxInsts at every kind of point. Under
+// a period of chunkRecords/8 every 8th window starts exactly on a chunk
+// end, where a block seeks to a cursor the sweep took at the end of a
+// batch: mpeg2decode/MOM runs 22 windows of it, two of them starting at
+// chunk ends, cut there, one record past the second and at the end. A
+// spec with parTestSpec's period but another warmup and interval reuses
+// that spec's sweep log.
 func TestParallelSampledBitIdentity(t *testing.T) {
 	const all = 50_000_000
 	sp := parTestSpec
 	p := sp.Period
-	// With 4 workers the parallel path carves min(16, windows) blocks: a
-	// 36-window run is 12 blocks of 3 windows, so 36·Period ends on a block
-	// boundary, while 37·Period ends on a window boundary inside a block.
+	// With 4 workers the parallel path carves blocks of ceil(windows/16)
+	// windows: a 36-window run is 12 blocks of 3 windows, so 36·Period ends
+	// on a block boundary, while 37·Period ends on a window boundary inside
+	// a block.
 	cuts := []uint64{
 		20*p + sp.Warmup/2,                 // inside a warmup
 		20*p + sp.Warmup + sp.Interval/2,   // inside a measured interval
@@ -78,20 +85,26 @@ func TestParallelSampledBitIdentity(t *testing.T) {
 		if mpeg.Records() <= 37*p {
 			t.Fatalf("mpeg2decode/%v has %d records, too few for the cut points", m.ext, mpeg.Records())
 		}
+		aligned := cpu.SampleSpec{Period: chunkRecords / 8, Warmup: sp.Warmup, Interval: sp.Interval}
 		inputs := []struct {
 			name     string
 			tr       *trace.Trace
+			spec     cpu.SampleSpec
 			maxInsts []uint64
 		}{
-			{"idct", captureKernel(t, "idct", m.ext), []uint64{all}},
-			{"motion1", captureKernel(t, "motion1", m.ext), []uint64{all}},
-			{"empty", empty, []uint64{all}},
-			{"mpeg2decode", mpeg, append(cuts, mpeg.Records(), mpeg.Records()+1, all)},
+			{"idct", captureKernel(t, "idct", m.ext), sp, []uint64{all}},
+			{"motion1", captureKernel(t, "motion1", m.ext), sp, []uint64{all}},
+			{"empty", empty, sp, []uint64{all}},
+			{"mpeg2decode", mpeg, sp, append(cuts, mpeg.Records(), mpeg.Records()+1, all)},
+			{"mpeg2decode/chunk-aligned", mpeg, aligned, []uint64{chunkRecords, 2 * chunkRecords, 2*chunkRecords + 1, all}},
+			// The sweep log depends on the period, not on warmup or
+			// interval: this run reuses the log of the parTestSpec runs.
+			{"mpeg2decode/shared-log", mpeg, cpu.SampleSpec{Period: sp.Period, Warmup: 200, Interval: 300}, []uint64{all}},
 		}
 		for _, in := range inputs {
 			for _, maxInsts := range in.maxInsts {
 				run := func(workers int) cpu.Result {
-					spec := sp
+					spec := in.spec
 					spec.Parallelism = workers
 					res, err := cpu.New(cpu.NewConfig(4, m.ext), m.mk()).RunSampled(in.tr.Reader(), maxInsts, spec)
 					if err != nil {
@@ -99,10 +112,14 @@ func TestParallelSampledBitIdentity(t *testing.T) {
 					}
 					return res
 				}
-				serial, par := run(1), run(4)
-				if !reflect.DeepEqual(serial, par) {
-					t.Errorf("%s/%s maxInsts %d: parallel sampled run differs from serial:\n%+v %+v\nvs\n%+v %+v",
-						in.name, m.name, maxInsts, par, *par.Sampled, serial, *serial.Sampled)
+				// On 4 workers most blocks are one window long; on 2 a block
+				// crosses between its windows through the log.
+				serial := run(1)
+				for _, workers := range []int{2, 4} {
+					if par := run(workers); !reflect.DeepEqual(serial, par) {
+						t.Errorf("%s/%s maxInsts %d on %d workers: parallel sampled run differs from serial:\n%+v %+v\nvs\n%+v %+v",
+							in.name, m.name, maxInsts, workers, par, *par.Sampled, serial, *serial.Sampled)
+					}
 				}
 				if want := min(in.tr.Records(), maxInsts); serial.Sampled.TotalInsts != want {
 					t.Errorf("%s/%s maxInsts %d: covered %d records, want %d",
@@ -176,8 +193,8 @@ func TestSampleSpecParallelismValidate(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpoints: the phase-1 sweep covers the whole stream and
-// reports a plausible footprint.
+// TestSweepCheckpoints: the phase-1 sweep covers the whole stream, logs
+// every window, and reports a plausible footprint.
 func TestSweepCheckpoints(t *testing.T) {
 	tr := captureKernel(t, "idct", isa.ExtMOM)
 	sim := cpu.New(cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mem.ModeMultiAddress}))
@@ -188,12 +205,11 @@ func TestSweepCheckpoints(t *testing.T) {
 	if st.Insts != tr.Records() {
 		t.Errorf("sweep covered %d insts, trace has %d", st.Insts, tr.Records())
 	}
-	want := int(tr.Records()/parTestSpec.Period) + 1
-	if st.Checkpoints < want/2 || st.Checkpoints > want+1 {
-		t.Errorf("unexpected checkpoint count %d for %d records (period %d)",
-			st.Checkpoints, tr.Records(), parTestSpec.Period)
+	p := parTestSpec.Period
+	if want := int((tr.Records() + p - 1) / p); st.Windows != want {
+		t.Errorf("sweep logged %d windows for %d records (period %d), want %d", st.Windows, tr.Records(), p, want)
 	}
-	if st.SnapshotBytes <= 0 {
-		t.Errorf("non-positive snapshot footprint %d", st.SnapshotBytes)
+	if st.LogBytes <= 0 {
+		t.Errorf("non-positive log footprint %d", st.LogBytes)
 	}
 }

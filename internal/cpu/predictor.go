@@ -1,10 +1,13 @@
 package cpu
 
+import "repro/internal/mem"
+
 // bimodal is a classic 2-bit saturating-counter branch direction predictor
 // indexed by static instruction index.
 type bimodal struct {
 	ctr  []uint8
 	mask uint32
+	jr   *mem.Journal // non-nil while the sweep journals moved counters (warmRecords)
 }
 
 func newBimodal(size int) *bimodal {
@@ -18,29 +21,23 @@ func newBimodal(size int) *bimodal {
 	return b
 }
 
-// snapshot returns a copy of the counter table (checkpoint capture).
-func (b *bimodal) snapshot() []uint8 {
-	return append([]uint8(nil), b.ctr...)
-}
-
-// restore overwrites the counter table from a snapshot of the same size.
-func (b *bimodal) restore(ctr []uint8) {
-	copy(b.ctr, ctr)
-}
-
 func (b *bimodal) predict(si int) bool {
 	return b.ctr[uint32(si)&b.mask] >= 2
 }
 
-func (b *bimodal) update(si int, taken bool) {
+// update trains the counter and reports whether it moved.
+func (b *bimodal) update(si int, taken bool) bool {
 	c := &b.ctr[uint32(si)&b.mask]
 	if taken {
 		if *c < 3 {
 			*c++
+			return true
 		}
 	} else if *c > 0 {
 		*c--
+		return true
 	}
+	return false
 }
 
 // btb is a direct-mapped branch target buffer keyed by static instruction
@@ -49,6 +46,7 @@ func (b *bimodal) update(si int, taken bool) {
 type btb struct {
 	tag  []int32
 	mask uint32
+	jr   *mem.Journal // non-nil while the sweep journals changed tags (warmRecords)
 }
 
 func newBTB(entries int) *btb {
@@ -62,20 +60,14 @@ func newBTB(entries int) *btb {
 	return t
 }
 
-// snapshot returns a copy of the tag array (checkpoint capture).
-func (t *btb) snapshot() []int32 {
-	return append([]int32(nil), t.tag...)
-}
-
-// restore overwrites the tag array from a snapshot of the same size.
-func (t *btb) restore(tag []int32) {
-	copy(t.tag, tag)
-}
-
 func (t *btb) hit(si int) bool {
 	return t.tag[uint32(si)&t.mask] == int32(si)
 }
 
-func (t *btb) insert(si int) {
-	t.tag[uint32(si)&t.mask] = int32(si)
+// insert makes si the entry's tag and reports whether the tag changed.
+func (t *btb) insert(si int) bool {
+	e := &t.tag[uint32(si)&t.mask]
+	changed := *e != int32(si)
+	*e = int32(si)
+	return changed
 }

@@ -32,10 +32,11 @@ type SampleSpec struct {
 	Interval uint64
 
 	// Parallelism is the number of workers that run blocks of windows
-	// concurrently, each from a checkpoint of the long-lived state (see
-	// runSampledParallel). 0 and 1 both mean serial. The knob never changes
-	// results: serial runs and parallel blocks share one window loop, the
-	// parallel result is bit-identical to the serial one, and RunSampled
+	// concurrently, each from the long-lived state a single warming sweep
+	// logged at every window start (see runSampledParallel). 0 and 1 both
+	// mean serial. The knob never changes results: serial runs and
+	// parallel blocks share one window loop, the parallel result is
+	// bit-identical to the serial one, and RunSampled
 	// silently runs serially whenever the preconditions (recorded trace at
 	// position zero, snapshottable memory model, no observer, a long enough
 	// skip span) do not hold.
@@ -114,59 +115,67 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 }
 
 // warmSpan fast-forwards up to n records through functional warming,
-// walking NextBatch columns with statics the way runSpan does: branches
-// train the predictor and BTB exactly as the detailed path would, memory
-// references touch the model's tag arrays through w (nil: no touches), and
-// everything else is skipped. It reports how many records were consumed and
-// whether that was all n of them (false means the stream ended).
+// walking whole NextBatch column batches (warmRecords). It reports how many
+// records were consumed and whether that was all n of them (false means
+// the stream ended).
 func warmSpan(src trace.Source, statics []staticInst, rs *runState, w mem.Warmer, n uint64) (consumed uint64, more bool) {
-	pred, targets := rs.pred, rs.targets
 	for consumed < n {
 		b := src.NextBatch(n - consumed)
 		if len(b.SI) == 0 {
 			return consumed, false
 		}
 		consumed += uint64(len(b.SI))
-		metas := b.Meta[:len(b.SI)]
-		eaI, strI := 0, 0
-		for k, si32 := range b.SI {
-			st := &statics[si32]
-			switch st.mem {
-			case memNone:
-				if st.class != isa.ClassBranch {
-					continue
-				}
-				taken := metas[k]&trace.MetaTaken != 0
-				if !st.isBR {
-					pred.update(int(si32), taken)
-				}
-				if taken {
-					targets.insert(int(si32))
-				}
-			case memScalar:
-				if w != nil {
-					if st.class == isa.ClassStore {
-						w.WarmStore(b.EA[eaI], int(st.size))
-					} else {
-						w.WarmLoad(b.EA[eaI], int(st.size))
-					}
-				}
-				eaI++
-			case memVector:
-				if w != nil {
-					nelem := int(metas[k] &^ trace.MetaTaken)
-					if st.class == isa.ClassMomStore {
-						w.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
-					} else {
-						w.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
-					}
-				}
-				eaI++
-				strI++
-			}
-		}
+		warmRecords(b, 0, len(b.SI), 0, 0, statics, rs.pred, rs.targets, w)
 	}
 	return consumed, true
+}
+
+// warmRecords is functional warming's per-record walk over records
+// [lo, hi) of batch b, with statics the way runSpan reads: branches train
+// the predictor and BTB exactly as the detailed path would (and, while the
+// sweep journals them, list the counters and tags that changed), memory
+// references touch the model's tag arrays through w (nil: no touches), and
+// everything else is skipped. eaI and strI index b's address and stride
+// columns at record lo; it returns them at record hi.
+func warmRecords(b trace.Batch, lo, hi, eaI, strI int, statics []staticInst, pred *bimodal, targets *btb, w mem.Warmer) (int, int) {
+	metas := b.Meta[lo:hi]
+	for k, si32 := range b.SI[lo:hi] {
+		st := &statics[si32]
+		switch st.mem {
+		case memNone:
+			if st.class != isa.ClassBranch {
+				continue
+			}
+			taken := metas[k]&trace.MetaTaken != 0
+			if !st.isBR && pred.update(int(si32), taken) && pred.jr != nil {
+				pred.jr.Touch(int(uint32(si32) & pred.mask))
+			}
+			if taken && targets.insert(int(si32)) && targets.jr != nil {
+				targets.jr.Touch(int(uint32(si32) & targets.mask))
+			}
+		case memScalar:
+			if w != nil {
+				if st.class == isa.ClassStore {
+					w.WarmStore(b.EA[eaI], int(st.size))
+				} else {
+					w.WarmLoad(b.EA[eaI], int(st.size))
+				}
+			}
+			eaI++
+		case memVector:
+			if w != nil {
+				nelem := int(metas[k] &^ trace.MetaTaken)
+				if st.class == isa.ClassMomStore {
+					w.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
+				} else {
+					w.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
+				}
+			}
+			eaI++
+			strI++
+		}
+	}
+	return eaI, strI
 }
 
 // addDelta accumulates the counter-wise difference cur-snap into dst
@@ -225,12 +234,16 @@ type windows struct {
 // runWindows is the sampling-window loop. From rs's position in src, each
 // window re-anchors the transient pipeline at a cycle base, simulates a
 // detailed warmup (unobserved, counters discarded) and a detailed measured
-// interval (under observer), then fast-forwards the rest of the period
-// through functional warming; the next window's base lies past the skipped
-// span. It stops at the end of the stream, at maxInsts, or after the n-th
-// window (n <= 0: no limit), whose fast-forward it leaves out. The first
-// window runs at base 0. At the end out.mem takes the memory model's stats.
-func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, maxInsts uint64, spec SampleSpec, n int, observer obs.Observer, out *windows) error {
+// interval (under observer), then crosses the rest of the period: with no
+// sweep log it fast-forwards through functional warming, and with one (a
+// parallel block, whose src is a trace.Reader and whose memory model a
+// mem.Snapshotter) it applies the period's logged delta and seeks to the
+// next window (sweepLog.cross). The next window's base lies past the
+// crossed span. It stops at the end of the stream, at maxInsts, or after
+// the n-th window (n <= 0: no limit), whose crossing it leaves out. The
+// first window runs at base 0. At the end out.mem takes the memory model's
+// stats.
+func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, maxInsts uint64, spec SampleSpec, n int, lg *sweepLog, observer obs.Observer, out *windows) error {
 	warmer, _ := s.Mem.(mem.Warmer)
 	skip := spec.Period - spec.Warmup - spec.Interval
 	var scratch Result // raw detailed-span counters, warmup + measured
@@ -274,7 +287,11 @@ func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, m
 		}
 
 		var skipped uint64
-		skipped, more = warmSpan(src, statics, rs, warmer, min(skip, maxInsts-rs.idx))
+		if lg != nil {
+			skipped, more = lg.cross(rs, s.Mem.(mem.Snapshotter), src.(*trace.Reader), spec.Period)
+		} else {
+			skipped, more = warmSpan(src, statics, rs, warmer, min(skip, maxInsts-rs.idx))
+		}
 		rs.idx += skipped
 		// Re-anchor the next window past the skipped span at ~1 CPI, far
 		// enough ahead that the memory model's busy-until cursors from this
@@ -332,7 +349,7 @@ func (s *Sim) RunSampled(src trace.Source, maxInsts uint64, spec SampleSpec) (Re
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)
 	var w windows
-	if err := s.runWindows(rs, src, staticsFor(src), maxInsts, spec, 0, s.Obs, &w); err != nil {
+	if err := s.runWindows(rs, src, staticsFor(src), maxInsts, spec, 0, nil, s.Obs, &w); err != nil {
 		return Result{}, err
 	}
 	return sampledResult(spec, []windows{w}, rs.idx), src.Err()

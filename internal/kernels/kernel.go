@@ -103,15 +103,6 @@ func readBytes(m *emu.Machine, addr uint64, n int) []byte {
 	return out
 }
 
-func readI32s(m *emu.Machine, addr uint64, n int) []int32 {
-	out := make([]int32, n)
-	b := m.Mem.Bytes(addr, 4*n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
 // mismatch formats a first-difference error.
 func mismatch(what string, i int, got, want interface{}) error {
 	return fmt.Errorf("%s: index %d: got %v, want %v", what, i, got, want)

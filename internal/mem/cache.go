@@ -4,11 +4,13 @@ package mem
 type cacheArr struct {
 	sets, ways int
 	lineBits   uint
+	setBits    uint // log2(sets): a line's set is its low setBits bits
 	tags       []uint64
 	valid      []bool
 	dirty      []bool
 	lastUse    []int64
 	tick       int64
+	jr         *Journal // non-nil while a TagJournal records changed slots
 }
 
 func newCacheArr(sizeBytes, lineBytes, ways int) *cacheArr {
@@ -20,9 +22,13 @@ func newCacheArr(sizeBytes, lineBytes, ways int) *cacheArr {
 	if sets < 1 || sets&(sets-1) != 0 {
 		panic("mem: cache sets must be a positive power of two")
 	}
+	setBits := uint(0)
+	for 1<<setBits < sets {
+		setBits++
+	}
 	n := sets * ways
 	return &cacheArr{
-		sets: sets, ways: ways, lineBits: lineBits,
+		sets: sets, ways: ways, lineBits: lineBits, setBits: setBits,
 		tags:    make([]uint64, n),
 		valid:   make([]bool, n),
 		dirty:   make([]bool, n),
@@ -34,7 +40,7 @@ func (c *cacheArr) line(addr uint64) uint64 { return addr >> c.lineBits }
 
 func (c *cacheArr) index(addr uint64) (set int, tag uint64) {
 	l := c.line(addr)
-	return int(l % uint64(c.sets)), l / uint64(c.sets)
+	return int(l & uint64(c.sets-1)), l >> c.setBits
 }
 
 // lookup probes the array; on hit it refreshes LRU and returns the way.
@@ -47,6 +53,9 @@ func (c *cacheArr) lookup(addr uint64, markDirty bool) bool {
 			c.lastUse[base+w] = c.tick
 			if markDirty {
 				c.dirty[base+w] = true
+			}
+			if c.jr != nil {
+				c.jr.Touch(base + w)
 			}
 			return true
 		}
@@ -80,6 +89,9 @@ func (c *cacheArr) fill(addr uint64, dirty bool) (evicted uint64, wasDirty, wasV
 	c.valid[victim] = true
 	c.dirty[victim] = dirty
 	c.lastUse[victim] = c.tick
+	if c.jr != nil {
+		c.jr.Touch(victim)
+	}
 	return
 }
 
@@ -94,6 +106,9 @@ func (c *cacheArr) invalidate(addr uint64) bool {
 			c.valid[base+w] = false
 			c.dirty[base+w] = false
 			dropped = true
+			if c.jr != nil {
+				c.jr.Touch(base + w)
+			}
 		}
 	}
 	return dropped

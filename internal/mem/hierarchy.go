@@ -92,8 +92,6 @@ type level2 struct {
 	mem      *dram
 }
 
-func newLevel2() *level2 { return newLevel2WithMSHRs(8) }
-
 func newLevel2WithMSHRs(mshrs int) *level2 {
 	return &level2{
 		arr:  newCacheArr(1<<20, 128, 2),

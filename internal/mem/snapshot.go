@@ -3,11 +3,13 @@ package mem
 // Checkpoint support for parallel sampled simulation. A worker replaying a
 // detailed window needs a private memory-model instance whose tag arrays
 // look exactly as functional warming left them at the window's period
-// boundary. Only the long-lived state is captured: tags, valid/dirty bits,
-// LRU order and the LRU tick. Timing resources (ports, banks, MSHRs, write
-// buffer, DRAM cursors) are deliberately NOT captured — each window
-// re-anchors its cycle base on fresh resource state, exactly as the serial
-// sampled loop leaves drained cursors behind after a long skip span.
+// boundary: a snapshot seeds a clone, and the deltas a TagJournal cuts at
+// every period boundary roll it forward from one window to the next. Only
+// the long-lived state is captured: tags, valid/dirty bits, LRU stamps and
+// the LRU tick. Timing resources (ports, banks, MSHRs, write buffer, DRAM
+// cursors) are deliberately NOT captured — each window re-anchors its
+// cycle base on fresh resource state, exactly as the serial sampled loop
+// leaves drained cursors behind after a long skip span.
 
 // CacheSnap is a sparse snapshot of one tag array: only the valid lines are
 // recorded (slot index, tag, dirty bit, LRU stamp) plus the global LRU
@@ -17,6 +19,7 @@ package mem
 // exactly while keeping checkpoints proportional to the working set, not
 // the cache capacity.
 type CacheSnap struct {
+	Ways    int     // associativity: slot i belongs to set i/Ways
 	Idx     []int32 // slot index (set*ways+way) of each valid line
 	Tags    []uint64
 	Dirty   []bool
@@ -26,8 +29,7 @@ type CacheSnap struct {
 
 // snapshot captures the array's valid lines.
 func (c *cacheArr) snapshot() CacheSnap {
-	var s CacheSnap
-	s.Tick = c.tick
+	s := CacheSnap{Ways: c.ways, Tick: c.tick}
 	for i, v := range c.valid {
 		if !v {
 			continue
@@ -72,6 +74,131 @@ func (t *TagSnapshot) Bytes() int64 {
 	return t.L1.bytes() + t.L2.bytes()
 }
 
+// Journal lists the slots of one table that changed since it was last
+// reset, each slot once, in the order of its first change. The tag arrays
+// keep one while a TagJournal records; any other table of long-lived state
+// can keep one the same way.
+type Journal struct {
+	listed  []bool  // per slot: already in Touched
+	Touched []int32 // changed slots, first change first
+}
+
+// NewJournal returns an empty journal over a table of n slots.
+func NewJournal(n int) *Journal { return &Journal{listed: make([]bool, n)} }
+
+// Touch records a change of slot i.
+func (j *Journal) Touch(i int) {
+	if !j.listed[i] {
+		j.listed[i] = true
+		j.Touched = append(j.Touched, int32(i))
+	}
+}
+
+// Reset empties the journal, keeping its storage.
+func (j *Journal) Reset() {
+	for _, i := range j.Touched {
+		j.listed[i] = false
+	}
+	j.Touched = j.Touched[:0]
+}
+
+// slotEntry is one tag-array slot as a period left it. meta packs, from
+// the low bit, the slot index (slotBits, room for 128 times the L2's 8192
+// slots), the valid and dirty bits, the array (0: L1, 1: L2) and the
+// distance of the slot's LRU stamp below its array's tick at the cut. A
+// valid slot the period touched was stamped during the period, so the
+// distance is below the period's tick count, which the 41 bits left bound
+// at about 2·10^12 touches; an invalid slot's stamp is never compared, so
+// it is left at the tick.
+type slotEntry struct {
+	tag  uint64
+	meta uint64
+}
+
+const (
+	slotBits   = 20
+	validBit   = 1 << slotBits
+	dirtyBit   = validBit << 1
+	arrayShift = slotBits + 2
+	distShift  = arrayShift + 1
+)
+
+// TagDelta is what one period changed in a model's tag arrays: the final
+// tag, valid and dirty bits and LRU stamp of every slot the period touched,
+// and each array's LRU tick at its end. Applied to a model whose arrays
+// held the journaled model's state at the period's start — or that state
+// followed by any accesses to slots the period touched — it leaves the
+// arrays exactly as the period did, stamps and ticks included.
+type TagDelta struct {
+	slots []slotEntry
+	tick  [2]int64
+}
+
+// Bytes returns the approximate in-memory size of the delta: its slot
+// entries, their slice header and the two ticks.
+func (d *TagDelta) Bytes() int64 { return 16*int64(len(d.slots)) + 40 }
+
+// apply writes the delta into the arrays it was journaled from.
+func (d *TagDelta) apply(arrs [2]*cacheArr) {
+	for _, e := range d.slots {
+		a := e.meta >> arrayShift & 1
+		c, i := arrs[a], e.meta&(validBit-1)
+		c.tags[i] = e.tag
+		c.valid[i] = e.meta&validBit != 0
+		c.dirty[i] = e.meta&dirtyBit != 0
+		c.lastUse[i] = d.tick[a] - int64(e.meta>>distShift)
+	}
+	for a, c := range arrs {
+		c.tick = d.tick[a]
+	}
+}
+
+// TagJournal records, period by period, which slots of a model's tag
+// arrays change (see Snapshotter.StartJournal). Between Cut calls the
+// model is used as usual; a slot is journaled at most once per period.
+type TagJournal struct {
+	arrs [2]*cacheArr // nil for a model without tag arrays
+}
+
+// Cut closes the current period: it returns the period's TagDelta and
+// starts the next period empty. The delta is allocated at its exact size.
+func (j *TagJournal) Cut() TagDelta {
+	n := 0
+	for _, c := range j.arrs {
+		if c != nil {
+			n += len(c.jr.Touched)
+		}
+	}
+	d := TagDelta{slots: make([]slotEntry, 0, n)}
+	for a, c := range j.arrs {
+		if c == nil {
+			continue
+		}
+		d.tick[a] = c.tick
+		for _, i := range c.jr.Touched {
+			meta := uint64(i) | uint64(a)<<arrayShift
+			if c.valid[i] {
+				meta |= validBit | uint64(c.tick-c.lastUse[i])<<distShift
+			}
+			if c.dirty[i] {
+				meta |= dirtyBit
+			}
+			d.slots = append(d.slots, slotEntry{tag: c.tags[i], meta: meta})
+		}
+		c.jr.Reset()
+	}
+	return d
+}
+
+// Stop ends journaling; the model runs as if it had never journaled.
+func (j *TagJournal) Stop() {
+	for _, c := range j.arrs {
+		if c != nil {
+			c.jr = nil
+		}
+	}
+}
+
 // Snapshotter is implemented by memory models whose long-lived state can be
 // captured at a checkpoint and cloned into fresh, independent instances —
 // the contract the parallel sampled path needs to hand each interval worker
@@ -86,12 +213,30 @@ type Snapshotter interface {
 	// configuration and the snapshot's tag state, sharing no mutable state
 	// with the receiver or any other clone.
 	NewFromSnapshot(snap *TagSnapshot) Model
+	// StartJournal starts recording which tag slots the model's accesses
+	// change, period by period, until the journal's Stop.
+	StartJournal() *TagJournal
+	// ApplyDelta writes a period's delta, journaled on a model of the same
+	// configuration, into the receiver's tag arrays.
+	ApplyDelta(d *TagDelta)
 }
 
 // SnapshotTags implements Snapshotter: both cache levels' tag arrays.
 func (h *Hierarchy) SnapshotTags() *TagSnapshot {
 	return &TagSnapshot{L1: h.l1.snapshot(), L2: h.l2.arr.snapshot()}
 }
+
+// StartJournal implements Snapshotter over both cache levels' tag arrays.
+func (h *Hierarchy) StartJournal() *TagJournal {
+	j := &TagJournal{arrs: [2]*cacheArr{h.l1, h.l2.arr}}
+	for _, c := range j.arrs {
+		c.jr = NewJournal(len(c.tags))
+	}
+	return j
+}
+
+// ApplyDelta implements Snapshotter.
+func (h *Hierarchy) ApplyDelta(d *TagDelta) { d.apply([2]*cacheArr{h.l1, h.l2.arr}) }
 
 // NewFromSnapshot implements Snapshotter for all four hierarchy modes: a
 // fresh hierarchy of the same configuration (zeroed timing resources and
@@ -112,3 +257,9 @@ func (p *Perfect) SnapshotTags() *TagSnapshot { return nil }
 func (p *Perfect) NewFromSnapshot(snap *TagSnapshot) Model {
 	return &Perfect{Latency: p.Latency}
 }
+
+// StartJournal implements Snapshotter: every period's delta is empty.
+func (p *Perfect) StartJournal() *TagJournal { return &TagJournal{} }
+
+// ApplyDelta implements Snapshotter.
+func (p *Perfect) ApplyDelta(d *TagDelta) {}

@@ -6,6 +6,7 @@ package mem
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -141,5 +142,79 @@ func TestSnapshotBytes(t *testing.T) {
 	var nilSnap *TagSnapshot
 	if nilSnap.Bytes() != 0 {
 		t.Error("nil snapshot must report zero bytes")
+	}
+}
+
+// sameSnap is reflect.DeepEqual for cache snapshots, without reflection.
+func sameSnap(a, b CacheSnap) bool {
+	return a.Ways == b.Ways && a.Tick == b.Tick && slices.Equal(a.Idx, b.Idx) &&
+		slices.Equal(a.Tags, b.Tags) && slices.Equal(a.Dirty, b.Dirty) && slices.Equal(a.LastUse, b.LastUse)
+}
+
+// TestTagDeltaReplay: deltas journaled over one model and applied to a
+// clone reproduce that model's SnapshotTags exactly — lines, dirty bits,
+// LRU stamps and ticks — at every cut, in all four modes (the vector-cache
+// and collapsing stores take the invalidate path). Before each cut the
+// clone replays a prefix of the period's touches itself, as a parallel
+// block simulates a window before it applies the period's delta. Every
+// delta lists a slot at most once, and Stop leaves no journal behind.
+func TestTagDeltaReplay(t *testing.T) {
+	for _, mode := range []VectorMode{ModeConventional, ModeMultiAddress, ModeVectorCache, ModeCollapsing} {
+		src := NewHierarchy(HierConfig{Width: 4, Mode: mode})
+		warmChurn(src, 5)
+		clone := src.NewFromSnapshot(src.SnapshotTags()).(*Hierarchy)
+		j := src.StartJournal()
+		state := uint64(99)
+		touches := func(w Warmer, seed uint64, n int) {
+			rng := seed
+			for i := 0; i < n; i++ {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				addr := (rng >> 20) % (4 << 20) // 4 MB: conflicts in both levels
+				switch rng % 6 {
+				case 0:
+					w.WarmLoad(addr, 8)
+				case 1:
+					w.WarmLoad(addr|30, 8) // line-crossing
+				case 2:
+					w.WarmStore(addr, 4)
+				case 3:
+					w.WarmLoadVector(addr, int64(rng>>8%512)-128, int(rng>>16%16)+1)
+				default:
+					w.WarmStoreVector(addr, int64(rng>>8%512)-128, int(rng>>16%16)+1)
+				}
+			}
+		}
+		for period := 0; period < 60; period++ {
+			state = state*2862933555777941757 + 3037000493
+			n := int(state>>40%400) + 1
+			if period%10 == 9 {
+				n = 0 // a period without touches
+			}
+			touches(src, state, n)
+			touches(clone, state, n/3)
+			d := j.Cut()
+			seen := make(map[uint64]bool)
+			for _, e := range d.slots {
+				key := e.meta & (1<<distShift - 1) &^ (validBit | dirtyBit)
+				if seen[key] {
+					t.Fatalf("%v period %d: slot %#x listed twice", mode, period, key)
+				}
+				seen[key] = true
+			}
+			if n == 0 && len(d.slots) != 0 {
+				t.Errorf("%v period %d: %d slots journaled without a touch", mode, period, len(d.slots))
+			}
+			clone.ApplyDelta(&d)
+			if want, got := src.SnapshotTags(), clone.SnapshotTags(); !sameSnap(got.L1, want.L1) || !sameSnap(got.L2, want.L2) {
+				t.Fatalf("%v period %d: the clone's tags differ from the journaled model's after the delta", mode, period)
+			}
+		}
+		j.Stop()
+		if src.l1.jr != nil || src.l2.arr.jr != nil {
+			t.Errorf("%v: Stop left a journal on the tag arrays", mode)
+		}
+	}
+	if d := NewPerfect(1).StartJournal().Cut(); len(d.slots) != 0 {
+		t.Errorf("Perfect journaled %d slots", len(d.slots))
 	}
 }

@@ -227,16 +227,17 @@ type submitBody struct {
 }
 
 // clampTimeout resolves a requested timeout_ms against the configured
-// default and ceiling.
+// default and ceiling. It compares in milliseconds before converting, so
+// a request too large for a time.Duration clamps instead of wrapping.
 func (s *Server) clampTimeout(ms int64) time.Duration {
 	timeout := s.cfg.DefaultTimeout
 	if ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
+		if ms < s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
-	return timeout
+	return min(timeout, s.cfg.MaxTimeout)
 }
 
 // Admission failures the HTTP layer maps to status codes.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -342,6 +343,40 @@ func TestDeadlineExpires(t *testing.T) {
 	if !strings.Contains(got.Error, "deadline") {
 		t.Fatalf("expired job error %q, want a deadline reason", got.Error)
 	}
+}
+
+// TestHugeTimeoutClamps: a timeout_ms too large for a time.Duration clamps
+// to MaxTimeout instead of wrapping to a deadline in the past, so the job
+// runs under the ceiling rather than being cancelled at once.
+func TestHugeTimeoutClamps(t *testing.T) {
+	release := make(chan struct{})
+	started := make(chan context.Context, 1)
+	block := stubRunner(release)
+	srv := New(Config{Workers: 1, QueueCap: 4, Runner: func(ctx context.Context, req mom.JobRequest) ([]byte, error) {
+		started <- ctx
+		return block(ctx, req)
+	}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	defer close(release) // LIFO: unblock the stub before draining
+
+	if got := srv.clampTimeout(math.MaxInt64); got != srv.cfg.MaxTimeout {
+		t.Fatalf("clampTimeout(MaxInt64) = %v, want MaxTimeout %v", got, srv.cfg.MaxTimeout)
+	}
+	before := time.Now()
+	d, resp := post(t, ts, `{"exp":"fig5","timeout_ms":9223372036854775807}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	ctx := <-started
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("the job's context ended at once: %v", err)
+	}
+	if dl, ok := ctx.Deadline(); !ok || dl.Before(before.Add(srv.cfg.MaxTimeout)) {
+		t.Fatalf("job deadline %v (set %v), want MaxTimeout (%v) from submission", dl, ok, srv.cfg.MaxTimeout)
+	}
+	waitState(t, ts, d.ID, StateRunning)
 }
 
 // TestGracefulShutdownDrains: Shutdown refuses new work but finishes

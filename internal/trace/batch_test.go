@@ -209,6 +209,43 @@ func TestCursorAtChunkEnd(t *testing.T) {
 	sameRecs(t, "after NextBatch", nextRecs(tr.ReaderAtCursor(r.Cursor())), want)
 }
 
+// TestCursorAtSeek: a cursor marked inside the last batch — partial or
+// running to its chunk's end, at its first record, inside it and past its
+// last — reopens exactly there, through ReaderAtCursor and through Seek on
+// a reader that has already read further.
+func TestCursorAtSeek(t *testing.T) {
+	tr, _ := batchTestTrace(t)
+	want := nextRecs(tr.Reader())
+	for _, c := range []struct{ start, max uint64 }{{5, 1000}, {chunkRecords, chunkRecords}} {
+		r := tr.ReaderAt(c.start)
+		b := r.NextBatch(c.max)
+		for _, k := range []int{0, 1, 777, len(b.SI) - 1, len(b.SI)} {
+			ea, strides := 0, 0
+			for _, si := range b.SI[:k] {
+				if m := tr.static[si].mem; m != memNone {
+					ea++
+					if m == memVector {
+						strides++
+					}
+				}
+			}
+			cur := r.CursorAt(b, k, ea, strides)
+			pos := c.start + uint64(k)
+			if cur.Pos() != pos {
+				t.Fatalf("start %d max %d k %d: cursor at %d, want %d", c.start, c.max, k, cur.Pos(), pos)
+			}
+			sameRecs(t, "ReaderAtCursor at CursorAt", nextRecs(tr.ReaderAtCursor(cur)), want[pos:])
+			back := tr.Reader()
+			back.Skip(tr.Records())
+			back.Seek(cur)
+			if back.Pos() != pos {
+				t.Fatalf("start %d max %d k %d: Pos %d after Seek, want %d", c.start, c.max, k, back.Pos(), pos)
+			}
+			sameRecs(t, "Seek back to CursorAt", nextRecs(back), want[pos:])
+		}
+	}
+}
+
 // TestLiveNextBatchMatchesNext: the live emulator's batches, at most 256
 // records each, concatenate to its Next stream.
 func TestLiveNextBatchMatchesNext(t *testing.T) {

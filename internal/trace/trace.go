@@ -353,8 +353,9 @@ func (t *Trace) ReaderAt(pos uint64) *Reader {
 // Cursor is an O(1) resume point for a position a Reader has already
 // reached: unlike ReaderAt, which must walk the chunk prefix to realign
 // the sparse ea/stride columns, a cursor carries the column offsets
-// directly. Capture it with Reader.Cursor at the position of interest and
-// reopen any number of independent readers there with ReaderAtCursor.
+// directly. Capture it with Reader.Cursor (or Reader.CursorAt, inside the
+// last batch) at the position of interest, and reopen any number of
+// independent readers there with ReaderAtCursor, or move one with Seek.
 type Cursor struct {
 	pos       uint64
 	eaI, strI int
@@ -366,19 +367,40 @@ func (c Cursor) Pos() uint64 { return c.pos }
 // Cursor captures the reader's current position for ReaderAtCursor.
 func (r *Reader) Cursor() Cursor { return Cursor{pos: r.pos, eaI: r.eaI, strI: r.strI} }
 
+// CursorAt returns the cursor at record k of b, the batch the reader's
+// last NextBatch call returned (0 <= k <= len(b.SI)), where ea and strides
+// count b's memory and vector-memory records before record k. A consumer
+// that walks a whole batch can so mark positions inside it without asking
+// for shorter batches.
+func (r *Reader) CursorAt(b Batch, k, ea, strides int) Cursor {
+	return Cursor{
+		pos:  r.pos - uint64(len(b.SI)-k),
+		eaI:  r.eaI - (len(b.EA) - ea),
+		strI: r.strI - (len(b.Stride) - strides),
+	}
+}
+
 // ReaderAtCursor opens a new reader at a previously captured cursor in
 // O(1). The cursor must have been captured from a reader over the same
 // trace.
 func (t *Trace) ReaderAtCursor(c Cursor) *Reader {
-	r := &Reader{t: t, pos: c.pos, eaI: c.eaI, strI: c.strI}
+	r := &Reader{t: t}
+	r.Seek(c)
+	return r
+}
+
+// Seek moves the reader to a cursor captured from a reader over the same
+// trace, forward or back, in O(1). Pos then reads the cursor's position;
+// Skipped does not change.
+func (r *Reader) Seek(c Cursor) {
+	r.pos, r.eaI, r.strI = c.pos, c.eaI, c.strI
 	r.ci = int(c.pos / chunkRecords)
 	r.ri = int(c.pos % chunkRecords)
 	if r.ri == 0 {
 		// A cursor captured at the end of a full chunk carries that chunk's
-		// column ends; the new reader starts the next chunk.
+		// column ends; the reader starts the next chunk.
 		r.eaI, r.strI = 0, 0
 	}
-	return r
 }
 
 // Reader replays a recorded trace as a Source.
