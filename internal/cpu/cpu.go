@@ -132,6 +132,20 @@ func (s *wideSlots) grow(c int64) {
 	s.used, s.mask = wide, n-1
 }
 
+// tryTake takes a slot in cycle c if c lies inside the window and its cell
+// is not full, and reports whether it did. It is take's first probe, small
+// enough to inline, so the common request makes no call: take itself runs
+// only to clamp, search or grow.
+func (s *wideSlots) tryTake(c int64) bool {
+	if uint64(c-s.base) < uint64(len(s.used)) {
+		if p := &s.used[c&s.mask]; *p < s.width {
+			*p++
+			return true
+		}
+	}
+	return false
+}
+
 func (s *wideSlots) take(earliest int64) int64 {
 	c := earliest
 	if c < s.base {
@@ -186,7 +200,9 @@ func leastBusy(units []int64) *int64 {
 
 // issue reserves unit u for occ cycles for an instruction whose operands
 // are ready at ready. The instruction waits for the unit to free (t0),
-// then for an issue slot (c), and executes from c.
+// then for an issue slot (c), and executes from c. runSpan's compute arm
+// spells these steps out with tryTake in front of take, so that its common
+// case makes no call (issue with the probe would be too large to inline).
 func issue(slots *wideSlots, u *int64, ready, occ int64) (c, t0 int64) {
 	t0 = max(ready, *u)
 	c = slots.take(t0)
@@ -215,6 +231,9 @@ type storeWindow struct {
 	lo, hi []uint64 // address ranges [lo,hi)
 	ready  []int64  // cycle store data is ready (forwarding source)
 	head   int
+	// maxReady bounds every ready entry from above: add raises it and
+	// reset clears it, and an evicted entry leaves it where it was.
+	maxReady int64
 }
 
 func newStoreWindow(n int) *storeWindow {
@@ -226,6 +245,22 @@ func (w *storeWindow) add(lo, hi uint64, ready int64) {
 	if w.head++; w.head == len(w.lo) {
 		w.head = 0
 	}
+	w.maxReady = max(w.maxReady, ready)
+}
+
+// loadDone returns the cycle a load of [lo,hi) has its data when the
+// memory model delivers it at memDone: one past the latest overlapping
+// store's data-ready cycle if that is later. Only a store ready at or after
+// memDone can delay the load, and none is while maxReady < memDone, so most
+// loads skip the scan; the answer is the scan's either way.
+func (w *storeWindow) loadDone(lo, hi uint64, memDone int64) int64 {
+	if w.maxReady < memDone {
+		return memDone
+	}
+	if fwd := w.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
+		return fwd + 1
+	}
+	return memDone
 }
 
 // conflictReady returns the latest data-ready time among stores overlapping
@@ -285,6 +320,19 @@ const (
 	memVector // one EA and one Stride entry
 )
 
+// Functional-unit families a compute instruction issues to, indexing
+// runSpan's fams: a family's whole slice for simple operations, its complex
+// tail for complex ones (see leastBusy).
+const (
+	famInt = iota
+	famIntComplex
+	famFP
+	famFPComplex
+	famMed
+	famMedComplex
+	numFams
+)
+
 // staticInst caches the per-static-instruction facts the timing loop needs,
 // hoisting the Op.Info() map lookups and DepsOf normalisation out of the
 // per-dynamic-instruction path. With the batch's own columns it is all the
@@ -294,6 +342,8 @@ type staticInst struct {
 	class   isa.Class
 	mem     uint8 // memNone, memScalar or memVector
 	size    uint8 // element size in bytes, memory instructions only
+	fam     uint8 // unit family of a compute instruction; famInt is the zero value
+	matrix  bool  // MOM matrix operation: VL words on one multimedia unit
 	isBR    bool  // unconditional branch (always predicted taken)
 	dstKey  int32 // regKey of the destination, -1 if none
 	dstKind isa.RegKind
@@ -315,6 +365,20 @@ func buildStatics(p *isa.Program) []staticInst {
 			st.mem, st.size = memScalar, uint8(in.Op.ElemSize())
 		case isa.ClassMomLoad, isa.ClassMomStore:
 			st.mem, st.size = memVector, uint8(in.Op.ElemSize())
+		case isa.ClassIntComplex:
+			st.fam = famIntComplex
+		case isa.ClassFPSimple:
+			st.fam = famFP
+		case isa.ClassFPComplex:
+			st.fam = famFPComplex
+		case isa.ClassMedSimple:
+			st.fam = famMed
+		case isa.ClassMedComplex:
+			st.fam = famMedComplex
+		case isa.ClassMomSimple:
+			st.fam, st.matrix = famMed, true
+		case isa.ClassMomComplex:
+			st.fam, st.matrix = famMedComplex, true
 		}
 		st.isBR = in.Op == isa.BR
 		st.dstKey = -1
@@ -451,6 +515,7 @@ func (w *storeWindow) reset() {
 	clear(w.hi)
 	clear(w.ready)
 	w.head = 0
+	w.maxReady = 0
 }
 
 // ensure makes the state match cfg's structure sizes and resets everything
@@ -544,10 +609,12 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	memModel := s.Mem
 
 	pred, targets := rs.pred, rs.targets
-	intUnits, fpUnits, medUnits, ports := rs.intUnits, rs.fpUnits, rs.medUnits, rs.ports
-	intComplex := intUnits[cfg.IntSimple:]
-	fpComplex := fpUnits[cfg.FPSimple:]
-	medComplex := medUnits[cfg.MedSimple:]
+	ports := rs.ports
+	fams := [numFams][]int64{
+		famInt: rs.intUnits, famIntComplex: rs.intUnits[cfg.IntSimple:],
+		famFP: rs.fpUnits, famFPComplex: rs.fpUnits[cfg.FPSimple:],
+		famMed: rs.medUnits, famMedComplex: rs.medUnits[cfg.MedSimple:],
+	}
 	dispatchSlots, commitSlots := &rs.dispatchSlots, &rs.commitSlots
 	issueSlots := rs.issueSlots
 	robRing, lsqRing := rs.robRing, rs.lsqRing
@@ -566,9 +633,12 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	vecRate := cfg.MemPorts * cfg.MemPortLanes
 	allPorts := memModel.VectorReservesAllPorts()
 
-	// Observer scratch, hoisted out of the loop: memBefore only holds a
-	// meaningful snapshot within one iteration, guarded by observer != nil.
+	// Observer scratch, hoisted out of the loop: memBefore and profBefore
+	// only hold meaningful snapshots within one iteration, guarded by
+	// observer != nil.
 	var memBefore mem.Stats
+	var profBefore obs.Profile
+	byClass0 := res.ByClass
 
 	more = true
 loop:
@@ -626,10 +696,8 @@ loop:
 					earliest = c + 1
 				}
 			}
-			var rr *renameRing // the destination's bounded rename ring, if any
-			if st.dstKey >= 0 {
+			if st.dstKey >= 0 { // a bounded rename ring must have a free register
 				if r := &rename[st.dstKind]; r.commits != nil {
-					rr = r
 					if c := r.commits[r.head]; c+1 > earliest {
 						earliest = c + 1
 					}
@@ -654,78 +722,52 @@ loop:
 			// access that takes every port, and memWait the wait for load
 			// data. A single-unit reservation executes from its issue cycle.
 			var complete, issueAt, t0, allPortsWait, memWait int64
-			if observer != nil && isMem {
-				memBefore = memModel.Stats()
+			if observer != nil {
+				profBefore = *prof
+				if isMem {
+					memBefore = memModel.Stats()
+				}
 			}
-			lat := st.lat
 			switch st.class {
 			case isa.ClassNop:
 				complete = ready
 				issueAt, t0 = ready, ready
 
-			case isa.ClassIntSimple, isa.ClassBranch, isa.ClassCtl:
-				issueAt, t0 = issue(issueSlots, leastBusy(intUnits), ready, 1)
-				complete = issueAt + lat
-
-			case isa.ClassIntComplex:
-				issueAt, t0 = issue(issueSlots, leastBusy(intComplex), ready, 1)
-				complete = issueAt + lat
-
-			case isa.ClassFPSimple:
-				issueAt, t0 = issue(issueSlots, leastBusy(fpUnits), ready, 1)
-				complete = issueAt + lat
-
-			case isa.ClassFPComplex:
-				issueAt, t0 = issue(issueSlots, leastBusy(fpComplex), ready, 1)
-				complete = issueAt + lat
-
-			case isa.ClassMedSimple:
-				issueAt, t0 = issue(issueSlots, leastBusy(medUnits), ready, 1)
-				complete = issueAt + lat
-				res.WordOps++
-
-			case isa.ClassMedComplex:
-				issueAt, t0 = issue(issueSlots, leastBusy(medComplex), ready, 1)
-				complete = issueAt + lat
-				res.WordOps++
-
-			case isa.ClassMomSimple, isa.ClassMomComplex:
-				// A matrix operation executes VL word-operations on one
-				// multimedia unit at MedLanes words per cycle; the result is
-				// architecturally complete when the last word drains.
-				occ := occupancy(vl, cfg.MedLanes)
-				units := medUnits
-				if st.class == isa.ClassMomComplex {
-					units = medComplex
+			case isa.ClassIntSimple, isa.ClassIntComplex, isa.ClassFPSimple, isa.ClassFPComplex,
+				isa.ClassMedSimple, isa.ClassMedComplex, isa.ClassBranch, isa.ClassCtl,
+				isa.ClassMomSimple, isa.ClassMomComplex:
+				// One unit of the family, issued as issue does, for one
+				// cycle or, for a matrix operation, for its VL word-operations
+				// at MedLanes words per cycle: the result is architecturally
+				// complete when the last word drains. take runs only when the
+				// probed cell is full or outside the issue window.
+				occ := int64(1)
+				if st.matrix {
+					occ = occupancy(vl, cfg.MedLanes)
+					res.WordOps += uint64(vl)
 				}
-				issueAt, t0 = issue(issueSlots, leastBusy(units), ready, occ)
-				complete = issueAt + occ - 1 + lat
-				res.WordOps += uint64(vl)
+				u := leastBusy(fams[st.fam])
+				t0 = max(ready, *u)
+				if issueAt = t0; !issueSlots.tryTake(t0) {
+					issueAt = issueSlots.take(t0)
+				}
+				*u = issueAt + occ
+				complete = issueAt + occ - 1 + st.lat
 
 			case isa.ClassLoad:
-				res.Loads++
 				occ := int64(1)
 				if unaligned(ea, size) {
 					occ = 2 // the port splits it into two aligned accesses
 				}
 				issueAt, t0 = issue(issueSlots, leastBusy(ports), ready, occ)
 				agDone := issueAt + occ
-				memDone := memModel.Load(agDone, ea, size)
-				if fwd := stores.conflictReady(ea, ea+uint64(size)); fwd > 0 {
-					if fwd+1 > memDone {
-						memDone = fwd + 1
-					}
-				}
-				complete = memDone
+				complete = stores.loadDone(ea, ea+uint64(size), memModel.Load(agDone, ea, size))
 				memWait = complete - agDone
-				res.WordOps++
 
 			case isa.ClassStore:
-				res.Stores++
 				issueAt, t0 = issue(issueSlots, leastBusy(ports), ready, 1)
 				complete = max(issueAt+1, ready)
 				stores.add(ea, ea+uint64(size), complete)
-				res.WordOps++
 
 			case isa.ClassMomLoad, isa.ClassMomStore:
 				occ := occupancy(vl, vecRate)
@@ -739,17 +781,11 @@ loop:
 				}
 				lo, hi := vecRange(ea, stride, vl, size)
 				if st.class == isa.ClassMomLoad {
-					res.Loads++
-					memDone := memModel.LoadVector(start+1, ea, stride, vl, vecRate)
-					if fwd := stores.conflictReady(lo, hi); fwd > 0 && fwd+1 > memDone {
-						memDone = fwd + 1
-					}
-					complete = memDone
+					complete = stores.loadDone(lo, hi, memModel.LoadVector(start+1, ea, stride, vl, vecRate))
 					if memWait = complete - (start + occ); memWait < 0 {
 						memWait = 0
 					}
 				} else {
-					res.Stores++
 					complete = max(start+occ, ready)
 					stores.add(lo, hi, complete)
 				}
@@ -780,49 +816,36 @@ loop:
 			// store-accept push and preCommit stalled on the write buffer, and
 			// the rest is charged to the stage this instruction waited on
 			// longest (ties go to the earlier pipeline stage in list order).
-			var evCommitted, evExecGap, evStoreGap int64
-			evBucket := obs.BucketDepLatency
 			if adv := commit - profFrontier; adv > 0 {
 				prof.Commit++
-				evCommitted = 1
 				execGap := preCommit - profFrontier - 1
 				if execGap < 0 {
 					execGap = 0
 				}
 				if storeGap := adv - 1 - execGap; storeGap > 0 {
 					prof.StoreCommit += storeGap
-					evStoreGap = storeGap
 				}
 				if execGap > 0 {
 					cause, best := &prof.DepLatency, ready-(dispatch+1)
-					bucket := obs.BucketDepLatency
 					if frontWait > best {
 						cause, best = &prof.Frontend, frontWait
-						bucket = obs.BucketFrontend
 						if f == redirectCycle {
 							cause = &prof.Mispredict
-							bucket = obs.BucketMispredict
 						}
 					}
 					if structWait > best {
 						cause, best = &prof.RenameROB, structWait
-						bucket = obs.BucketRenameROB
 					}
 					if issWait := issueAt - t0; issWait > best {
 						cause, best = &prof.IssueQueue, issWait
-						bucket = obs.BucketIssueQueue
 					}
 					if fuWait := t0 - ready + allPortsWait; fuWait > best {
 						cause, best = &prof.FU, fuWait
-						bucket = obs.BucketFU
 					}
 					if memWait > best {
 						cause = &prof.MemWait
-						bucket = obs.BucketMemWait
 					}
 					*cause += execGap
-					evBucket = bucket
-					evExecGap = execGap
 				}
 			}
 			profFrontier = commit
@@ -839,23 +862,21 @@ loop:
 			}
 			if st.dstKey >= 0 {
 				lastWriter[st.dstKey] = complete
-			}
-			if rr != nil {
-				rr.commits[rr.head] = commit
-				if rr.head++; rr.head == len(rr.commits) {
-					rr.head = 0
+				if r := &rename[st.dstKind]; r.commits != nil {
+					r.commits[r.head] = commit
+					if r.head++; r.head == len(r.commits) {
+						r.head = 0
+					}
 				}
 			}
 
 			if observer != nil {
-				emitEvent(observer, memModel, &memBefore, &rs.ev, idx, si, vl, taken, st, isMem,
-					f, dispatch, issueAt, complete, commit,
-					evCommitted, evBucket, evExecGap, evStoreGap)
+				emitEvent(observer, memModel, &memBefore, &profBefore, prof, &rs.ev, idx, si, vl, taken, st, isMem,
+					f, dispatch, issueAt, complete, commit)
 			}
 
 			// ---- branch resolution and fetch redirect ----
 			if st.class == isa.ClassBranch {
-				res.Branches++
 				predTaken := st.isBR || pred.predict(si)
 				btbHit := targets.hit(si)
 				if !st.isBR {
@@ -893,7 +914,23 @@ loop:
 	rs.fetchUsed = fetchUsed
 	rs.idx = idx
 	rs.profFrontier, rs.redirectCycle = profFrontier, redirectCycle
+	res.countByClass(&byClass0)
 	return more, err
+}
+
+// countByClass adds the counters that follow from the class counts a span
+// graduated (ByClass now, less before): loads, stores, branches, and one
+// word operation per scalar media, load or store instruction. The loop
+// itself adds only the VL words of matrix instructions.
+func (r *Result) countByClass(before *[16]uint64) {
+	var n [16]uint64
+	for i := range n {
+		n[i] = r.ByClass[i] - before[i]
+	}
+	r.Loads += n[isa.ClassLoad] + n[isa.ClassMomLoad]
+	r.Stores += n[isa.ClassStore] + n[isa.ClassMomStore]
+	r.Branches += n[isa.ClassBranch]
+	r.WordOps += n[isa.ClassMedSimple] + n[isa.ClassMedComplex] + n[isa.ClassLoad] + n[isa.ClassStore]
 }
 
 // emitEvent assembles and publishes one instruction's observability event.
@@ -901,21 +938,38 @@ loop:
 // event assembly out of Run's loop body keeps the nil-observer fast path's
 // code layout untouched.
 //
+// The event's attribution fields are the change the instruction made to
+// the run's profile (prof against profBefore): its commit cycle, any
+// write-buffer stall, and any exec gap, which the loop charges to exactly
+// one cause bucket. Reading them back here keeps their bookkeeping out of
+// the loop.
+//
 // The event struct is written through a caller-owned scratch pointer (the
 // obs contract lets the core reuse backing storage), so the observed path
 // allocates nothing per instruction either.
 //
 //go:noinline
 func emitEvent(observer obs.Observer, memModel mem.Model, memBefore *mem.Stats,
+	profBefore, prof *obs.Profile,
 	ev *obs.Event, idx uint64, si, vl int, taken bool, st *staticInst, isMem bool,
-	f, dispatch, issueAt, complete, commit int64,
-	evCommitted int64, evBucket obs.Bucket, evExecGap, evStoreGap int64) {
+	f, dispatch, issueAt, complete, commit int64) {
+	d := *prof
+	d.Sub(*profBefore)
 	*ev = obs.Event{
 		Seq: idx, PC: si, Class: st.class, VL: vl, Taken: taken,
 		Fetch: f, Dispatch: dispatch, Issue: issueAt,
 		Complete: complete, Commit: commit,
-		Committed: evCommitted, Bucket: evBucket,
-		ExecGap: evExecGap, StoreGap: evStoreGap,
+		Committed: d.Commit, Bucket: obs.BucketDepLatency, StoreGap: d.StoreCommit,
+	}
+	causes := [obs.NumBuckets]int64{
+		obs.BucketFrontend: d.Frontend, obs.BucketMispredict: d.Mispredict,
+		obs.BucketRenameROB: d.RenameROB, obs.BucketIssueQueue: d.IssueQueue,
+		obs.BucketFU: d.FU, obs.BucketMemWait: d.MemWait, obs.BucketDepLatency: d.DepLatency,
+	}
+	for b, gap := range causes {
+		if gap > 0 {
+			ev.Bucket, ev.ExecGap = obs.Bucket(b), gap
+		}
 	}
 	if isMem {
 		ev.Mem = mem.Diff(*memBefore, memModel.Stats())

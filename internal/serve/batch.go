@@ -23,6 +23,20 @@ const maxBatchItems = 1024
 // leaves room for the spacing and indentation of pretty-printed bodies.
 const maxBodyBytes = 512 << 10
 
+// Peer response bodies are read up to a bound, so a peer that never ends
+// its body costs the reader at most that many bytes; a longer body is a
+// peer error (readPeerBody). maxPeerDocBytes covers a result document or
+// a job document: the largest result, a hotspots document, measures
+// 2,376,582 bytes at test scale and 2,381,022 at bench scale, so 8 MiB
+// leaves 3.5x headroom. maxPeerTraceBytes covers a trace artifact: the
+// largest, mpeg2encode/Alpha at bench scale, encodes in about 38.3 MB
+// (Trace.Bytes 38,310,474 plus a header of a few hundred bytes), so 64 MiB
+// leaves 1.75x headroom.
+const (
+	maxPeerDocBytes   = 8 << 20
+	maxPeerTraceBytes = 64 << 20
+)
+
 // Per-item error strings of refused admissions. They are part of the
 // batch endpoint's contract: clients (the sweep engine's batch client)
 // match on them to decide between retrying an item (queue full) and

@@ -165,7 +165,7 @@ func (s *Server) peerStoreGet(peer, key string, tc traceCtx) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	val, err := io.ReadAll(resp.Body)
+	val, err := readPeerBody(resp.Body, maxPeerDocBytes)
 	if err != nil {
 		s.metrics.peerErrors.Inc()
 		s.logPeerError("store-fetch", peer, key, tc.trace, time.Since(t0), err)
@@ -254,7 +254,21 @@ func (s *Server) proxyRun(ctx context.Context, fl *flight, peer string, req mom.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("peer %s: result status %d", peer, resp.StatusCode)
 	}
-	return io.ReadAll(resp.Body)
+	out, err := readPeerBody(resp.Body, maxPeerDocBytes)
+	if err != nil {
+		return nil, fmt.Errorf("peer %s: result: %w", peer, err)
+	}
+	return out, nil
+}
+
+// readPeerBody reads a peer's response body to its end, failing once the
+// body passes limit bytes.
+func readPeerBody(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		return nil, fmt.Errorf("response body exceeds %d bytes", limit)
+	}
+	return b, err
 }
 
 // peerJSON performs one JSON request/response round trip with a peer,
@@ -279,7 +293,7 @@ func (s *Server) peerJSON(ctx context.Context, method, url string, payload []byt
 		return 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readPeerBody(resp.Body, maxPeerDocBytes)
 	if err != nil {
 		return resp.StatusCode, err
 	}

@@ -352,3 +352,70 @@ func TestPeerFillOnMissByteIdentical(t *testing.T) {
 		t.Fatalf("peer fills counter %g, want 1", v)
 	}
 }
+
+// TestPeerEndlessBody: a peer whose response bodies never end is cut off
+// at the read bound on every peer read, and each cut-off counts as a peer
+// error with the usual fallback. The trace fetcher gives up, so its caller
+// recaptures; the store fill gives up, so the submission becomes a proxy
+// flight; and the proxy's submit and result reads give up, so its job
+// fails naming the peer, as for an unreachable owner.
+func TestPeerEndlessBody(t *testing.T) {
+	var submitDone atomic.Bool // false: POST /v1/jobs answers an endless body too
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && submitDone.Load() {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"j1","state":"done","result_url":"/v1/jobs/j1/result"}`)
+			return
+		}
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := w.Write(buf); err != nil {
+				return // the reader hung up
+			}
+		}
+	}))
+	defer stub.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://" + ln.Addr().String()
+	ps, err := NewPeerSet(self, []string{self, stub.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls int32
+	srv := New(Config{Workers: 1, QueueCap: 4, Peers: ps, Runner: countingRunner(&calls, nil)})
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Listener.Close()
+	hs.Listener = ln
+	hs.Start()
+	defer hs.Close()
+	defer srv.Shutdown(context.Background())
+
+	_, _, akey := traceOwnedBy(t, ps, stub.URL)
+	if _, ok := srv.fetchPeerTrace(akey); ok {
+		t.Fatal("trace fetch from an endless body reported an artifact")
+	}
+
+	body, _ := requestOwnedBy(t, ps, stub.URL)
+	for _, done := range []bool{false, true} {
+		submitDone.Store(done)
+		d, resp := post(t, hs, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: status %d, want 202 (proxied)", resp.StatusCode)
+		}
+		got := waitState(t, hs, d.ID, StateFailed)
+		if !strings.Contains(got.Error, stub.URL) || !strings.Contains(got.Error, "exceeds") {
+			t.Fatalf("proxy (submit answered done: %v) failed with %q, want the peer and the bound named", done, got.Error)
+		}
+	}
+	// One trace fetch, then a store fetch and a proxy round trip per job.
+	if v := metricValue(t, hs, "momserved_peer_errors_total"); v != 5 {
+		t.Fatalf("peer errors counter %g, want 5", v)
+	}
+	if n := atomic.LoadInt32(&calls); n != 0 {
+		t.Fatalf("local runner ran %d times for keys the peer owns", n)
+	}
+}

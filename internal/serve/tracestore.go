@@ -112,7 +112,7 @@ func (s *Server) fetchPeerTrace(key string) (io.ReadCloser, bool) {
 		settle(StateFailed)
 		return nil, false
 	}
-	blob, err := io.ReadAll(resp.Body)
+	blob, err := readPeerBody(resp.Body, maxPeerTraceBytes)
 	if err != nil {
 		s.metrics.peerErrors.Inc()
 		s.logPeerError("trace-fetch", owner, key, tc.trace, time.Since(t0), err)
