@@ -147,14 +147,13 @@ func benchReplay(b *testing.B, name string, hc mem.HierConfig, calls []memCall) 
 		elems += calls[i].elems()
 	}
 	b.Run(name, func(b *testing.B) {
-		var ns int64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			h := mem.NewHierarchy(hc)
 			b.StartTimer()
 			replayCalls(h, calls)
 		}
-		ns = b.Elapsed().Nanoseconds()
+		ns := b.Elapsed().Nanoseconds()
 		b.ReportMetric(float64(ns)/float64(b.N*len(calls)), "ns/call")
 		b.ReportMetric(float64(ns)/float64(b.N*elems), "ns/elem")
 	})
