@@ -18,16 +18,20 @@ package cpu
 // and tag of every predictor entry and BTB entry it changed. The log does
 // not depend on how windows are grouped into blocks.
 //
-// Phase 2 fans blocks of consecutive windows out across par.ForN workers.
-// Each worker seeds a private runState and a private memory-model clone
-// from the log's start, rolls them forward through the deltas to the
-// block's first window, opens its own trace cursor there
-// (Trace.ReaderAtCursor), and runs runWindows over the block for up to
-// every windows. Between two windows a block does not warm the skip span:
-// it applies the period's delta and seeks its reader to the next window's
-// cursor, so no block re-warms what the sweep warmed. The ordered reduce
-// (sampledResult, the serial path's final step too) then folds the blocks
-// in stream order, so the result is bit-identical to the serial run:
+// Phase 2 splits the windows into blocks of consecutive windows and runs
+// them on spec.Parallelism workers, each taking the next block index from
+// one counter, so every worker meets its blocks in stream order. A worker
+// seeds one private runState and one private memory-model clone from the
+// log's start and keeps them for the whole run: for each block it rolls
+// them forward through the deltas from where its previous block ended to
+// the block's first window, zeroes the clone's timing resources and
+// statistics, opens its own trace cursor there (Trace.ReaderAtCursor), and
+// runs runWindows over the block for up to every windows. Between two
+// windows a block does not warm the skip span: it applies the period's
+// delta and seeks its reader to the next window's cursor, so no block
+// re-warms what the sweep warmed. The ordered reduce (sampledResult, the
+// serial path's final step too) then folds the blocks in stream order, so
+// the result is bit-identical to the serial run:
 //
 //   - At every window start a block's long-lived state is the sweep's,
 //     stamps included. The serial run's state there has the same lines,
@@ -41,8 +45,11 @@ package cpu
 //   - A window's detailed accesses touch only slots its period's warming
 //     touched too, so the period's delta overwrites every one of them with
 //     the sweep's contents, stamps and tick: a block never mixes its own
-//     stamps with the sweep's. The predictor and BTB train identically on
-//     both paths, so their delta does the same.
+//     stamps with the sweep's. The direct-mapped L1 keeps no stamps, and a
+//     hit there changes nothing on either path. The predictor and BTB train
+//     identically on both paths, so their delta does the same. This is
+//     also what lets a worker carry its state from one block's last window
+//     to a later block's first.
 //   - A block's cycle arithmetic is translation-invariant: the window loop
 //     re-anchors each window at a base past which every busy-until cursor
 //     has drained, so replaying the block with its first window at base 0
@@ -64,6 +71,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/par"
@@ -84,8 +92,10 @@ const minParallelSkip = 1024
 
 // blockOversubscribe is how many blocks the parallel path carves per
 // worker. Windows are near-uniform in cost, so a small factor is enough to
-// smooth the tail while keeping the block count — and with it the clones
-// and their roll-forward through the log — low.
+// smooth the tail. The grain costs little else: whatever it is, a worker
+// rolls its one clone forward through the log up to its last block, and a
+// block adds only a restart of the clone's timing resources and a trace
+// cursor.
 const blockOversubscribe = 4
 
 // recordedSpec is the spec as recorded in Sampled: the parallelism knob is
@@ -160,7 +170,9 @@ func (l *sweepLog) bytes() int64 {
 // its last window (within maxInsts), warming each record once and logging
 // every window. It reads whole chunk batches and cuts windows inside them;
 // the memory model and the two branch tables journal what they change, a
-// slot, counter or tag at most once per period. The sweep warms sm itself.
+// slot, counter or tag at most once per period. sm snapshots and journals
+// s.Mem, which the sweep warms (RunSampled passes s.Mem itself); warm
+// touches go straight to a *mem.Hierarchy, the one model with tag arrays.
 func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) *sweepLog {
 	p := spec.Period
 	nw := (min(tr.Records(), maxInsts) + p - 1) / p
@@ -172,7 +184,9 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 	pred.jr, targets.jr = mem.NewJournal(len(pred.ctr)), mem.NewJournal(len(targets.tag))
 	tj := sm.StartJournal()
 	defer tj.Stop()
+	h, _ := s.Mem.(*mem.Hierarchy)
 	rd := tr.Reader()
+	warm := warmTableFor(rd, statics)
 	lg.windows[0].cur = rd.Cursor()
 	last := (nw - 1) * p
 	for pos, k := uint64(0), uint64(1); pos < last; {
@@ -180,7 +194,7 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 		lo, eaI, strI := 0, 0, 0
 		for lo < len(b.SI) {
 			hi := lo + int(min(uint64(len(b.SI)-lo), k*p-pos))
-			eaI, strI = warmRecords(b, lo, hi, eaI, strI, statics, pred, targets, sm)
+			eaI, strI = warmRecords(b, lo, hi, eaI, strI, warm, pred, targets, h)
 			pos += uint64(hi - lo)
 			lo = hi
 			if pos == k*p {
@@ -243,22 +257,34 @@ func (l *sweepLog) cross(rs *runState, m mem.Snapshotter, rd *trace.Reader, peri
 	return next.Pos() - rs.idx, true
 }
 
-// runBlock runs up to every windows from window first on private state: a
-// fresh runState and a memory-model clone of the log's start, both rolled
-// forward through the log to the block's first window, and a trace cursor
-// opened there. The block's first window runs at base 0 (a pure
-// translation; see the file comment), and the crossing after its last
-// window is left out (the next block starts from the log).
-func (s *Sim) runBlock(tr *trace.Trace, statics []staticInst, sm mem.Snapshotter, lg *sweepLog, first, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
-	m := sm.NewFromSnapshot(lg.start)
-	rs := acquireState(&s.Cfg)
-	defer releaseState(rs)
-	for k, msn := 0, m.(mem.Snapshotter); k < first; k++ {
-		lg.apply(k, rs, msn)
+// blockWorker is one phase-2 worker's private state, kept for the whole
+// run: a memory-model clone of the log's start, a runState, and the window
+// whose period they are in. Between two windows they hold the sweep's state
+// at that window's start, followed by at most the window's own detailed
+// accesses, so the period's delta takes them to the next window exactly,
+// as it does when a block crosses a skip span.
+type blockWorker struct {
+	sim *Sim
+	m   mem.Snapshotter
+	rs  *runState
+	at  int
+}
+
+// run runs up to every windows from window first, which no earlier block of
+// this worker reached: it rolls the state forward through the log to the
+// block's first window, zeroes the clone's timing resources and statistics,
+// and opens a trace cursor there. The block's first window runs at base 0
+// (a pure translation; see the file comment), and the crossing after its
+// last window is left out.
+func (w *blockWorker) run(tr *trace.Trace, statics []staticInst, lg *sweepLog, first, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
+	for ; w.at < first; w.at++ {
+		lg.apply(w.at, w.rs, w.m)
 	}
-	rs.idx = uint64(first) * spec.Period
-	wsim := &Sim{Cfg: s.Cfg, Mem: m}
-	return wsim.runWindows(rs, tr.ReaderAtCursor(lg.windows[first].cur), statics, maxInsts, spec, every, lg, nil, out)
+	w.m.ResetTiming()
+	w.rs.idx = uint64(first) * spec.Period
+	err := w.sim.runWindows(w.rs, tr.ReaderAtCursor(lg.windows[first].cur), statics, maxInsts, spec, every, lg, nil, out)
+	w.at = int(w.rs.idx / spec.Period)
+	return err
 }
 
 // ckptKey identifies a sweep log in a trace's ckptMemo: the sweep's output
@@ -353,13 +379,23 @@ func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSp
 		memo.put(key, lg)
 	}
 
-	// Block grain: enough blocks to feed every worker several times over,
-	// as few as that allows (each block rolls a clone forward to its start).
+	// Each worker takes block indices from one counter, so the blocks reach
+	// it in stream order and its state only ever rolls forward.
 	nw, blocks := len(lg.windows), spec.Parallelism*blockOversubscribe
 	every := max(1, (nw+blocks-1)/blocks)
 	runs := make([]windows, (nw+every-1)/every)
-	err := par.ForN(context.Background(), spec.Parallelism, len(runs), func(i int) error {
-		return s.runBlock(tr, statics, sm, lg, i*every, every, maxInsts, spec, &runs[i])
+	workers := min(spec.Parallelism, len(runs))
+	var next atomic.Int64
+	err := par.ForN(context.Background(), workers, workers, func(int) error {
+		m := sm.NewFromSnapshot(lg.start)
+		w := &blockWorker{sim: &Sim{Cfg: s.Cfg, Mem: m}, m: m.(mem.Snapshotter), rs: acquireState(&s.Cfg)}
+		defer releaseState(w.rs)
+		for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
+			if err := w.run(tr, statics, lg, i*every, every, maxInsts, spec, &runs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return Result{}, err

@@ -130,24 +130,34 @@ func TestParallelSampledBitIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerCountInvariance: any worker count yields the identical
-// result (the reduce is ordered, not arrival-ordered).
+// TestParallelWorkerCountInvariance: any worker count yields the serial
+// result (the reduce is ordered, not arrival-ordered). mpeg2encode/MOM cut
+// at 96 windows of parTestSpec splits into 4 blocks per worker on 2, 3 and
+// 8 workers (8, 12 and 32 blocks) and 3 per worker on 16, so each worker
+// keeps its state across several blocks and rolls it forward past blocks
+// other workers ran.
 func TestParallelWorkerCountInvariance(t *testing.T) {
-	tr := captureKernel(t, "idct", isa.ExtMOM)
-	run := func(workers int) cpu.Result {
-		spec := parTestSpec
-		spec.Parallelism = workers
-		sim := cpu.New(cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mem.ModeMultiAddress}))
-		res, err := sim.RunSampled(tr.Reader(), 50_000_000, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	tr := captureApp(t, "mpeg2encode", isa.ExtMOM)
+	maxInsts := 96 * parTestSpec.Period
+	if tr.Records() < maxInsts {
+		t.Fatalf("mpeg2encode/MOM has %d records, fewer than 96 windows", tr.Records())
 	}
-	want := run(2)
-	for _, workers := range []int{3, 7, 16} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("worker count %d changed the result:\n%+v\nvs\n%+v", workers, got, want)
+	for _, mode := range []mem.VectorMode{mem.ModeMultiAddress, mem.ModeCollapsing} {
+		run := func(workers int) cpu.Result {
+			spec := parTestSpec
+			spec.Parallelism = workers
+			sim := cpu.New(cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mode}))
+			res, err := sim.RunSampled(tr.Reader(), maxInsts, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want := run(1)
+		for _, workers := range []int{2, 3, 8, 16} {
+			if got := run(workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v on %d workers differs from the serial run:\n%+v\nvs\n%+v", mode, workers, got, want)
+			}
 		}
 	}
 }

@@ -6,9 +6,9 @@ package cpu
 // whose measurements are discarded, then a measured interval), and the tail
 // is fast-forwarded through a functional-warming path that updates only
 // long-lived microarchitectural state — branch predictor, BTB and cache tag
-// arrays (mem.Warmer) — at trace-replay speed. The per-interval IPCs give
-// both the estimate and its standard error via the usual interval-variance
-// formula.
+// arrays (the hierarchy's warm touches, mem.Warmer) — at trace-replay
+// speed. The per-interval IPCs give both the estimate and its standard
+// error via the usual interval-variance formula.
 
 import (
 	"errors"
@@ -118,57 +118,114 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 // walking whole NextBatch column batches (warmRecords). It reports how many
 // records were consumed and whether that was all n of them (false means
 // the stream ended).
-func warmSpan(src trace.Source, statics []staticInst, rs *runState, w mem.Warmer, n uint64) (consumed uint64, more bool) {
+func warmSpan(src trace.Source, warm []warmInst, rs *runState, h *mem.Hierarchy, n uint64) (consumed uint64, more bool) {
 	for consumed < n {
 		b := src.NextBatch(n - consumed)
 		if len(b.SI) == 0 {
 			return consumed, false
 		}
 		consumed += uint64(len(b.SI))
-		warmRecords(b, 0, len(b.SI), 0, 0, statics, rs.pred, rs.targets, w)
+		warmRecords(b, 0, len(b.SI), 0, 0, warm, rs.pred, rs.targets, h)
 	}
 	return consumed, true
 }
 
+// What functional warming does with a static instruction (warmInst.op).
+const (
+	warmNone = iota // nothing: it touches no long-lived state
+	warmCond        // a conditional branch trains the predictor, and the BTB when taken
+	warmJump        // an unconditional branch trains the BTB when taken
+	warmLoad        // scalar accesses touch the tag arrays
+	warmStore
+	warmLoadVector // vector accesses touch the tag arrays
+	warmStoreVector
+)
+
+// warmInst is a static instruction as functional warming sees it: what
+// warming does with it, and the access size of a scalar memory one. The
+// table is dense, two bytes a static, so the walk reads little beside the
+// batch's columns.
+type warmInst struct {
+	op, size uint8
+}
+
+// buildWarmTable derives the warm table from a statics table.
+func buildWarmTable(statics []staticInst) []warmInst {
+	wt := make([]warmInst, len(statics))
+	for i := range statics {
+		st := &statics[i]
+		switch {
+		case st.mem == memScalar && st.class == isa.ClassStore:
+			wt[i] = warmInst{warmStore, st.size}
+		case st.mem == memScalar:
+			wt[i] = warmInst{warmLoad, st.size}
+		case st.mem == memVector && st.class == isa.ClassMomStore:
+			wt[i].op = warmStoreVector
+		case st.mem == memVector:
+			wt[i].op = warmLoadVector
+		case st.class == isa.ClassBranch && st.isBR:
+			wt[i].op = warmJump
+		case st.class == isa.ClassBranch:
+			wt[i].op = warmCond
+		}
+	}
+	return wt
+}
+
+// warmAuxKey keys the memoized warm table in a trace's aux cache.
+type warmAuxKey struct{}
+
+// warmTableFor returns the warm table of src's program, memoized on the
+// trace, as its statics are, when src reads a recorded trace.
+func warmTableFor(src trace.Source, statics []staticInst) []warmInst {
+	rd, ok := src.(*trace.Reader)
+	if !ok {
+		return buildWarmTable(statics)
+	}
+	tr := rd.Trace()
+	if v, ok := tr.Aux(warmAuxKey{}); ok {
+		return v.([]warmInst)
+	}
+	return tr.SetAux(warmAuxKey{}, buildWarmTable(statics)).([]warmInst)
+}
+
 // warmRecords is functional warming's per-record walk over records
-// [lo, hi) of batch b, with statics the way runSpan reads: branches train
-// the predictor and BTB exactly as the detailed path would (and, while the
-// sweep journals them, list the counters and tags that changed), memory
-// references touch the model's tag arrays through w (nil: no touches), and
+// [lo, hi) of batch b, reading the warm table: branches train the predictor
+// and BTB exactly as the detailed path would (and, while the sweep
+// journals them, list the counters and tags that changed), memory
+// references touch the tag arrays of h (nil: a model without them), and
 // everything else is skipped. eaI and strI index b's address and stride
 // columns at record lo; it returns them at record hi.
-func warmRecords(b trace.Batch, lo, hi, eaI, strI int, statics []staticInst, pred *bimodal, targets *btb, w mem.Warmer) (int, int) {
+func warmRecords(b trace.Batch, lo, hi, eaI, strI int, warm []warmInst, pred *bimodal, targets *btb, h *mem.Hierarchy) (int, int) {
 	metas := b.Meta[lo:hi]
 	for k, si32 := range b.SI[lo:hi] {
-		st := &statics[si32]
-		switch st.mem {
-		case memNone:
-			if st.class != isa.ClassBranch {
-				continue
-			}
+		wi := warm[si32]
+		switch wi.op {
+		case warmNone:
+		case warmCond, warmJump:
 			taken := metas[k]&trace.MetaTaken != 0
-			if !st.isBR && pred.update(int(si32), taken) && pred.jr != nil {
+			if wi.op == warmCond && pred.update(int(si32), taken) && pred.jr != nil {
 				pred.jr.Touch(int(uint32(si32) & pred.mask))
 			}
 			if taken && targets.insert(int(si32)) && targets.jr != nil {
 				targets.jr.Touch(int(uint32(si32) & targets.mask))
 			}
-		case memScalar:
-			if w != nil {
-				if st.class == isa.ClassStore {
-					w.WarmStore(b.EA[eaI], int(st.size))
+		case warmLoad, warmStore:
+			if h != nil {
+				if wi.op == warmStore {
+					h.WarmStore(b.EA[eaI], int(wi.size))
 				} else {
-					w.WarmLoad(b.EA[eaI], int(st.size))
+					h.WarmLoad(b.EA[eaI], int(wi.size))
 				}
 			}
 			eaI++
-		case memVector:
-			if w != nil {
+		default:
+			if h != nil {
 				nelem := int(metas[k] &^ trace.MetaTaken)
-				if st.class == isa.ClassMomStore {
-					w.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
+				if wi.op == warmStoreVector {
+					h.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
 				} else {
-					w.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
+					h.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
 				}
 			}
 			eaI++
@@ -244,7 +301,11 @@ type windows struct {
 // first window runs at base 0. At the end out.mem takes the memory model's
 // stats.
 func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, maxInsts uint64, spec SampleSpec, n int, lg *sweepLog, observer obs.Observer, out *windows) error {
-	warmer, _ := s.Mem.(mem.Warmer)
+	var warm []warmInst
+	if lg == nil {
+		warm = warmTableFor(src, statics)
+	}
+	h, _ := s.Mem.(*mem.Hierarchy)
 	skip := spec.Period - spec.Warmup - spec.Interval
 	var scratch Result // raw detailed-span counters, warmup + measured
 	base := int64(0)
@@ -290,7 +351,7 @@ func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, m
 		if lg != nil {
 			skipped, more = lg.cross(rs, s.Mem.(mem.Snapshotter), src.(*trace.Reader), spec.Period)
 		} else {
-			skipped, more = warmSpan(src, statics, rs, warmer, min(skip, maxInsts-rs.idx))
+			skipped, more = warmSpan(src, warm, rs, h, min(skip, maxInsts-rs.idx))
 		}
 		rs.idx += skipped
 		// Re-anchor the next window past the skipped span at ~1 CPI, far

@@ -2,6 +2,8 @@ package cpu
 
 import (
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -137,5 +139,51 @@ func TestSweepMatchesSerial(t *testing.T) {
 				releaseState(swRS)
 			}
 		}
+	}
+}
+
+// cloneCounter is a hierarchy's Snapshotter view that counts the clones
+// made from it.
+type cloneCounter struct {
+	*mem.Hierarchy
+	clones atomic.Int32
+}
+
+func (c *cloneCounter) NewFromSnapshot(snap *mem.TagSnapshot) mem.Model {
+	c.clones.Add(1)
+	return c.Hierarchy.NewFromSnapshot(snap)
+}
+
+// TestParallelClonesPerWorker: a fresh parallel run makes one memory clone
+// per worker, not one per block, and still matches the serial run. Under
+// DefaultSampleSpec's period mpeg2decode/MOM (test scale) has 59 windows,
+// 8 blocks on 2 workers.
+func TestParallelClonesPerWorker(t *testing.T) {
+	a, err := apps.ByName("mpeg2decode", apps.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Capture(emu.New(a.Build(isa.ExtMOM)), 50_000_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SampleSpec{Period: 1501, Warmup: 100, Interval: 150}
+	hier := func() *mem.Hierarchy { return mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mem.ModeCollapsing}) }
+	serial, err := New(NewConfig(4, isa.ExtMOM), hier()).RunSampled(tr.Reader(), tr.Records(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Parallelism = 2
+	s := New(NewConfig(4, isa.ExtMOM), hier())
+	cc := &cloneCounter{Hierarchy: s.Mem.(*mem.Hierarchy)}
+	par, err := s.runSampledParallel(tr, tr.Records(), spec, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par, serial) {
+		t.Errorf("parallel run differs from the serial one:\n%+v\nvs\n%+v", par, serial)
+	}
+	if n := cc.clones.Load(); n != 2 {
+		t.Errorf("a 2-worker run made %d clones, want 2", n)
 	}
 }

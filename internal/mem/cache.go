@@ -1,17 +1,31 @@
 package mem
 
-// cacheArr is a set-associative tag array with LRU replacement.
+// cacheArr is a set-associative tag array with LRU replacement. Each slot
+// is one entry; a set's ways are adjacent, so a 2-way set of 16-byte
+// entries sits in one host cache line. A direct-mapped array (ways == 1)
+// keeps no LRU stamps and no tick: its one way is never chosen by stamp,
+// so a hit there changes nothing and journals nothing.
 type cacheArr struct {
 	sets, ways int
 	lineBits   uint
 	setBits    uint // log2(sets): a line's set is its low setBits bits
-	tags       []uint64
-	valid      []bool
-	dirty      []bool
-	lastUse    []int64
+	slots      []entry
 	tick       int64
 	jr         *Journal // non-nil while a TagJournal records changed slots
 }
+
+// entry is one tag-array slot: key holds the tag above the dirty and valid
+// bits (tag<<keyShift | entryDirty | entryValid), stamp the LRU stamp.
+type entry struct {
+	key   uint64
+	stamp int64
+}
+
+const (
+	entryValid = 1
+	entryDirty = 2
+	keyShift   = 2
+)
 
 func newCacheArr(sizeBytes, lineBytes, ways int) *cacheArr {
 	lineBits := uint(0)
@@ -26,36 +40,48 @@ func newCacheArr(sizeBytes, lineBytes, ways int) *cacheArr {
 	for 1<<setBits < sets {
 		setBits++
 	}
-	n := sets * ways
 	return &cacheArr{
 		sets: sets, ways: ways, lineBits: lineBits, setBits: setBits,
-		tags:    make([]uint64, n),
-		valid:   make([]bool, n),
-		dirty:   make([]bool, n),
-		lastUse: make([]int64, n),
+		slots: make([]entry, sets*ways),
 	}
 }
 
 func (c *cacheArr) line(addr uint64) uint64 { return addr >> c.lineBits }
 
-func (c *cacheArr) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set and the key a valid, clean copy of its line has.
+func (c *cacheArr) index(addr uint64) (set int, key uint64) {
 	l := c.line(addr)
-	return int(l & uint64(c.sets-1)), l >> c.setBits
+	return int(l & uint64(c.sets-1)), l>>c.setBits<<keyShift | entryValid
 }
 
-// lookup probes the array; on hit it refreshes LRU and returns the way.
+// lookup probes the array; on a hit it refreshes LRU (set-associative
+// arrays only), marks the line dirty if asked, and reports true.
 func (c *cacheArr) lookup(addr uint64, markDirty bool) bool {
-	set, tag := c.index(addr)
+	set, key := c.index(addr)
+	if c.ways == 1 {
+		e := &c.slots[set]
+		if e.key&^entryDirty != key {
+			return false
+		}
+		if markDirty && e.key&entryDirty == 0 {
+			e.key |= entryDirty
+			if c.jr != nil {
+				c.jr.Touch(set)
+			}
+		}
+		return true
+	}
 	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
+	for i := base; i < base+c.ways; i++ {
+		e := &c.slots[i]
+		if e.key&^entryDirty == key {
 			c.tick++
-			c.lastUse[base+w] = c.tick
+			e.stamp = c.tick
 			if markDirty {
-				c.dirty[base+w] = true
+				e.key |= entryDirty
 			}
 			if c.jr != nil {
-				c.jr.Touch(base + w)
+				c.jr.Touch(i)
 			}
 			return true
 		}
@@ -66,29 +92,33 @@ func (c *cacheArr) lookup(addr uint64, markDirty bool) bool {
 // fill inserts the line for addr, returning the evicted line address and
 // whether it was dirty (valid eviction only when wasValid).
 func (c *cacheArr) fill(addr uint64, dirty bool) (evicted uint64, wasDirty, wasValid bool) {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = base + w
-			break
+	set, key := c.index(addr)
+	victim := set
+	if c.ways > 1 {
+		base := set * c.ways
+		victim = base
+		for i := base; i < base+c.ways; i++ {
+			if c.slots[i].key&entryValid == 0 {
+				victim = i
+				break
+			}
+			if c.slots[i].stamp < c.slots[victim].stamp {
+				victim = i
+			}
 		}
-		if c.lastUse[base+w] < c.lastUse[victim] {
-			victim = base + w
-		}
+		c.tick++
+		c.slots[victim].stamp = c.tick
 	}
-	if c.valid[victim] {
-		oldLine := c.tags[victim]*uint64(c.sets) + uint64(set)
-		evicted = oldLine << c.lineBits
-		wasDirty = c.dirty[victim]
+	e := &c.slots[victim]
+	if e.key&entryValid != 0 {
+		evicted = (e.key>>keyShift<<c.setBits | uint64(set)) << c.lineBits
+		wasDirty = e.key&entryDirty != 0
 		wasValid = true
 	}
-	c.tick++
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.dirty[victim] = dirty
-	c.lastUse[victim] = c.tick
+	if dirty {
+		key |= entryDirty
+	}
+	e.key = key
 	if c.jr != nil {
 		c.jr.Touch(victim)
 	}
@@ -98,16 +128,15 @@ func (c *cacheArr) fill(addr uint64, dirty bool) (evicted uint64, wasDirty, wasV
 // invalidate drops the line containing addr if present, reporting whether a
 // valid copy was actually removed.
 func (c *cacheArr) invalidate(addr uint64) bool {
-	set, tag := c.index(addr)
+	set, key := c.index(addr)
 	base := set * c.ways
 	dropped := false
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.valid[base+w] = false
-			c.dirty[base+w] = false
+	for i := base; i < base+c.ways; i++ {
+		if c.slots[i].key&^entryDirty == key {
+			c.slots[i].key = 0
 			dropped = true
 			if c.jr != nil {
-				c.jr.Touch(base + w)
+				c.jr.Touch(i)
 			}
 		}
 	}
@@ -115,9 +144,7 @@ func (c *cacheArr) invalidate(addr uint64) bool {
 }
 
 func (c *cacheArr) reset() {
-	clear(c.valid)
-	clear(c.dirty)
-	clear(c.lastUse)
+	clear(c.slots)
 	c.tick = 0
 }
 

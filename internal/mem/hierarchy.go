@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // VectorMode selects how MOM vector accesses reach memory (Figure 6).
 type VectorMode int
@@ -124,8 +128,8 @@ func (l *level2) access(cycle int64, addr uint64, store bool, st *Stats) int64 {
 	return done
 }
 
-func (l *level2) reset() {
-	l.arr.reset()
+// resetTiming zeroes the level's timing resources, keeping its tags.
+func (l *level2) resetTiming() {
 	l.mshr.reset()
 	l.portFree = 0
 	l.mem.reset()
@@ -207,15 +211,18 @@ func (h *Hierarchy) Name() string {
 
 func (h *Hierarchy) Reset() {
 	h.l1.reset()
+	h.l2.arr.reset()
+	h.ResetTiming()
+}
+
+// ResetTiming implements Snapshotter: ports, banks, MSHRs, the write
+// buffer, the DRAM cursors and the statistics restart, the tag arrays stay.
+func (h *Hierarchy) ResetTiming() {
 	h.l1MSHR.reset()
 	h.wb.reset()
-	for i := range h.wbLines {
-		h.wbLines[i] = 0
-	}
-	h.l2.reset()
-	for i := range h.l1Banks {
-		h.l1Banks[i] = 0
-	}
+	clear(h.wbLines)
+	h.l2.resetTiming()
+	clear(h.l1Banks)
 	h.vcPort = 0
 	h.stats = Stats{}
 }
@@ -361,7 +368,10 @@ func (h *Hierarchy) maAccess(cycle int64, base uint64, stride int64, n, rate int
 // any stale L1 copies (the exclusive-bit/inclusion coherence of the paper).
 func (h *Hierarchy) vcAccess(cycle int64, base uint64, stride int64, n int, store bool) int64 {
 	pairSz := 2 * h.l2LineSz
-	consumed := make([]bool, n)
+	// A MOM access moves at most isa.MaxVL elements: the marks stay on the
+	// stack.
+	var marks [isa.MaxVL]bool
+	consumed := marks[:n]
 	left := n
 	var done int64
 	for left > 0 {

@@ -23,21 +23,21 @@ type CacheSnap struct {
 	Idx     []int32 // slot index (set*ways+way) of each valid line
 	Tags    []uint64
 	Dirty   []bool
-	LastUse []int64
+	LastUse []int64 // LRU stamps: all 0, like Tick, in a direct-mapped array
 	Tick    int64
 }
 
 // snapshot captures the array's valid lines.
 func (c *cacheArr) snapshot() CacheSnap {
 	s := CacheSnap{Ways: c.ways, Tick: c.tick}
-	for i, v := range c.valid {
-		if !v {
+	for i, e := range c.slots {
+		if e.key&entryValid == 0 {
 			continue
 		}
 		s.Idx = append(s.Idx, int32(i))
-		s.Tags = append(s.Tags, c.tags[i])
-		s.Dirty = append(s.Dirty, c.dirty[i])
-		s.LastUse = append(s.LastUse, c.lastUse[i])
+		s.Tags = append(s.Tags, e.key>>keyShift)
+		s.Dirty = append(s.Dirty, e.key&entryDirty != 0)
+		s.LastUse = append(s.LastUse, e.stamp)
 	}
 	return s
 }
@@ -46,10 +46,11 @@ func (c *cacheArr) snapshot() CacheSnap {
 // guarantees freshness, so no reset pass is needed.
 func (c *cacheArr) restore(s CacheSnap) {
 	for k, i := range s.Idx {
-		c.tags[i] = s.Tags[k]
-		c.valid[i] = true
-		c.dirty[i] = s.Dirty[k]
-		c.lastUse[i] = s.LastUse[k]
+		key := s.Tags[k]<<keyShift | entryValid
+		if s.Dirty[k] {
+			key |= entryDirty
+		}
+		c.slots[i] = entry{key: key, stamp: s.LastUse[k]}
 	}
 	c.tick = s.Tick
 }
@@ -117,8 +118,8 @@ type slotEntry struct {
 
 const (
 	slotBits   = 20
-	validBit   = 1 << slotBits
-	dirtyBit   = validBit << 1
+	validBit   = entryValid << slotBits // an entry's valid and dirty bits, shifted
+	dirtyBit   = entryDirty << slotBits
 	arrayShift = slotBits + 2
 	distShift  = arrayShift + 1
 )
@@ -142,11 +143,11 @@ func (d *TagDelta) Bytes() int64 { return 16*int64(len(d.slots)) + 40 }
 func (d *TagDelta) apply(arrs [2]*cacheArr) {
 	for _, e := range d.slots {
 		a := e.meta >> arrayShift & 1
-		c, i := arrs[a], e.meta&(validBit-1)
-		c.tags[i] = e.tag
-		c.valid[i] = e.meta&validBit != 0
-		c.dirty[i] = e.meta&dirtyBit != 0
-		c.lastUse[i] = d.tick[a] - int64(e.meta>>distShift)
+		c := arrs[a]
+		c.slots[e.meta&(validBit-1)] = entry{
+			key:   e.tag<<keyShift | e.meta>>slotBits&(entryValid|entryDirty),
+			stamp: d.tick[a] - int64(e.meta>>distShift),
+		}
 	}
 	for a, c := range arrs {
 		c.tick = d.tick[a]
@@ -176,14 +177,12 @@ func (j *TagJournal) Cut() TagDelta {
 		}
 		d.tick[a] = c.tick
 		for _, i := range c.jr.Touched {
-			meta := uint64(i) | uint64(a)<<arrayShift
-			if c.valid[i] {
-				meta |= validBit | uint64(c.tick-c.lastUse[i])<<distShift
+			e := c.slots[i]
+			meta := uint64(i) | uint64(a)<<arrayShift | e.key&(entryValid|entryDirty)<<slotBits
+			if e.key&entryValid != 0 {
+				meta |= uint64(c.tick-e.stamp) << distShift
 			}
-			if c.dirty[i] {
-				meta |= dirtyBit
-			}
-			d.slots = append(d.slots, slotEntry{tag: c.tags[i], meta: meta})
+			d.slots = append(d.slots, slotEntry{tag: e.key >> keyShift, meta: meta})
 		}
 		c.jr.Reset()
 	}
@@ -219,6 +218,10 @@ type Snapshotter interface {
 	// ApplyDelta writes a period's delta, journaled on a model of the same
 	// configuration, into the receiver's tag arrays.
 	ApplyDelta(d *TagDelta)
+	// ResetTiming zeroes the timing resources and statistics and keeps the
+	// long-lived state: a clone rolled forward to a later window then
+	// starts there as a fresh clone of that window's state would.
+	ResetTiming()
 }
 
 // SnapshotTags implements Snapshotter: both cache levels' tag arrays.
@@ -230,7 +233,7 @@ func (h *Hierarchy) SnapshotTags() *TagSnapshot {
 func (h *Hierarchy) StartJournal() *TagJournal {
 	j := &TagJournal{arrs: [2]*cacheArr{h.l1, h.l2.arr}}
 	for _, c := range j.arrs {
-		c.jr = NewJournal(len(c.tags))
+		c.jr = NewJournal(len(c.slots))
 	}
 	return j
 }
@@ -263,3 +266,6 @@ func (p *Perfect) StartJournal() *TagJournal { return &TagJournal{} }
 
 // ApplyDelta implements Snapshotter.
 func (p *Perfect) ApplyDelta(d *TagDelta) {}
+
+// ResetTiming implements Snapshotter: Perfect's only state is its stats.
+func (p *Perfect) ResetTiming() { p.Reset() }

@@ -5,9 +5,9 @@ package mem
 // arrays, LRU order, dirty bits — without charging any timing resource
 // (ports, banks, MSHRs, write buffer, DRAM) and without counting any Stats
 // event. During fast-forward between detailed windows the sampling
-// controller drives every memory reference through these entry points so
-// the tag arrays a detailed window inherits look as if the skipped span had
-// been simulated in full.
+// controller drives every memory reference through these entry points (on
+// a *Hierarchy it calls them directly) so the tag arrays a detailed window
+// inherits look as if the skipped span had been simulated in full.
 //
 // Warming is intentionally order-faithful but contention-blind: two
 // accesses that would have been reordered by bank conflicts touch the
