@@ -58,6 +58,40 @@ func benchRun(b *testing.B, name string, ext isa.Ext, p *isa.Program) {
 	}
 }
 
+// sampledBench is one bench-scale mpeg2decode trace of the sampled
+// layer rows, with the ISA and cache organisation it runs on.
+type sampledBench struct {
+	ext  isa.Ext
+	mode mem.VectorMode
+	tr   *trace.Trace
+}
+
+// benchSpec is mom.DefaultSampleSpec's sampling regime.
+var benchSpec = cpu.SampleSpec{Period: 1501, Warmup: 100, Interval: 150}
+
+// sampledBenches captures bench-scale mpeg2decode for Alpha on the
+// conventional hierarchy and for MOM on the collapsing buffer.
+func sampledBenches(b *testing.B) []sampledBench {
+	app, err := apps.ByName("mpeg2decode", apps.ScaleBench)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := []sampledBench{{ext: isa.ExtAlpha, mode: mem.ModeConventional}, {ext: isa.ExtMOM, mode: mem.ModeCollapsing}}
+	for i := range out {
+		if out[i].tr, err = trace.Capture(emu.New(app.Build(out[i].ext)), 50_000_000, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
+// sim returns a fresh 4-way machine for c.
+func (c sampledBench) sim() *cpu.Sim {
+	return cpu.New(cpu.NewConfig(4, c.ext), mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: c.mode}))
+}
+
+func (c sampledBench) name() string { return fmt.Sprintf("mpeg2decode/%s/%s", c.ext, c.mode) }
+
 var benchSweep cpu.SweepStats
 
 // BenchmarkSweep is the warming walk's layer row: Sim.SweepCheckpoints, the
@@ -69,34 +103,49 @@ var benchSweep cpu.SweepStats
 //
 //	go test -run '^$' -bench BenchmarkSweep -count 5 ./internal/cpu
 func BenchmarkSweep(b *testing.B) {
-	app, err := apps.ByName("mpeg2decode", apps.ScaleBench)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := cpu.SampleSpec{Period: 1501, Warmup: 100, Interval: 150}
-	for _, c := range []struct {
-		ext  isa.Ext
-		mode mem.VectorMode
-	}{
-		{isa.ExtAlpha, mem.ModeConventional},
-		{isa.ExtMOM, mem.ModeCollapsing},
-	} {
-		tr, err := trace.Capture(emu.New(app.Build(c.ext)), 50_000_000, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("mpeg2decode/%s/%s", c.ext, c.mode), func(b *testing.B) {
-			cfg := cpu.NewConfig(4, c.ext)
+	for _, c := range sampledBenches(b) {
+		b.Run(c.name(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st, err := cpu.New(cfg, mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: c.mode})).SweepCheckpoints(tr, tr.Records(), spec)
+				st, err := c.sim().SweepCheckpoints(c.tr, c.tr.Records(), benchSpec)
 				if err != nil {
 					b.Fatal(err)
 				}
 				benchSweep = st
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*tr.Records()), "ns/record")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*c.tr.Records()), "ns/record")
+		})
+	}
+}
+
+// BenchmarkWindows is the detailed windows' layer row: a 2-worker
+// RunSampled at mom.DefaultSampleSpec over the same traces as
+// BenchmarkSweep, after a first run has memoized the sweep log on the
+// trace, so it times the blocks alone: each worker's roll forward through
+// the log, and every window's warmup and measured interval in detail. It
+// reports wall-clock ns per detailed (warmup or measured) record; on two
+// idle CPUs that is about half their CPU time per record.
+//
+//	go test -run '^$' -bench BenchmarkWindows -count 5 ./internal/cpu
+func BenchmarkWindows(b *testing.B) {
+	spec := benchSpec
+	spec.Parallelism = 2
+	for _, c := range sampledBenches(b) {
+		res, err := c.sim().RunSampled(c.tr.Reader(), c.tr.Records(), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		detailed := res.Sampled.MeasuredInsts + res.Sampled.WarmupInsts
+		b.Run(c.name(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchResult, err = c.sim().RunSampled(c.tr.Reader(), c.tr.Records(), spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*detailed), "ns/record")
 		})
 	}
 }

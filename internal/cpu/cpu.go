@@ -3,6 +3,7 @@ package cpu
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 
@@ -600,10 +601,10 @@ func (s *Sim) Run(src trace.Source, maxInsts uint64) (Result, error) {
 // caller's job, which is what lets Run and the sampled-window controller
 // share the exact same loop.
 //
-// The stream arrives in column batches (trace.Source.NextBatch) that never
-// run past limit, so a span leaves its source positioned exactly at limit.
-// Each record costs one statics lookup; its effective address and stride
-// come from the batch's sparse columns in stream order.
+// The stream arrives in column batches (nextSpanBatch), and the span walks
+// each only up to limit, so it leaves its source positioned exactly at
+// limit. Each record costs one statics lookup; its effective address and
+// stride come from the batch's sparse columns in stream order.
 func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res *Result, limit uint64, observer obs.Observer) (more bool, err error) {
 	cfg := &s.Cfg
 	memModel := s.Mem
@@ -640,17 +641,18 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	var profBefore obs.Profile
 	byClass0 := res.ByClass
 
+	rd, _ := src.(*trace.Reader)
 	more = true
 loop:
 	for idx < limit {
-		b := src.NextBatch(limit - idx)
-		if len(b.SI) == 0 {
+		b, n := nextSpanBatch(src, rd, limit-idx)
+		if n == 0 {
 			more = false
 			break
 		}
-		metas := b.Meta[:len(b.SI)]
+		metas := b.Meta[:n]
 		eaI, strI := 0, 0
-		for k, si32 := range b.SI {
+		for k, si32 := range b.SI[:n] {
 			si := int(si32)
 			st := &statics[si]
 			res.ByClass[st.class]++
@@ -907,6 +909,9 @@ loop:
 			}
 			idx++
 		}
+		if n < len(b.SI) {
+			rd.Seek(rd.CursorAt(b, n, eaI, strI))
+		}
 	}
 
 	rs.robHead, rs.lsqHead = robHead, lsqHead
@@ -916,6 +921,23 @@ loop:
 	rs.profFrontier, rs.redirectCycle = profFrontier, redirectCycle
 	res.countByClass(&byClass0)
 	return more, err
+}
+
+// nextSpanBatch reads the next batch of a span that needs want more
+// records (want > 0) and returns it with how many of its records the span
+// takes (0 at the end of the stream). rd is src when src is a recorded
+// trace's reader, and nil otherwise. A live source is asked for exactly
+// want. A recorded trace is asked for its whole chunk tail, which NextBatch
+// hands out without counting the tail's memory records: a span that takes
+// fewer records than the batch holds counts them as it walks them, and
+// seeks rd back to where it stopped (Reader.CursorAt).
+func nextSpanBatch(src trace.Source, rd *trace.Reader, want uint64) (trace.Batch, int) {
+	if rd == nil {
+		b := src.NextBatch(want)
+		return b, len(b.SI)
+	}
+	b := rd.NextBatch(math.MaxUint64)
+	return b, int(min(uint64(len(b.SI)), want))
 }
 
 // countByClass adds the counters that follow from the class counts a span

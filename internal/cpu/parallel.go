@@ -70,6 +70,7 @@ package cpu
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -168,7 +169,7 @@ func (l *sweepLog) bytes() int64 {
 
 // sweep is phase 1: one functional-warming pass over tr up to the start of
 // its last window (within maxInsts), warming each record once and logging
-// every window. It reads whole chunk batches and cuts windows inside them;
+// every window. It reads whole chunk tails and cuts windows inside them;
 // the memory model and the two branch tables journal what they change, a
 // slot, counter or tag at most once per period. sm snapshots and journals
 // s.Mem, which the sweep warms (RunSampled passes s.Mem itself); warm
@@ -190,9 +191,9 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 	lg.windows[0].cur = rd.Cursor()
 	last := (nw - 1) * p
 	for pos, k := uint64(0), uint64(1); pos < last; {
-		b := rd.NextBatch(last - pos)
+		b := rd.NextBatch(math.MaxUint64)
 		lo, eaI, strI := 0, 0, 0
-		for lo < len(b.SI) {
+		for lo < len(b.SI) && pos < last {
 			hi := lo + int(min(uint64(len(b.SI)-lo), k*p-pos))
 			eaI, strI = warmRecords(b, lo, hi, eaI, strI, warm, pred, targets, h)
 			pos += uint64(hi - lo)

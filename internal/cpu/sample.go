@@ -115,17 +115,22 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 }
 
 // warmSpan fast-forwards up to n records through functional warming,
-// walking whole NextBatch column batches (warmRecords). It reports how many
+// walking column batches (nextSpanBatch, warmRecords) as runSpan does, so it
+// leaves src right after the records it consumed. It reports how many
 // records were consumed and whether that was all n of them (false means
 // the stream ended).
 func warmSpan(src trace.Source, warm []warmInst, rs *runState, h *mem.Hierarchy, n uint64) (consumed uint64, more bool) {
+	rd, _ := src.(*trace.Reader)
 	for consumed < n {
-		b := src.NextBatch(n - consumed)
-		if len(b.SI) == 0 {
+		b, k := nextSpanBatch(src, rd, n-consumed)
+		if k == 0 {
 			return consumed, false
 		}
-		consumed += uint64(len(b.SI))
-		warmRecords(b, 0, len(b.SI), 0, 0, warm, rs.pred, rs.targets, h)
+		consumed += uint64(k)
+		eaI, strI := warmRecords(b, 0, k, 0, 0, warm, rs.pred, rs.targets, h)
+		if k < len(b.SI) {
+			rd.Seek(rd.CursorAt(b, k, eaI, strI))
+		}
 	}
 	return consumed, true
 }
@@ -210,13 +215,16 @@ func warmRecords(b trace.Batch, lo, hi, eaI, strI int, warm []warmInst, pred *bi
 			if taken && targets.insert(int(si32)) && targets.jr != nil {
 				targets.jr.Touch(int(uint32(si32) & targets.mask))
 			}
-		case warmLoad, warmStore:
+		case warmLoad:
+			// Nearly every warm load hits the direct-mapped L1, which
+			// changes nothing: the inline test leaves WarmLoad to the rest.
+			if ea := b.EA[eaI]; h != nil && !h.L1Hit(ea, int(wi.size)) {
+				h.WarmLoad(ea, int(wi.size))
+			}
+			eaI++
+		case warmStore:
 			if h != nil {
-				if wi.op == warmStore {
-					h.WarmStore(b.EA[eaI], int(wi.size))
-				} else {
-					h.WarmLoad(b.EA[eaI], int(wi.size))
-				}
+				h.WarmStore(b.EA[eaI], int(wi.size))
 			}
 			eaI++
 		default:

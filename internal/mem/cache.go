@@ -89,6 +89,13 @@ func (c *cacheArr) lookup(addr uint64, markDirty bool) bool {
 	return false
 }
 
+// holds reports whether a direct-mapped array holds addr's line: what
+// lookup(addr, false) reports there, where it changes nothing.
+func (c *cacheArr) holds(addr uint64) bool {
+	set, key := c.index(addr)
+	return c.slots[set].key&^entryDirty == key
+}
+
 // fill inserts the line for addr, returning the evicted line address and
 // whether it was dirty (valid eviction only when wasValid).
 func (c *cacheArr) fill(addr uint64, dirty bool) (evicted uint64, wasDirty, wasValid bool) {

@@ -48,12 +48,13 @@ func (h *Hierarchy) warmLoadElem(addr uint64) {
 	h.l1.fill(addr, false)
 }
 
-// warmStoreElem mirrors storeElem's state effects: a no-allocate L1 probe
-// (LRU refresh on hit, no fill on miss) and the dirty L2 touch the write
-// buffer would eventually perform.
-func (h *Hierarchy) warmStoreElem(addr uint64) {
-	h.l1.lookup(addr, false)
-	h.l2.warm(addr, true)
+// L1Hit reports whether a scalar load of size bytes at addr stays inside
+// one L1 line that the L1 holds. The L1 is direct-mapped, so such a hit
+// refreshes no LRU stamp: warming the load changes nothing, and a warming
+// walk that tests L1Hit first calls WarmLoad only when it fails. L1Hit
+// inlines into the walk; WarmLoad with the test in front would not.
+func (h *Hierarchy) L1Hit(addr uint64, size int) bool {
+	return (addr&(h.l1LineSz-1))+uint64(size) <= h.l1LineSz && h.l1.holds(addr)
 }
 
 // WarmLoad implements Warmer.
@@ -64,9 +65,12 @@ func (h *Hierarchy) WarmLoad(addr uint64, size int) {
 	}
 }
 
-// WarmStore implements Warmer.
+// WarmStore implements Warmer. It mirrors storeElem's state effects: the
+// dirty L2 touch the write buffer would eventually perform. storeElem's
+// no-allocate L1 probe changes nothing in the direct-mapped L1, so warming
+// leaves it out.
 func (h *Hierarchy) WarmStore(addr uint64, size int) {
-	h.warmStoreElem(addr)
+	h.l2.warm(addr, true)
 }
 
 // WarmLoadVector implements Warmer.
@@ -77,6 +81,9 @@ func (h *Hierarchy) WarmLoadVector(base uint64, stride int64, n int) {
 	default:
 		for k := 0; k < n; k++ {
 			addr := base + uint64(int64(k)*stride)
+			if h.L1Hit(addr, 8) {
+				continue
+			}
 			h.warmLoadElem(addr)
 			if (addr&(h.l1LineSz-1))+8 > h.l1LineSz {
 				h.warmLoadElem(addr + 8)
@@ -92,7 +99,7 @@ func (h *Hierarchy) WarmStoreVector(base uint64, stride int64, n int) {
 		h.warmVC(base, stride, n, true)
 	default:
 		for k := 0; k < n; k++ {
-			h.warmStoreElem(base + uint64(int64(k)*stride))
+			h.l2.warm(base+uint64(int64(k)*stride), true)
 		}
 	}
 }

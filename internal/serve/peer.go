@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,7 +166,7 @@ func (s *Server) peerStoreGet(peer, key string, tc traceCtx) ([]byte, bool) {
 		}
 		return nil, false
 	}
-	val, err := readPeerBody(resp.Body, maxPeerDocBytes)
+	val, err := readPeerDoc(resp.Body)
 	if err != nil {
 		s.metrics.peerErrors.Inc()
 		s.logPeerError("store-fetch", peer, key, tc.trace, time.Since(t0), err)
@@ -254,7 +255,7 @@ func (s *Server) proxyRun(ctx context.Context, fl *flight, peer string, req mom.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("peer %s: result status %d", peer, resp.StatusCode)
 	}
-	out, err := readPeerBody(resp.Body, maxPeerDocBytes)
+	out, err := readPeerDoc(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("peer %s: result: %w", peer, err)
 	}
@@ -267,6 +268,17 @@ func readPeerBody(r io.Reader, limit int64) ([]byte, error) {
 	b, err := io.ReadAll(io.LimitReader(r, limit+1))
 	if err == nil && int64(len(b)) > limit {
 		return nil, fmt.Errorf("response body exceeds %d bytes", limit)
+	}
+	return b, err
+}
+
+// readPeerDoc reads a result document from a peer: at most
+// maxPeerDocBytes, and valid JSON, as every result document is. Anything
+// else is a peer error, never served or filled into the local store.
+func readPeerDoc(r io.Reader) ([]byte, error) {
+	b, err := readPeerBody(r, maxPeerDocBytes)
+	if err == nil && !json.Valid(b) {
+		return nil, errors.New("response body is not a JSON document")
 	}
 	return b, err
 }

@@ -419,3 +419,64 @@ func TestPeerEndlessBody(t *testing.T) {
 		t.Fatalf("local runner ran %d times for keys the peer owns", n)
 	}
 }
+
+// TestPeerGarbageBody: a peer that answers 200 with a body that is not a
+// JSON document has failed, like one that errs. The store fill rejects the
+// body, so the submission becomes a proxy flight instead of a store hit,
+// and the proxy's result read rejects it too, so the job fails naming the
+// peer. Neither body is served or filled into the local store, each
+// counts as a peer error, and the local runner never runs.
+func TestPeerGarbageBody(t *testing.T) {
+	const garbage = "this is not a result document"
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprint(w, `{"id":"j1","state":"done","result_url":"/v1/jobs/j1/result"}`)
+			return
+		}
+		fmt.Fprint(w, garbage) // the store read and the result read
+	}))
+	defer stub.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := "http://" + ln.Addr().String()
+	ps, err := NewPeerSet(self, []string{self, stub.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls int32
+	srv := New(Config{Workers: 1, QueueCap: 4, Store: st, Peers: ps, Runner: countingRunner(&calls, nil)})
+	hs := httptest.NewUnstartedServer(srv)
+	hs.Listener.Close()
+	hs.Listener = ln
+	hs.Start()
+	defer hs.Close()
+	defer srv.Shutdown(context.Background())
+
+	body, key := requestOwnedBy(t, ps, stub.URL)
+	d, resp := post(t, hs, body)
+	if resp.StatusCode != http.StatusAccepted || d.FromStore {
+		t.Fatalf("submit: status %d from_store %v, want 202 false (proxied, not filled)", resp.StatusCode, d.FromStore)
+	}
+	got := waitState(t, hs, d.ID, StateFailed)
+	if !strings.Contains(got.Error, stub.URL) || !strings.Contains(got.Error, "not a JSON document") {
+		t.Fatalf("proxy failed with %q, want the peer and the bad body named", got.Error)
+	}
+	if val, ok := st.Get(key); ok {
+		t.Fatalf("the local store holds %q for the key", val)
+	}
+	// The store fetch, then the proxy's result read.
+	if v := metricValue(t, hs, "momserved_peer_errors_total"); v != 2 {
+		t.Fatalf("peer errors counter %g, want 2", v)
+	}
+	if n := atomic.LoadInt32(&calls); n != 0 {
+		t.Fatalf("local runner ran %d times for a key the peer owns", n)
+	}
+}

@@ -1,8 +1,7 @@
 package trace
 
-// ReaderAt tests: a cursor opened mid-trace must produce the identical
-// record stream to a fresh cursor advanced to the same position, at every
-// alignment relative to the chunk boundaries.
+// Reader.Trace hands back the recording a reader replays, so a consumer
+// handed a reader can open further cursors over the same trace.
 
 import (
 	"testing"
@@ -23,58 +22,6 @@ func captureTestTrace(t *testing.T) *Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-// TestReaderAtMatchesSkip: ReaderAt(pos) and Reader()+Skip(pos) must yield
-// identical streams, including the ea/stride column alignment.
-func TestReaderAtMatchesSkip(t *testing.T) {
-	tr := captureTestTrace(t)
-	n := tr.Records()
-	positions := []uint64{0, 1, 7, 100, chunkRecords - 1, chunkRecords, chunkRecords + 1, n / 2, n - 1, n}
-	for _, pos := range positions {
-		if pos > n {
-			continue
-		}
-		skip := tr.Reader()
-		if got := skip.Skip(pos); got != pos {
-			t.Fatalf("Skip(%d) consumed %d", pos, got)
-		}
-		at := tr.ReaderAt(pos)
-		if at.Pos() != pos {
-			t.Fatalf("ReaderAt(%d).Pos() = %d", pos, at.Pos())
-		}
-		if at.Skipped() != 0 {
-			t.Errorf("ReaderAt(%d) counts %d skipped records; positioning is not fast-forwarding", pos, at.Skipped())
-		}
-		for i := 0; ; i++ {
-			want, okW := skip.Next()
-			got, okG := at.Next()
-			if okW != okG {
-				t.Fatalf("pos %d record %d: skip ok=%v, at ok=%v", pos, i, okW, okG)
-			}
-			if !okW {
-				break
-			}
-			if got != want {
-				t.Fatalf("pos %d record %d: ReaderAt stream %+v != Skip stream %+v", pos, i, got, want)
-			}
-			if i >= 2000 { // a window-sized prefix is plenty per position
-				break
-			}
-		}
-	}
-}
-
-// TestReaderAtPastEnd: positions beyond the trace clamp to end-of-stream.
-func TestReaderAtPastEnd(t *testing.T) {
-	tr := captureTestTrace(t)
-	r := tr.ReaderAt(tr.Records() + 1000)
-	if r.Pos() != tr.Records() {
-		t.Errorf("past-end position %d, want clamp to %d", r.Pos(), tr.Records())
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("past-end reader produced a record")
-	}
 }
 
 // TestReaderAtTrace: the accessor hands back the underlying recording.

@@ -319,43 +319,12 @@ func (t *Trace) Bytes() int64 { return t.bytes }
 // independent: many may replay the same trace concurrently.
 func (t *Trace) Reader() *Reader { return &Reader{t: t} }
 
-// ReaderAt returns a replay cursor positioned after the first pos records,
-// as if Reader() had been followed by Skip(pos) — but without walking the
-// skipped prefix. Because every chunk except the last holds exactly
-// chunkRecords records, the target chunk is found by division; only the
-// consumed prefix of that one chunk is walked to align the ea/stride
-// cursors (at most chunkRecords static-table lookups). The skipped count
-// starts at zero: ReaderAt positions, it does not fast-forward.
-func (t *Trace) ReaderAt(pos uint64) *Reader {
-	if pos > t.n {
-		pos = t.n
-	}
-	r := &Reader{t: t, pos: pos}
-	r.ci = int(pos / chunkRecords)
-	r.ri = int(pos % chunkRecords)
-	if r.ci >= len(t.chunks) {
-		return r // at end of stream
-	}
-	c := &t.chunks[r.ci]
-	static := t.static
-	for i := 0; i < r.ri; i++ {
-		s := &static[c.si[i]]
-		if s.mem != memNone {
-			r.eaI++
-			if s.mem == memVector {
-				r.strI++
-			}
-		}
-	}
-	return r
-}
-
 // Cursor is an O(1) resume point for a position a Reader has already
-// reached: unlike ReaderAt, which must walk the chunk prefix to realign
-// the sparse ea/stride columns, a cursor carries the column offsets
-// directly. Capture it with Reader.Cursor (or Reader.CursorAt, inside the
-// last batch) at the position of interest, and reopen any number of
-// independent readers there with ReaderAtCursor, or move one with Seek.
+// reached: it carries the sparse ea/stride column offsets, so reopening
+// there walks nothing. Capture it with Reader.Cursor (or Reader.CursorAt,
+// inside the last batch) at the position of interest, and reopen any
+// number of independent readers there with ReaderAtCursor, or move one
+// with Seek.
 type Cursor struct {
 	pos       uint64
 	eaI, strI int
@@ -418,7 +387,8 @@ type Reader struct {
 func (r *Reader) Program() *isa.Program { return r.t.prog }
 
 // Trace returns the recording this reader replays, so a consumer handed a
-// Reader can open further cursors over the same trace (see Trace.ReaderAt).
+// Reader can open further cursors over the same trace (see
+// Trace.ReaderAtCursor).
 func (r *Reader) Trace() *Trace { return r.t }
 
 // Err always returns nil: only complete, fault-free runs are recorded.
@@ -576,7 +546,10 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 // stream. A batch that runs to the chunk's end takes the rest of its
 // ea/stride columns; a shorter one counts its memory records (one
 // static-table lookup each) to keep those cursors aligned for whatever
-// reads next.
+// reads next. A consumer that walks the records anyway and may stop inside
+// a chunk can skip that count: it asks for the whole chunk tail (any max at
+// least the records the chunk has left) and, where it stops, seeks back
+// with Seek(CursorAt(...)), as the timing core's spans do.
 func (r *Reader) NextBatch(max uint64) Batch {
 	for r.ci < len(r.t.chunks) && r.ri == len(r.t.chunks[r.ci].si) {
 		r.ci++
