@@ -41,7 +41,7 @@ func main() {
 		app      = flag.String("app", "", "run a single application")
 		cache    = flag.String("cache", "perfect", "memory: perfect|perfect50|conv|multi|vector|collapsing")
 		sample   = flag.String("sample", "", "sampled simulation as period:warmup:interval dynamic instructions (fig7|profile|hotspots or single -kernel/-app runs); empty = exact")
-		samPar   = flag.Int("sample-par", 0, "sampled-simulation worker count (0 = all host cores, 1 = serial; needs -sample; never changes results)")
+		samPar   = flag.Int("sample-par", 0, "sampled-simulation worker count (0 = all host cores, 1 = serial; needs -sample; hotspot runs are serial; never changes results)")
 		verify   = flag.Bool("verify", false, "verify every workload bit-exactly against the goldens")
 		format   = flag.String("format", "table", "experiment output format: table|csv|json")
 		asJSON   = flag.Bool("json", false, "emit JSON (shorthand for -format json; also applies to single runs)")

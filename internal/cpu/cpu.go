@@ -574,8 +574,10 @@ func (rs *runState) ensure(cfg *Config) {
 // dynamic instructions, whichever comes first) under the timing model and
 // returns the result. The source may be a live emulator (trace.NewLive) or
 // a recorded trace reader — both produce identical results; a fresh source
-// must be supplied for a fresh run.
+// must be supplied for a fresh run. Run first resets s.Mem, so the run
+// starts cold and its result depends only on the stream and the machine.
 func (s *Sim) Run(src trace.Source, maxInsts uint64) (Result, error) {
+	s.Mem.Reset()
 	statics := staticsFor(src)
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -85,5 +86,49 @@ func TestCkptMemoBounded(t *testing.T) {
 	}
 	if ps := periods(); len(ps) != maxCkptLibraries || !ps[spec(0).Period] {
 		t.Errorf("after the rerun the memo holds %d libraries (evicted spec present: %v)", len(ps), ps[spec(0).Period])
+	}
+}
+
+// TestParallelPerfectLogsNoTags: perfect memory has no tag arrays, so its
+// sweep log carries the predictor and BTB deltas alone, and one log serves
+// both latencies (ckptKey names the model "perfect" at each). A 4-worker
+// run at latency 1 and then at latency 50 each equals its serial run, and
+// the trace holds one library, whose windows list no tag slot.
+func TestParallelPerfectLogsNoTags(t *testing.T) {
+	a, err := apps.ByName("mpeg2decode", apps.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Capture(emu.New(a.Build(isa.ExtMOM)), 50_000_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lat := range []int{1, 50} {
+		run := func(workers int) Result {
+			spec := SampleSpec{Period: 1501, Warmup: 100, Interval: 150, Parallelism: workers}
+			res, err := New(NewConfig(4, isa.ExtMOM), mem.NewPerfect(lat)).RunSampled(tr.Reader(), 1<<40, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if serial, par := run(1), run(4); !reflect.DeepEqual(par, serial) {
+			t.Errorf("latency %d: 4-worker perfect-memory run differs from the serial one:\n%+v\nvs\n%+v", lat, par, serial)
+		}
+	}
+	libs := ckptMemoFor(tr).libs
+	if len(libs) != 1 {
+		t.Fatalf("the trace holds %d checkpoint libraries, want 1", len(libs))
+	}
+	var empty mem.TagDelta
+	br := 0
+	for i, w := range libs[0].log.windows {
+		if w.tags.Bytes() != empty.Bytes() {
+			t.Fatalf("window %d logs a %d-byte tag delta on perfect memory", i, w.tags.Bytes())
+		}
+		br += len(w.br)
+	}
+	if br == 0 {
+		t.Error("the log lists no predictor or BTB entry")
 	}
 }

@@ -16,22 +16,27 @@ package cpu
 // it changed (sweepLog): the final tag, valid/dirty bits and LRU stamp of
 // every L1/L2 slot it touched, with the arrays' LRU ticks, and the counter
 // and tag of every predictor entry and BTB entry it changed. The log does
-// not depend on how windows are grouped into blocks.
+// not depend on how windows are grouped into blocks. Perfect memory has no
+// tag arrays, so its log carries the predictor and BTB deltas alone. A
+// sampled run starts cold: RunSampled resets the caller's memory model,
+// which the sweep warms, so the sweep starts from empty arrays and a fresh
+// predictor and BTB, and its log depends only on what ckptKey names.
 //
 // Phase 2 splits the windows into blocks of consecutive windows and runs
 // them on spec.Parallelism workers, each taking the next block index from
 // one counter, so every worker meets its blocks in stream order. A worker
-// seeds one private runState and one private memory-model clone from the
-// log's start and keeps them for the whole run: for each block it rolls
-// them forward through the deltas from where its previous block ended to
-// the block's first window, zeroes the clone's timing resources and
-// statistics, opens its own trace cursor there (Trace.ReaderAtCursor), and
-// runs runWindows over the block for up to every windows. Between two
-// windows a block does not warm the skip span: it applies the period's
-// delta and seeks its reader to the next window's cursor, so no block
-// re-warms what the sweep warmed. The ordered reduce (sampledResult, the
-// serial path's final step too) then folds the blocks in stream order, so
-// the result is bit-identical to the serial run:
+// builds one private runState and one private cold memory model of the
+// caller's configuration, the state the sweep started from, and keeps them
+// for the whole run: for each block it rolls them forward through the
+// deltas from where its previous block ended to the block's first window,
+// zeroes the model's timing resources and statistics, opens its own
+// trace cursor there (Trace.ReaderAtCursor), and runs runWindows over the
+// block for up to every windows. Between two windows a block does not warm
+// the skip span: it applies the period's delta and seeks its reader to the
+// next window's cursor, so no block re-warms what the sweep warmed. The
+// ordered reduce (sampledResult, the serial path's final step too) then
+// folds the blocks in stream order, so the result is bit-identical to the
+// serial run:
 //
 //   - At every window start a block's long-lived state is the sweep's,
 //     stamps included. The serial run's state there has the same lines,
@@ -94,9 +99,9 @@ const minParallelSkip = 1024
 // blockOversubscribe is how many blocks the parallel path carves per
 // worker. Windows are near-uniform in cost, so a small factor is enough to
 // smooth the tail. The grain costs little else: whatever it is, a worker
-// rolls its one clone forward through the log up to its last block, and a
-// block adds only a restart of the clone's timing resources and a trace
-// cursor.
+// rolls its one memory model forward through the log up to its last block,
+// and a block adds only a restart of the model's timing resources and a
+// trace cursor.
 const blockOversubscribe = 4
 
 // recordedSpec is the spec as recorded in Sampled: the parallelism knob is
@@ -109,9 +114,9 @@ func recordedSpec(spec SampleSpec) SampleSpec {
 
 // parallelOK reports whether RunSampled may take the parallel path:
 // parallelism requested, no observer (hotspot attribution needs ordered
-// events), a recorded trace positioned at the start, a memory model that
-// can snapshot/clone its long-lived state, and a skip span long enough to
-// guarantee the memory model's cursors drain between windows.
+// events), a recorded trace positioned at the start, a memory model the
+// log can carry (loggable), and a skip span long enough to guarantee the
+// memory model's cursors drain between windows.
 func (s *Sim) parallelOK(src trace.Source, spec SampleSpec) bool {
 	if spec.Parallelism <= 1 || s.Obs != nil {
 		return false
@@ -120,21 +125,34 @@ func (s *Sim) parallelOK(src trace.Source, spec SampleSpec) bool {
 		return false
 	}
 	rd, ok := src.(*trace.Reader)
-	if !ok || rd.Pos() != 0 {
-		return false
-	}
-	_, ok = s.Mem.(mem.Snapshotter)
-	return ok
+	return ok && rd.Pos() == 0 && loggable(s.Mem)
 }
 
-// sweepLog is phase 1's output: the memory model's tag state where the
-// sweep started and, for every window that starts before min(Records,
-// maxInsts), the trace cursor at its start and what its period changed in
-// the long-lived state. The predictor and BTB start fresh, as in a serial
-// run. Every phase-2 block of every later run over the trace reads the log,
+// loggable reports whether a sweep log can carry m's long-lived state: a
+// detailed hierarchy's tag arrays, or nothing at all on perfect memory.
+func loggable(m mem.Model) bool {
+	switch m.(type) {
+	case *mem.Hierarchy, *mem.Perfect:
+		return true
+	}
+	return false
+}
+
+// coldModel returns a cold memory model of m's configuration, m being one
+// the log can carry: a phase-2 worker's private memory.
+func coldModel(m mem.Model) mem.Model {
+	if h, ok := m.(*mem.Hierarchy); ok {
+		return mem.NewHierarchy(h.Config())
+	}
+	return &mem.Perfect{Latency: m.(*mem.Perfect).Latency}
+}
+
+// sweepLog is phase 1's output: for every window that starts before
+// min(Records, maxInsts), the trace cursor at its start and what its period
+// changed in the long-lived state, which starts cold, as in a serial run.
+// Every phase-2 block of every later run over the trace reads the log,
 // concurrently and read-only.
 type sweepLog struct {
-	start   *mem.TagSnapshot // nil for stateless models
 	windows []logWindow
 }
 
@@ -159,7 +177,7 @@ const btbEntry = 1 << 31
 
 // bytes returns the approximate in-memory size of the log.
 func (l *sweepLog) bytes() int64 {
-	n := l.start.Bytes()
+	var n int64
 	for i := range l.windows {
 		w := &l.windows[i]
 		n += 48 + w.tags.Bytes() + 8*int64(len(w.br)) // 48: the cursor and br's slice header
@@ -170,22 +188,25 @@ func (l *sweepLog) bytes() int64 {
 // sweep is phase 1: one functional-warming pass over tr up to the start of
 // its last window (within maxInsts), warming each record once and logging
 // every window. It reads whole chunk tails and cuts windows inside them;
-// the memory model and the two branch tables journal what they change, a
-// slot, counter or tag at most once per period. sm snapshots and journals
-// s.Mem, which the sweep warms (RunSampled passes s.Mem itself); warm
-// touches go straight to a *mem.Hierarchy, the one model with tag arrays.
-func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) *sweepLog {
+// the hierarchy and the two branch tables journal what they change, a
+// slot, counter or tag at most once per period. It warms and journals
+// s.Mem, which its callers have reset; on perfect memory it journals the
+// branch tables alone.
+func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec SampleSpec) *sweepLog {
 	p := spec.Period
 	nw := (min(tr.Records(), maxInsts) + p - 1) / p
-	lg := &sweepLog{start: sm.SnapshotTags(), windows: make([]logWindow, nw)}
+	lg := &sweepLog{windows: make([]logWindow, nw)}
 	if nw == 0 {
 		return lg
 	}
 	pred, targets := newBimodal(s.Cfg.BimodalSize), newBTB(s.Cfg.BTBEntries)
 	pred.jr, targets.jr = mem.NewJournal(len(pred.ctr)), mem.NewJournal(len(targets.tag))
-	tj := sm.StartJournal()
-	defer tj.Stop()
 	h, _ := s.Mem.(*mem.Hierarchy)
+	var tj *mem.TagJournal
+	if h != nil {
+		tj = h.StartJournal()
+		defer tj.Stop()
+	}
 	rd := tr.Reader()
 	warm := warmTableFor(rd, statics)
 	lg.windows[0].cur = rd.Cursor()
@@ -200,7 +221,10 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 			lo = hi
 			if pos == k*p {
 				w := &lg.windows[k-1]
-				w.tags, w.br = tj.Cut(), cutBranches(pred, targets)
+				if tj != nil {
+					w.tags = tj.Cut()
+				}
+				w.br = cutBranches(pred, targets)
 				lg.windows[k].cur = rd.CursorAt(b, hi, eaI, strI)
 				k++
 			}
@@ -229,10 +253,12 @@ func cutBranches(pred *bimodal, targets *btb) []brEntry {
 }
 
 // apply writes window k's period delta into a block's predictor, BTB and
-// memory model.
-func (l *sweepLog) apply(k int, rs *runState, m mem.Snapshotter) {
+// hierarchy (nil on perfect memory).
+func (l *sweepLog) apply(k int, rs *runState, h *mem.Hierarchy) {
 	w := &l.windows[k]
-	m.ApplyDelta(&w.tags)
+	if h != nil {
+		h.ApplyDelta(&w.tags)
+	}
 	for _, e := range w.br {
 		if e.idx&btbEntry != 0 {
 			rs.targets.tag[e.idx&^btbEntry] = e.val
@@ -247,51 +273,57 @@ func (l *sweepLog) apply(k int, rs *runState, m mem.Snapshotter) {
 // applies the period's delta and seeks rd to the next window's cursor. Like
 // warmSpan it reports the records it passed and whether a window may
 // follow; past the last logged window none does.
-func (l *sweepLog) cross(rs *runState, m mem.Snapshotter, rd *trace.Reader, period uint64) (uint64, bool) {
+func (l *sweepLog) cross(rs *runState, h *mem.Hierarchy, rd *trace.Reader, period uint64) (uint64, bool) {
 	k := rs.idx / period
 	if k+1 >= uint64(len(l.windows)) {
 		return 0, false
 	}
-	l.apply(int(k), rs, m)
+	l.apply(int(k), rs, h)
 	next := l.windows[k+1].cur
 	rd.Seek(next)
 	return next.Pos() - rs.idx, true
 }
 
 // blockWorker is one phase-2 worker's private state, kept for the whole
-// run: a memory-model clone of the log's start, a runState, and the window
-// whose period they are in. Between two windows they hold the sweep's state
-// at that window's start, followed by at most the window's own detailed
-// accesses, so the period's delta takes them to the next window exactly,
-// as it does when a block crosses a skip span.
+// run: a memory model that started cold (sim.Mem, and h when it is a
+// hierarchy), a runState, and the window whose period they are in. Between
+// two windows they hold the sweep's state at that window's start, followed
+// by at most the window's own detailed accesses, so the period's delta
+// takes them to the next window exactly, as it does when a block crosses a
+// skip span.
 type blockWorker struct {
 	sim *Sim
-	m   mem.Snapshotter
+	h   *mem.Hierarchy // nil on perfect memory
 	rs  *runState
 	at  int
 }
 
 // run runs up to every windows from window first, which no earlier block of
 // this worker reached: it rolls the state forward through the log to the
-// block's first window, zeroes the clone's timing resources and statistics,
-// and opens a trace cursor there. The block's first window runs at base 0
-// (a pure translation; see the file comment), and the crossing after its
-// last window is left out.
+// block's first window, zeroes the model's timing resources and
+// statistics, and opens a trace cursor there. The block's first window runs
+// at base 0 (a pure translation; see the file comment), and the crossing
+// after its last window is left out.
 func (w *blockWorker) run(tr *trace.Trace, statics []staticInst, lg *sweepLog, first, every int, maxInsts uint64, spec SampleSpec, out *windows) error {
 	for ; w.at < first; w.at++ {
-		lg.apply(w.at, w.rs, w.m)
+		lg.apply(w.at, w.rs, w.h)
 	}
-	w.m.ResetTiming()
+	if w.h != nil {
+		w.h.ResetTiming()
+	} else {
+		w.sim.Mem.Reset() // perfect memory holds nothing but its statistics
+	}
 	w.rs.idx = uint64(first) * spec.Period
 	err := w.sim.runWindows(w.rs, tr.ReaderAtCursor(lg.windows[first].cur), statics, maxInsts, spec, every, lg, nil, out)
 	w.at = int(w.rs.idx / spec.Period)
 	return err
 }
 
-// ckptKey identifies a sweep log in a trace's ckptMemo: the sweep's output
-// is a deterministic function of the recording, the period, the
-// instruction budget, the warming behaviour of the memory model (Name
-// captures mode and width) and the predictor/BTB geometry. The rest of the
+// ckptKey identifies a sweep log in a trace's ckptMemo: the sweep starts
+// cold, so its output is a deterministic function of the recording, the
+// period, the instruction budget, the warming behaviour of the memory
+// model (Name captures a hierarchy's mode and width; perfect memory warms
+// nothing at any latency) and the predictor/BTB geometry. The rest of the
 // spec and the block grain are deliberately absent — the sweep warms every
 // record whatever the warmup and interval, and one log serves every worker
 // count and every grouping of windows into blocks.
@@ -364,10 +396,12 @@ func (m *ckptMemo) put(k ckptKey, lg *sweepLog) {
 }
 
 // runSampledParallel is the two-phase pipeline behind RunSampled when
-// parallelOK holds: sweep the log (or reuse the trace's cached one), fan
-// blocks of windows out over spec.Parallelism workers, and reduce in block
-// order. The result is bit-identical to the serial run's.
-func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSpec, sm mem.Snapshotter) (Result, error) {
+// parallelOK holds, on a reset s.Mem: sweep the log (or reuse the trace's
+// cached one), fan blocks of windows out over spec.Parallelism workers,
+// each on one memory model newMem builds cold from s.Mem (coldModel in
+// production), and reduce in block order. The result is bit-identical to
+// the serial run's.
+func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSpec, newMem func(mem.Model) mem.Model) (Result, error) {
 	statics := staticsForTrace(tr)
 	key := ckptKey{
 		period: spec.Period, maxInsts: maxInsts, mem: s.Mem.Name(),
@@ -376,7 +410,7 @@ func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSp
 	memo := ckptMemoFor(tr)
 	lg, ok := memo.get(key)
 	if !ok {
-		lg = s.sweep(tr, statics, maxInsts, spec, sm)
+		lg = s.sweep(tr, statics, maxInsts, spec)
 		memo.put(key, lg)
 	}
 
@@ -388,8 +422,9 @@ func (s *Sim) runSampledParallel(tr *trace.Trace, maxInsts uint64, spec SampleSp
 	workers := min(spec.Parallelism, len(runs))
 	var next atomic.Int64
 	err := par.ForN(context.Background(), workers, workers, func(int) error {
-		m := sm.NewFromSnapshot(lg.start)
-		w := &blockWorker{sim: &Sim{Cfg: s.Cfg, Mem: m}, m: m.(mem.Snapshotter), rs: acquireState(&s.Cfg)}
+		m := newMem(s.Mem)
+		h, _ := m.(*mem.Hierarchy)
+		w := &blockWorker{sim: &Sim{Cfg: s.Cfg, Mem: m}, h: h, rs: acquireState(&s.Cfg)}
 		defer releaseState(w.rs)
 		for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
 			if err := w.run(tr, statics, lg, i*every, every, maxInsts, spec, &runs[i]); err != nil {
@@ -411,9 +446,9 @@ type SweepStats struct {
 	Insts    uint64 // trace records the log covers
 }
 
-// SweepCheckpoints runs the phase-1 sweep alone and reports its log's
-// footprint — the diagnostic behind momtrace -stats. It requires an enabled
-// spec and a snapshottable memory model.
+// SweepCheckpoints resets s.Mem, runs the phase-1 sweep alone and reports
+// its log's footprint — the diagnostic behind momtrace -stats. It requires
+// an enabled spec and a memory model the log can carry.
 func (s *Sim) SweepCheckpoints(tr *trace.Trace, maxInsts uint64, spec SampleSpec) (SweepStats, error) {
 	if err := spec.Validate(); err != nil {
 		return SweepStats{}, err
@@ -421,10 +456,10 @@ func (s *Sim) SweepCheckpoints(tr *trace.Trace, maxInsts uint64, spec SampleSpec
 	if !spec.Enabled() {
 		return SweepStats{}, fmt.Errorf("cpu: checkpoint sweep needs an enabled sample spec")
 	}
-	sm, ok := s.Mem.(mem.Snapshotter)
-	if !ok {
-		return SweepStats{}, fmt.Errorf("cpu: memory model %s cannot snapshot", s.Mem.Name())
+	if !loggable(s.Mem) {
+		return SweepStats{}, fmt.Errorf("cpu: memory model %s cannot be checkpointed", s.Mem.Name())
 	}
-	lg := s.sweep(tr, staticsForTrace(tr), maxInsts, spec, sm)
+	s.Mem.Reset()
+	lg := s.sweep(tr, staticsForTrace(tr), maxInsts, spec)
 	return SweepStats{Windows: len(lg.windows), LogBytes: lg.bytes(), Insts: min(tr.Records(), maxInsts)}, nil
 }

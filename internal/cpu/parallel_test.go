@@ -20,8 +20,9 @@ import (
 // below it and exercises the fallback instead.
 var parTestSpec = cpu.SampleSpec{Period: 1800, Warmup: 60, Interval: 100}
 
-// parTestModels pairs each snapshot-capable memory model with an ISA whose
-// code exercises it (the vector organisations need MOM vector accesses).
+// parTestModels pairs each memory model a sweep log can carry with an ISA
+// whose code exercises it (the vector organisations need MOM vector
+// accesses).
 func parTestModels(width int) []struct {
 	name string
 	ext  isa.Ext
@@ -181,6 +182,50 @@ func TestParallelShortSkipFallsBack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("short-skip parallel request differs from serial:\n%+v\nvs\n%+v", par, serial)
+	}
+}
+
+// TestSampledColdStart: a run starts from a cold memory model, so its
+// result depends only on the trace, the machine and the spec. A model that
+// first ran 40,000 records exactly gives the cold model's result, sampled
+// serially and on 2 workers and exactly, whichever of the two sweeps the
+// trace's checkpoint log first (each order on a freshly captured trace).
+func TestSampledColdStart(t *testing.T) {
+	spec := cpu.SampleSpec{Period: 1501, Warmup: 100, Interval: 150}
+	par2 := spec
+	par2.Parallelism = 2
+	for _, usedFirst := range []bool{false, true} {
+		tr := captureApp(t, "mpeg2decode", isa.ExtMOM)
+		run := func(used bool, sp cpu.SampleSpec) cpu.Result {
+			sim := cpu.New(cpu.NewConfig(4, isa.ExtMOM), mem.NewHierarchy(mem.HierConfig{Width: 4, Mode: mem.ModeMultiAddress}))
+			if used {
+				if _, err := sim.Run(tr.Reader(), 40_000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := sim.RunSampled(tr.Reader(), tr.Records(), sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		sampled, exact := map[bool]cpu.Result{}, map[bool]cpu.Result{}
+		for _, used := range []bool{usedFirst, !usedFirst} {
+			par, serial := run(used, par2), run(used, spec)
+			if !reflect.DeepEqual(par, serial) {
+				t.Errorf("used %v (used first: %v): 2-worker run differs from the serial one: %d vs %d cycles\n%+v\nvs\n%+v",
+					used, usedFirst, par.Cycles, serial.Cycles, par, serial)
+			}
+			sampled[used], exact[used] = serial, run(used, cpu.SampleSpec{})
+		}
+		if !reflect.DeepEqual(sampled[true], sampled[false]) {
+			t.Errorf("used first: %v: the used model reads %d sampled cycles, the cold one %d",
+				usedFirst, sampled[true].Cycles, sampled[false].Cycles)
+		}
+		if !reflect.DeepEqual(exact[true], exact[false]) {
+			t.Errorf("used first: %v: the used model reads %d exact cycles and %d L1 lookups, the cold one %d and %d",
+				usedFirst, exact[true].Cycles, exact[true].Mem.L1Lookups, exact[false].Cycles, exact[false].Mem.L1Lookups)
+		}
 	}
 }
 

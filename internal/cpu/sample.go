@@ -34,12 +34,13 @@ type SampleSpec struct {
 	// Parallelism is the number of workers that run blocks of windows
 	// concurrently, each from the long-lived state a single warming sweep
 	// logged at every window start (see runSampledParallel). 0 and 1 both
-	// mean serial. The knob never changes results: serial runs and
-	// parallel blocks share one window loop, the parallel result is
-	// bit-identical to the serial one, and RunSampled
-	// silently runs serially whenever the preconditions (recorded trace at
-	// position zero, snapshottable memory model, no observer, a long enough
-	// skip span) do not hold.
+	// mean serial. Observed (hotspot) runs are serial at any value. The
+	// knob never changes results: serial runs and parallel blocks share
+	// one window loop, the parallel result is bit-identical to the serial
+	// one, and RunSampled silently runs serially whenever the
+	// preconditions (recorded trace at position zero, a detailed hierarchy
+	// or perfect memory, no observer, a long enough skip span) do not
+	// hold.
 	Parallelism int
 }
 
@@ -301,13 +302,12 @@ type windows struct {
 // detailed warmup (unobserved, counters discarded) and a detailed measured
 // interval (under observer), then crosses the rest of the period: with no
 // sweep log it fast-forwards through functional warming, and with one (a
-// parallel block, whose src is a trace.Reader and whose memory model a
-// mem.Snapshotter) it applies the period's logged delta and seeks to the
-// next window (sweepLog.cross). The next window's base lies past the
-// crossed span. It stops at the end of the stream, at maxInsts, or after
-// the n-th window (n <= 0: no limit), whose crossing it leaves out. The
-// first window runs at base 0. At the end out.mem takes the memory model's
-// stats.
+// parallel block, whose src is a trace.Reader) it applies the period's
+// logged delta and seeks to the next window (sweepLog.cross). The next
+// window's base lies past the crossed span. It stops at the end of the
+// stream, at maxInsts, or after the n-th window (n <= 0: no limit), whose
+// crossing it leaves out. The first window runs at base 0. At the end
+// out.mem takes the memory model's stats.
 func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, maxInsts uint64, spec SampleSpec, n int, lg *sweepLog, observer obs.Observer, out *windows) error {
 	var warm []warmInst
 	if lg == nil {
@@ -357,7 +357,7 @@ func (s *Sim) runWindows(rs *runState, src trace.Source, statics []staticInst, m
 
 		var skipped uint64
 		if lg != nil {
-			skipped, more = lg.cross(rs, s.Mem.(mem.Snapshotter), src.(*trace.Reader), spec.Period)
+			skipped, more = lg.cross(rs, h, src.(*trace.Reader), spec.Period)
 		} else {
 			skipped, more = warmSpan(src, warm, rs, h, min(skip, maxInsts-rs.idx))
 		}
@@ -398,13 +398,15 @@ func sampledResult(spec SampleSpec, runs []windows, total uint64) Result {
 }
 
 // RunSampled consumes the stream like Run, but under the sampling regime of
-// spec. A disabled spec delegates to Run and is bit-identical to it. For an
-// enabled spec the returned Result aggregates the measured intervals only
-// (so Profile.Total() == Cycles and IPC() is the sampled estimate), carries
-// the run's Mem stats for every detailed-simulated access (warmup included;
-// warm touches count nothing), and attaches a Sampled block. The observer,
-// if any, sees measured-interval instructions only, so per-PC hotspot
-// buckets still sum exactly to the aggregated profile.
+// spec. A disabled spec delegates to Run and is bit-identical to it. Like
+// Run, an enabled spec first resets s.Mem, so the run starts cold and its
+// result depends only on the trace, the machine and the spec. The returned
+// Result then aggregates the measured intervals only (so Profile.Total() == Cycles
+// and IPC() is the sampled estimate), carries the run's Mem stats for every
+// detailed-simulated access (warmup included; warm touches count nothing),
+// and attaches a Sampled block. The observer, if any, sees measured-interval
+// instructions only, so per-PC hotspot buckets still sum exactly to the
+// aggregated profile.
 func (s *Sim) RunSampled(src trace.Source, maxInsts uint64, spec SampleSpec) (Result, error) {
 	if !spec.Enabled() {
 		return s.Run(src, maxInsts)
@@ -412,8 +414,9 @@ func (s *Sim) RunSampled(src trace.Source, maxInsts uint64, spec SampleSpec) (Re
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
+	s.Mem.Reset()
 	if s.parallelOK(src, spec) {
-		return s.runSampledParallel(src.(*trace.Reader).Trace(), maxInsts, spec, s.Mem.(mem.Snapshotter))
+		return s.runSampledParallel(src.(*trace.Reader).Trace(), maxInsts, spec, coldModel)
 	}
 	rs := acquireState(&s.Cfg)
 	defer releaseState(rs)

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -53,15 +54,65 @@ func sameTags(a, b mem.CacheSnap) string {
 	return ""
 }
 
+// rolledSweep is a sweep's long-lived state rolled forward through its log
+// window by window, as a block rolls its state: a hierarchy and run state
+// that started cold, and the window whose start they hold.
+type rolledSweep struct {
+	lg *sweepLog
+	h  *mem.Hierarchy
+	rs *runState
+	at int
+}
+
+// to rolls the state forward to window k's start, k >= r.at.
+func (r *rolledSweep) to(k int) {
+	for ; r.at < k; r.at++ {
+		r.lg.apply(r.at, r.rs, r.h)
+	}
+}
+
+// sameState fails t unless a serial run's long-lived state at window k's
+// start (h, rs) matches the sweep's there (sw): the same tag-array lines and
+// dirty bits in the same per-set LRU order, and the same predictor counters
+// and BTB tags.
+func sameState(t *testing.T, what string, k int, h *mem.Hierarchy, rs *runState, sw *rolledSweep) {
+	t.Helper()
+	want, got := sw.h.SnapshotTags(), h.SnapshotTags()
+	if d := sameTags(got.L1, want.L1); d != "" {
+		t.Fatalf("%s window %d: L1 differs from the sweep's: %s", what, k, d)
+	}
+	if d := sameTags(got.L2, want.L2); d != "" {
+		t.Fatalf("%s window %d: L2 differs from the sweep's: %s", what, k, d)
+	}
+	for i := range rs.pred.ctr {
+		if rs.pred.ctr[i] != sw.rs.pred.ctr[i] {
+			t.Fatalf("%s window %d: predictor counter %d is %d, the sweep's %d", what, k, i, rs.pred.ctr[i], sw.rs.pred.ctr[i])
+		}
+	}
+	for i := range rs.targets.tag {
+		if rs.targets.tag[i] != sw.rs.targets.tag[i] {
+			t.Fatalf("%s window %d: BTB tag %d is %d, the sweep's %d", what, k, i, rs.targets.tag[i], sw.rs.targets.tag[i])
+		}
+	}
+}
+
 // TestSweepMatchesSerial pins the invariant the sweep log relies on: at
 // every window start of a serial sampled run, the long-lived state equals
 // the sweep's — the same tag-array lines and dirty bits in the same per-set
 // LRU order, and the same predictor counters and BTB tags — for every
 // application under each Figure 7 configuration at both widths, at
 // DefaultSampleSpec. Absolute LRU stamps may differ: a store the write
-// buffer coalesces skips the L2 touch that warming makes.
+// buffer coalesces skips the L2 touch that warming makes. Both sides start
+// cold. Two passes read the trace two ways. The first probes every window
+// start of one serial run, through windowProbe, which is not a
+// *trace.Reader, so its spans ask for exact record counts. The second runs
+// plain readers, which read whole chunk tails and seek back, as production
+// serial runs do: each run stops at window k's start (maxInsts k·Period),
+// right after warming the skip span before it, for k = 1, 2, the middle
+// window, the last window and the first window after every chunk boundary.
 func TestSweepMatchesSerial(t *testing.T) {
 	spec := SampleSpec{Period: 1501, Warmup: 100, Interval: 150}
+	p := spec.Period
 	configs := []struct {
 		ext  isa.Ext
 		mode mem.VectorMode
@@ -73,6 +124,7 @@ func TestSweepMatchesSerial(t *testing.T) {
 		{isa.ExtMOM, mem.ModeCollapsing},
 	}
 	const all = 1 << 40
+	checked := 0 // window starts compared on the chunk-tail path
 	for _, name := range apps.Names() {
 		a, err := apps.ByName(name, apps.ScaleTest)
 		if err != nil {
@@ -90,71 +142,67 @@ func TestSweepMatchesSerial(t *testing.T) {
 			statics := staticsForTrace(tr)
 			for _, width := range []int{4, 8} {
 				what := fmt.Sprintf("%s/%v/%v/%d-way", name, c.ext, c.mode, width)
+				cfg := NewConfig(width, c.ext)
 				hier := func() *mem.Hierarchy { return mem.NewHierarchy(mem.HierConfig{Width: width, Mode: c.mode}) }
-				sweeper := New(NewConfig(width, c.ext), hier())
-				lg := sweeper.sweep(tr, statics, all, spec, sweeper.Mem.(mem.Snapshotter))
+				lg := New(cfg, hier()).sweep(tr, statics, all, spec)
+				nw := len(lg.windows)
+				rolled := func() *rolledSweep { return &rolledSweep{lg: lg, h: hier(), rs: acquireState(&cfg)} }
 
-				// The sweep's state at each window start, rolled forward
-				// through the log as a block does.
-				swMem := hier().NewFromSnapshot(lg.start).(mem.Snapshotter)
-				swRS := acquireState(&sweeper.Cfg)
-				rolled := 0
-
-				serial := New(NewConfig(width, c.ext), hier())
+				// Every window start, on the exact-ask read path.
+				sw := rolled()
+				serial := New(cfg, hier())
 				rs := acquireState(&serial.Cfg)
-				probe := &windowProbe{Reader: tr.Reader(), period: spec.Period}
+				probe := &windowProbe{Reader: tr.Reader(), period: p}
 				probe.at = func(k uint64) {
-					if k >= uint64(len(lg.windows)) {
+					if k >= uint64(nw) {
 						return // an empty window at the very end of the trace
 					}
-					for ; rolled < int(k); rolled++ {
-						lg.apply(rolled, swRS, swMem)
-					}
-					want, got := swMem.SnapshotTags(), serial.Mem.(mem.Snapshotter).SnapshotTags()
-					if d := sameTags(got.L1, want.L1); d != "" {
-						t.Fatalf("%s window %d: L1 differs from the sweep's: %s", what, k, d)
-					}
-					if d := sameTags(got.L2, want.L2); d != "" {
-						t.Fatalf("%s window %d: L2 differs from the sweep's: %s", what, k, d)
-					}
-					for i := range rs.pred.ctr {
-						if rs.pred.ctr[i] != swRS.pred.ctr[i] {
-							t.Fatalf("%s window %d: predictor counter %d is %d, the sweep's %d", what, k, i, rs.pred.ctr[i], swRS.pred.ctr[i])
-						}
-					}
-					for i := range rs.targets.tag {
-						if rs.targets.tag[i] != swRS.targets.tag[i] {
-							t.Fatalf("%s window %d: BTB tag %d is %d, the sweep's %d", what, k, i, rs.targets.tag[i], swRS.targets.tag[i])
-						}
-					}
+					sw.to(int(k))
+					sameState(t, what, int(k), serial.Mem.(*mem.Hierarchy), rs, sw)
 				}
 				var w windows
 				if err := serial.runWindows(rs, probe, statics, all, spec, 0, nil, nil, &w); err != nil {
 					t.Fatal(err)
 				}
-				if probe.next < uint64(len(lg.windows)) {
-					t.Errorf("%s: compared %d window starts of %d", what, probe.next, len(lg.windows))
+				if probe.next < uint64(nw) {
+					t.Errorf("%s: compared %d window starts of %d", what, probe.next, nw)
 				}
 				releaseState(rs)
-				releaseState(swRS)
+				releaseState(sw.rs)
+
+				// Chosen window starts, on the chunk-tail read path.
+				ks := []int{1, 2, nw / 2, nw - 1}
+				for c := uint64(traceChunk); c < tr.Records(); c += traceChunk {
+					ks = append(ks, int((c+p-1)/p))
+				}
+				slices.Sort(ks)
+				sw = rolled()
+				for _, k := range slices.Compact(ks) {
+					if k < 1 || k >= nw {
+						continue
+					}
+					serial := New(cfg, hier())
+					rs := acquireState(&serial.Cfg)
+					var w windows
+					if err := serial.runWindows(rs, tr.Reader(), statics, uint64(k)*p, spec, 0, nil, nil, &w); err != nil {
+						t.Fatal(err)
+					}
+					if rs.idx != uint64(k)*p {
+						t.Fatalf("%s: the run cut at window %d stopped at record %d", what, k, rs.idx)
+					}
+					sw.to(k)
+					sameState(t, what+" (chunk tails)", k, serial.Mem.(*mem.Hierarchy), rs, sw)
+					releaseState(rs)
+					checked++
+				}
+				releaseState(sw.rs)
 			}
 		}
 	}
+	t.Logf("compared %d window starts on the chunk-tail path", checked)
 }
 
-// cloneCounter is a hierarchy's Snapshotter view that counts the clones
-// made from it.
-type cloneCounter struct {
-	*mem.Hierarchy
-	clones atomic.Int32
-}
-
-func (c *cloneCounter) NewFromSnapshot(snap *mem.TagSnapshot) mem.Model {
-	c.clones.Add(1)
-	return c.Hierarchy.NewFromSnapshot(snap)
-}
-
-// TestParallelClonesPerWorker: a fresh parallel run makes one memory clone
+// TestParallelClonesPerWorker: a fresh parallel run builds one hierarchy
 // per worker, not one per block, and still matches the serial run. Under
 // DefaultSampleSpec's period mpeg2decode/MOM (test scale) has 59 windows,
 // 8 blocks on 2 workers.
@@ -174,16 +222,19 @@ func TestParallelClonesPerWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Parallelism = 2
-	s := New(NewConfig(4, isa.ExtMOM), hier())
-	cc := &cloneCounter{Hierarchy: s.Mem.(*mem.Hierarchy)}
-	par, err := s.runSampledParallel(tr, tr.Records(), spec, cc)
+	var built atomic.Int32
+	newMem := func(m mem.Model) mem.Model {
+		built.Add(1)
+		return coldModel(m)
+	}
+	par, err := New(NewConfig(4, isa.ExtMOM), hier()).runSampledParallel(tr, tr.Records(), spec, newMem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(par, serial) {
 		t.Errorf("parallel run differs from the serial one:\n%+v\nvs\n%+v", par, serial)
 	}
-	if n := cc.clones.Load(); n != 2 {
-		t.Errorf("a 2-worker run made %d clones, want 2", n)
+	if n := built.Load(); n != 2 {
+		t.Errorf("a 2-worker run built %d hierarchies, want 2", n)
 	}
 }

@@ -209,14 +209,19 @@ func (h *Hierarchy) Name() string {
 	return fmt.Sprintf("%s/%d-way", h.cfg.Mode, h.cfg.Width)
 }
 
+// Config returns the configuration the hierarchy was built from.
+func (h *Hierarchy) Config() HierConfig { return h.cfg }
+
 func (h *Hierarchy) Reset() {
 	h.l1.reset()
 	h.l2.arr.reset()
 	h.ResetTiming()
 }
 
-// ResetTiming implements Snapshotter: ports, banks, MSHRs, the write
-// buffer, the DRAM cursors and the statistics restart, the tag arrays stay.
+// ResetTiming restarts the ports, banks, MSHRs, the write buffer, the DRAM
+// cursors and the statistics and keeps the tag arrays: a hierarchy rolled
+// forward to a later window through a sweep's deltas then starts there as
+// a fresh one holding that window's tags would.
 func (h *Hierarchy) ResetTiming() {
 	h.l1MSHR.reset()
 	h.wb.reset()

@@ -1,23 +1,23 @@
 package mem
 
-// Checkpoint support for parallel sampled simulation. A worker replaying a
-// detailed window needs a private memory-model instance whose tag arrays
-// look exactly as functional warming left them at the window's period
-// boundary: a snapshot seeds a clone, and the deltas a TagJournal cuts at
-// every period boundary roll it forward from one window to the next. Only
-// the long-lived state is captured: tags, valid/dirty bits, LRU stamps and
-// the LRU tick. Timing resources (ports, banks, MSHRs, write buffer, DRAM
-// cursors) are deliberately NOT captured — each window re-anchors its
-// cycle base on fresh resource state, exactly as the serial sampled loop
+// Checkpoint support for parallel sampled simulation, on *Hierarchy, the one
+// model with long-lived state. A worker replaying a detailed window needs a
+// private hierarchy whose tag arrays look exactly as functional warming left
+// them at the window's period boundary: every sampled run starts from empty
+// arrays, and the deltas a TagJournal cuts at every period boundary roll a
+// fresh hierarchy forward from one window to the next. Only the long-lived
+// state is journaled: tags, valid/dirty bits, LRU stamps and the LRU tick.
+// Timing resources (ports, banks, MSHRs, write buffer, DRAM cursors) are
+// deliberately NOT journaled — each window re-anchors its cycle base on
+// fresh resource state (ResetTiming), exactly as the serial sampled loop
 // leaves drained cursors behind after a long skip span.
 
 // CacheSnap is a sparse snapshot of one tag array: only the valid lines are
 // recorded (slot index, tag, dirty bit, LRU stamp) plus the global LRU
 // tick. Invalid slots carry no observable state — fill prefers the first
-// invalid way and lookup/invalidate skip invalid entries — so restoring the
-// valid lines into a fresh array reproduces the source array's behaviour
-// exactly while keeping checkpoints proportional to the working set, not
-// the cache capacity.
+// invalid way and lookup/invalidate skip invalid entries — so the valid
+// lines are the array's whole behaviour, in a size proportional to the
+// working set, not the cache capacity.
 type CacheSnap struct {
 	Ways    int     // associativity: slot i belongs to set i/Ways
 	Idx     []int32 // slot index (set*ways+way) of each valid line
@@ -42,38 +42,18 @@ func (c *cacheArr) snapshot() CacheSnap {
 	return s
 }
 
-// restore writes a snapshot into a fresh (all-invalid) array; the caller
-// guarantees freshness, so no reset pass is needed.
-func (c *cacheArr) restore(s CacheSnap) {
-	for k, i := range s.Idx {
-		key := s.Tags[k]<<keyShift | entryValid
-		if s.Dirty[k] {
-			key |= entryDirty
-		}
-		c.slots[i] = entry{key: key, stamp: s.LastUse[k]}
-	}
-	c.tick = s.Tick
-}
-
 // bytes is the approximate in-memory size of the snapshot.
 func (s *CacheSnap) bytes() int64 {
 	return int64(len(s.Idx))*(4+8+1+8) + 8
 }
 
-// TagSnapshot is the complete long-lived state of a memory model at a
-// checkpoint. A nil *TagSnapshot is valid and means "no long-lived state"
-// (the Perfect model).
+// TagSnapshot is the complete long-lived state of a hierarchy.
 type TagSnapshot struct {
 	L1, L2 CacheSnap
 }
 
 // Bytes returns the approximate in-memory size of the snapshot.
-func (t *TagSnapshot) Bytes() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.L1.bytes() + t.L2.bytes()
-}
+func (t *TagSnapshot) Bytes() int64 { return t.L1.bytes() + t.L2.bytes() }
 
 // Journal lists the slots of one table that changed since it was last
 // reset, each slot once, in the order of its first change. The tag arrays
@@ -154,27 +134,18 @@ func (d *TagDelta) apply(arrs [2]*cacheArr) {
 	}
 }
 
-// TagJournal records, period by period, which slots of a model's tag
-// arrays change (see Snapshotter.StartJournal). Between Cut calls the
-// model is used as usual; a slot is journaled at most once per period.
+// TagJournal records, period by period, which slots of a hierarchy's tag
+// arrays change (see Hierarchy.StartJournal). Between Cut calls the
+// hierarchy is used as usual; a slot is journaled at most once per period.
 type TagJournal struct {
-	arrs [2]*cacheArr // nil for a model without tag arrays
+	arrs [2]*cacheArr
 }
 
 // Cut closes the current period: it returns the period's TagDelta and
 // starts the next period empty. The delta is allocated at its exact size.
 func (j *TagJournal) Cut() TagDelta {
-	n := 0
-	for _, c := range j.arrs {
-		if c != nil {
-			n += len(c.jr.Touched)
-		}
-	}
-	d := TagDelta{slots: make([]slotEntry, 0, n)}
+	d := TagDelta{slots: make([]slotEntry, 0, len(j.arrs[0].jr.Touched)+len(j.arrs[1].jr.Touched))}
 	for a, c := range j.arrs {
-		if c == nil {
-			continue
-		}
 		d.tick[a] = c.tick
 		for _, i := range c.jr.Touched {
 			e := c.slots[i]
@@ -189,47 +160,21 @@ func (j *TagJournal) Cut() TagDelta {
 	return d
 }
 
-// Stop ends journaling; the model runs as if it had never journaled.
+// Stop ends journaling; the hierarchy runs as if it had never journaled.
 func (j *TagJournal) Stop() {
 	for _, c := range j.arrs {
-		if c != nil {
-			c.jr = nil
-		}
+		c.jr = nil
 	}
 }
 
-// Snapshotter is implemented by memory models whose long-lived state can be
-// captured at a checkpoint and cloned into fresh, independent instances —
-// the contract the parallel sampled path needs to hand each interval worker
-// a private memory system. Both detailed hierarchies and the stateless
-// Perfect model implement it.
-type Snapshotter interface {
-	Warmer
-	// SnapshotTags captures the model's long-lived state (nil when the
-	// model has none).
-	SnapshotTags() *TagSnapshot
-	// NewFromSnapshot returns a fresh Model with the receiver's
-	// configuration and the snapshot's tag state, sharing no mutable state
-	// with the receiver or any other clone.
-	NewFromSnapshot(snap *TagSnapshot) Model
-	// StartJournal starts recording which tag slots the model's accesses
-	// change, period by period, until the journal's Stop.
-	StartJournal() *TagJournal
-	// ApplyDelta writes a period's delta, journaled on a model of the same
-	// configuration, into the receiver's tag arrays.
-	ApplyDelta(d *TagDelta)
-	// ResetTiming zeroes the timing resources and statistics and keeps the
-	// long-lived state: a clone rolled forward to a later window then
-	// starts there as a fresh clone of that window's state would.
-	ResetTiming()
-}
-
-// SnapshotTags implements Snapshotter: both cache levels' tag arrays.
+// SnapshotTags captures both cache levels' tag arrays.
 func (h *Hierarchy) SnapshotTags() *TagSnapshot {
 	return &TagSnapshot{L1: h.l1.snapshot(), L2: h.l2.arr.snapshot()}
 }
 
-// StartJournal implements Snapshotter over both cache levels' tag arrays.
+// StartJournal starts recording which slots of both cache levels' tag
+// arrays the hierarchy's accesses change, period by period, until the
+// journal's Stop.
 func (h *Hierarchy) StartJournal() *TagJournal {
 	j := &TagJournal{arrs: [2]*cacheArr{h.l1, h.l2.arr}}
 	for _, c := range j.arrs {
@@ -238,34 +183,6 @@ func (h *Hierarchy) StartJournal() *TagJournal {
 	return j
 }
 
-// ApplyDelta implements Snapshotter.
+// ApplyDelta writes a period's delta, journaled on a hierarchy of the same
+// configuration, into the receiver's tag arrays.
 func (h *Hierarchy) ApplyDelta(d *TagDelta) { d.apply([2]*cacheArr{h.l1, h.l2.arr}) }
-
-// NewFromSnapshot implements Snapshotter for all four hierarchy modes: a
-// fresh hierarchy of the same configuration (zeroed timing resources and
-// statistics) with the snapshot's tag state.
-func (h *Hierarchy) NewFromSnapshot(snap *TagSnapshot) Model {
-	nh := NewHierarchy(h.cfg)
-	if snap != nil {
-		nh.l1.restore(snap.L1)
-		nh.l2.arr.restore(snap.L2)
-	}
-	return nh
-}
-
-// SnapshotTags implements Snapshotter: Perfect has no long-lived state.
-func (p *Perfect) SnapshotTags() *TagSnapshot { return nil }
-
-// NewFromSnapshot implements Snapshotter.
-func (p *Perfect) NewFromSnapshot(snap *TagSnapshot) Model {
-	return &Perfect{Latency: p.Latency}
-}
-
-// StartJournal implements Snapshotter: every period's delta is empty.
-func (p *Perfect) StartJournal() *TagJournal { return &TagJournal{} }
-
-// ApplyDelta implements Snapshotter.
-func (p *Perfect) ApplyDelta(d *TagDelta) {}
-
-// ResetTiming implements Snapshotter: Perfect's only state is its stats.
-func (p *Perfect) ResetTiming() { p.Reset() }

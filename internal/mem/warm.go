@@ -1,13 +1,14 @@
 package mem
 
-// Warmer is the functional-warming interface for sampled simulation: a
-// warm touch replays an access's effect on long-lived state — cache tag
-// arrays, LRU order, dirty bits — without charging any timing resource
-// (ports, banks, MSHRs, write buffer, DRAM) and without counting any Stats
-// event. During fast-forward between detailed windows the sampling
-// controller drives every memory reference through these entry points (on
-// a *Hierarchy it calls them directly) so the tag arrays a detailed window
-// inherits look as if the skipped span had been simulated in full.
+// Warmer is the functional-warming interface for sampled simulation, which
+// *Hierarchy implements: a warm touch replays an access's effect on
+// long-lived state — cache tag arrays, LRU order, dirty bits — without
+// charging any timing resource (ports, banks, MSHRs, write buffer, DRAM)
+// and without counting any Stats event. During fast-forward between
+// detailed windows the sampling controller calls these touches directly on
+// the hierarchy for every memory reference, so the tag arrays a detailed
+// window inherits look as if the skipped span had been simulated in full.
+// A model without tag arrays (Perfect) has nothing to warm.
 //
 // Warming is intentionally order-faithful but contention-blind: two
 // accesses that would have been reordered by bank conflicts touch the
@@ -130,18 +131,3 @@ func (h *Hierarchy) warmVC(base uint64, stride int64, n int, store bool) {
 		}
 	}
 }
-
-// Perfect has no long-lived state: warming is a no-op, declared so sampled
-// kernel runs can use the same controller path as hierarchy runs.
-
-// WarmLoad implements Warmer.
-func (p *Perfect) WarmLoad(addr uint64, size int) {}
-
-// WarmStore implements Warmer.
-func (p *Perfect) WarmStore(addr uint64, size int) {}
-
-// WarmLoadVector implements Warmer.
-func (p *Perfect) WarmLoadVector(base uint64, stride int64, n int) {}
-
-// WarmStoreVector implements Warmer.
-func (p *Perfect) WarmStoreVector(base uint64, stride int64, n int) {}

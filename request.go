@@ -115,10 +115,13 @@ type JobRequest struct {
 	SampleInterval uint64 `json:"sample_interval,omitempty"`
 
 	// SamplePar is the sampled-simulation worker count (0 = all host
-	// cores, 1 = serial). It is a pure speed knob — parallel results are
+	// cores, 1 = serial; see SampleSpec.Parallelism); hotspot runs are
+	// serial at any value. It is a pure speed knob — parallel results are
 	// bit-identical to serial — so Normalized always clears it: requests
 	// differing only in SamplePar share one content-address key and one
-	// stored result.
+	// stored result. RunExperiment re-applies it for execution, but the job
+	// service runs the normalized request, so a submitted sample_par is
+	// dropped there and the host's core count is used.
 	SamplePar int `json:"sample_par,omitempty"`
 }
 

@@ -24,9 +24,9 @@ type SampleSpec struct {
 	// Parallelism is the worker count for the checkpoint-based parallel
 	// interval path (cpu.SampleSpec.Parallelism). 0 — the default — means
 	// "use every host core" (runtime.GOMAXPROCS); 1 forces the serial loop.
-	// The knob is a pure speed lever: results are bit-identical at any
-	// value, so it is excluded from JSON envelopes and content-address
-	// keys (see JobRequest).
+	// Hotspot runs are serial at any value. The knob is a pure speed
+	// lever: results are bit-identical at any value, so it is excluded from
+	// JSON envelopes and content-address keys (see JobRequest).
 	Parallelism int `json:"-"`
 }
 
