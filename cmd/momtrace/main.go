@@ -1,4 +1,4 @@
-// Command momtrace executes a kernel functionally and reports dynamic
+// Command momtrace replays a kernel's recorded trace and reports dynamic
 // statistics: operation mix, vector-length histogram and the stride
 // distribution of MOM memory accesses (the inputs to the cache-organisation
 // discussion of Section 4.2).
@@ -95,11 +95,19 @@ func main() {
 		return
 	}
 
-	// The analysis consumes any trace.Source. Without -stats it reads the
-	// live emulator directly; with -stats it first records the trace
-	// (timing the capture), reports the encoding, and analyses the replay.
-	var src trace.Source = trace.NewLive(emu.New(p))
-	if *stats {
+	// The analysis replays the workload's recorded trace. Without -stats it
+	// takes the trace from the trace layer (memory, the artifact store, or
+	// a capture); with -stats it first records the trace itself (timing the
+	// capture), reports the encoding, and analyses that replay.
+	var src *trace.Reader
+	if !*stats {
+		tr := mom.CaptureWorkloadTrace(*app != "", workload, level, mom.ScaleTest)
+		if tr == nil {
+			fmt.Fprintln(os.Stderr, "momtrace: capture failed")
+			os.Exit(1)
+		}
+		src = tr.Reader()
+	} else {
 		t0 := time.Now()
 		tr, err := trace.Capture(emu.New(p), maxSteps, 1<<34)
 		if err != nil {
@@ -120,8 +128,10 @@ func main() {
 		fmt.Printf("trace encoding: %s\n", p.Name)
 		fmt.Printf("  records       %12d\n", tr.Records())
 		fmt.Printf("  chunks        %12d\n", tr.Chunks())
-		fmt.Printf("  bytes         %12d (%.2f bytes/record)\n",
+		fmt.Printf("  ram bytes     %12d (%.2f bytes/record)\n",
 			tr.Bytes(), float64(tr.Bytes())/float64(tr.Records()))
+		fmt.Printf("  file bytes    %12d (%.2f bytes/record)\n",
+			tr.EncodedSize(), float64(tr.EncodedSize())/float64(tr.Records()))
 		fmt.Printf("  capture       %12v (%.1f Minsts/s)\n",
 			captureT.Round(time.Microsecond),
 			float64(tr.Records())/captureT.Seconds()/1e6)
@@ -211,10 +221,6 @@ func main() {
 		default:
 			wordOps++
 		}
-	}
-	if err := src.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "momtrace:", err)
-		os.Exit(1)
 	}
 
 	fmt.Printf("%s: %d dynamic instructions, %d word-operations (%.2f per inst)\n",

@@ -242,11 +242,7 @@ func (b *Builder) Br(label string) { b.branch(isa.BR, isa.Reg{}, label) }
 
 // Branch helpers testing a register against zero.
 func (b *Builder) Beq(r isa.Reg, label string) { b.branch(isa.BEQ, r, label) }
-func (b *Builder) Bne(r isa.Reg, label string) { b.branch(isa.BNE, r, label) }
-func (b *Builder) Blt(r isa.Reg, label string) { b.branch(isa.BLT, r, label) }
-func (b *Builder) Ble(r isa.Reg, label string) { b.branch(isa.BLE, r, label) }
 func (b *Builder) Bgt(r isa.Reg, label string) { b.branch(isa.BGT, r, label) }
-func (b *Builder) Bge(r isa.Reg, label string) { b.branch(isa.BGE, r, label) }
 
 func (b *Builder) branch(op isa.Opcode, r isa.Reg, label string) {
 	idx := b.Emit(isa.Inst{Op: op, Src: [3]isa.Reg{r}, Target: -1})

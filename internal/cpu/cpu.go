@@ -606,7 +606,8 @@ func (s *Sim) Run(src trace.Source, maxInsts uint64) (Result, error) {
 // The stream arrives in column batches (nextSpanBatch), and the span walks
 // each only up to limit, so it leaves its source positioned exactly at
 // limit. Each record costs one statics lookup; its effective address and
-// stride come from the batch's sparse columns in stream order.
+// stride come from the batch's sparse columns in stream order, and the
+// next record's static index from the source's Flow.
 func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res *Result, limit uint64, observer obs.Observer) (more bool, err error) {
 	cfg := &s.Cfg
 	memModel := s.Mem
@@ -644,6 +645,7 @@ func (s *Sim) runSpan(rs *runState, src trace.Source, statics []staticInst, res 
 	byClass0 := res.ByClass
 
 	rd, _ := src.(*trace.Reader)
+	flow := src.Flow()
 	more = true
 loop:
 	for idx < limit {
@@ -652,13 +654,12 @@ loop:
 			more = false
 			break
 		}
-		metas := b.Meta[:n]
 		eaI, strI := 0, 0
-		for k, si32 := range b.SI[:n] {
-			si := int(si32)
+		off := int(b.First) // record k's static index is k + off (see warmRecords)
+		for k, meta := range b.Meta[:n] {
+			si := k + off
 			st := &statics[si]
 			res.ByClass[st.class]++
-			meta := metas[k]
 			vl := int(meta &^ trace.MetaTaken)
 			taken := meta&trace.MetaTaken != 0
 			isMem := st.mem != memNone
@@ -888,6 +889,7 @@ loop:
 				}
 				if taken {
 					targets.insert(si)
+					off = int(flow.Next(int32(si), meta)) - k - 1
 				}
 				switch {
 				case taken != predTaken:
@@ -911,8 +913,8 @@ loop:
 			}
 			idx++
 		}
-		if n < len(b.SI) {
-			rd.Seek(rd.CursorAt(b, n, eaI, strI))
+		if n < len(b.Meta) {
+			rd.Seek(rd.CursorAt(b, n, eaI, strI, int32(n+off)))
 		}
 	}
 
@@ -936,10 +938,10 @@ loop:
 func nextSpanBatch(src trace.Source, rd *trace.Reader, want uint64) (trace.Batch, int) {
 	if rd == nil {
 		b := src.NextBatch(want)
-		return b, len(b.SI)
+		return b, len(b.Meta)
 	}
 	b := rd.NextBatch(math.MaxUint64)
-	return b, int(min(uint64(len(b.SI)), want))
+	return b, int(min(uint64(len(b.Meta)), want))
 }
 
 // countByClass adds the counters that follow from the class counts a span

@@ -208,15 +208,15 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 		defer tj.Stop()
 	}
 	rd := tr.Reader()
-	warm := warmTableFor(rd, statics)
+	warm, flow := warmTableFor(rd, statics), rd.Flow()
 	lg.windows[0].cur = rd.Cursor()
 	last := (nw - 1) * p
 	for pos, k := uint64(0), uint64(1); pos < last; {
 		b := rd.NextBatch(math.MaxUint64)
-		lo, eaI, strI := 0, 0, 0
-		for lo < len(b.SI) && pos < last {
-			hi := lo + int(min(uint64(len(b.SI)-lo), k*p-pos))
-			eaI, strI = warmRecords(b, lo, hi, eaI, strI, warm, pred, targets, h)
+		lo, eaI, strI, si := 0, 0, 0, b.First
+		for lo < len(b.Meta) && pos < last {
+			hi := lo + int(min(uint64(len(b.Meta)-lo), k*p-pos))
+			eaI, strI, si = warmRecords(b, lo, hi, eaI, strI, si, warm, flow, pred, targets, h)
 			pos += uint64(hi - lo)
 			lo = hi
 			if pos == k*p {
@@ -225,7 +225,7 @@ func (s *Sim) sweep(tr *trace.Trace, statics []staticInst, maxInsts uint64, spec
 					w.tags = tj.Cut()
 				}
 				w.br = cutBranches(pred, targets)
-				lg.windows[k].cur = rd.CursorAt(b, hi, eaI, strI)
+				lg.windows[k].cur = rd.CursorAt(b, hi, eaI, strI, si)
 				k++
 			}
 		}

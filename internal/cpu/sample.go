@@ -122,15 +122,16 @@ func (rs *runState) startWindow(cfg *Config, base int64) {
 // the stream ended).
 func warmSpan(src trace.Source, warm []warmInst, rs *runState, h *mem.Hierarchy, n uint64) (consumed uint64, more bool) {
 	rd, _ := src.(*trace.Reader)
+	flow := src.Flow()
 	for consumed < n {
 		b, k := nextSpanBatch(src, rd, n-consumed)
 		if k == 0 {
 			return consumed, false
 		}
 		consumed += uint64(k)
-		eaI, strI := warmRecords(b, 0, k, 0, 0, warm, rs.pred, rs.targets, h)
-		if k < len(b.SI) {
-			rd.Seek(rd.CursorAt(b, k, eaI, strI))
+		eaI, strI, si := warmRecords(b, 0, k, 0, 0, b.First, warm, flow, rs.pred, rs.targets, h)
+		if k < len(b.Meta) {
+			rd.Seek(rd.CursorAt(b, k, eaI, strI, si))
 		}
 	}
 	return consumed, true
@@ -200,22 +201,34 @@ func warmTableFor(src trace.Source, statics []staticInst) []warmInst {
 // and BTB exactly as the detailed path would (and, while the sweep
 // journals them, list the counters and tags that changed), memory
 // references touch the tag arrays of h (nil: a model without them), and
-// everything else is skipped. eaI and strI index b's address and stride
-// columns at record lo; it returns them at record hi.
-func warmRecords(b trace.Batch, lo, hi, eaI, strI int, warm []warmInst, pred *bimodal, targets *btb, h *mem.Hierarchy) (int, int) {
+// everything else is skipped. At record lo, eaI and strI index b's address
+// and stride columns and si is the record's static index; it returns the
+// three at record hi.
+//
+// Only a branch leads anywhere but the next instruction, so the walk
+// applies flow at branch records alone and between them derives record k's
+// static index as k plus an offset. An index carried from record to record
+// instead goes through a stack slot on every record, because the arms that
+// call out would clobber its register; the offset changes only at taken
+// branches, and the loop counter stays in a register.
+func warmRecords(b trace.Batch, lo, hi, eaI, strI int, si int32, warm []warmInst, flow trace.Flow, pred *bimodal, targets *btb, h *mem.Hierarchy) (int, int, int32) {
 	metas := b.Meta[lo:hi]
-	for k, si32 := range b.SI[lo:hi] {
-		wi := warm[si32]
+	off := int(si) // record k's static index is k + off
+	for k := 0; k < len(metas); k++ {
+		cur := k + off
+		wi := warm[cur]
 		switch wi.op {
 		case warmNone:
 		case warmCond, warmJump:
-			taken := metas[k]&trace.MetaTaken != 0
-			if wi.op == warmCond && pred.update(int(si32), taken) && pred.jr != nil {
-				pred.jr.Touch(int(uint32(si32) & pred.mask))
+			meta := metas[k]
+			taken := meta&trace.MetaTaken != 0
+			if wi.op == warmCond && pred.update(cur, taken) && pred.jr != nil {
+				pred.jr.Touch(int(uint32(cur) & pred.mask))
 			}
-			if taken && targets.insert(int(si32)) && targets.jr != nil {
-				targets.jr.Touch(int(uint32(si32) & targets.mask))
+			if taken && targets.insert(cur) && targets.jr != nil {
+				targets.jr.Touch(int(uint32(cur) & targets.mask))
 			}
+			off = int(flow.Next(int32(cur), meta)) - k - 1
 		case warmLoad:
 			// Nearly every warm load hits the direct-mapped L1, which
 			// changes nothing: the inline test leaves WarmLoad to the rest.
@@ -241,7 +254,7 @@ func warmRecords(b trace.Batch, lo, hi, eaI, strI int, warm []warmInst, pred *bi
 			strI++
 		}
 	}
-	return eaI, strI
+	return eaI, strI, int32(len(metas) + off)
 }
 
 // addDelta accumulates the counter-wise difference cur-snap into dst

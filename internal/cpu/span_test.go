@@ -198,7 +198,7 @@ func (l *spanLimits) NextBatch(max uint64) trace.Batch {
 		l.t.Errorf("asked for %d records at record %d, the span ends at %d", max, l.pos, end)
 	}
 	b := l.Source.NextBatch(max)
-	l.pos += uint64(len(b.SI))
+	l.pos += uint64(len(b.Meta))
 	return b
 }
 

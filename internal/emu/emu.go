@@ -117,13 +117,17 @@ func (m *Machine) acc(r isa.Reg) *simd.Acc {
 const MetaTaken = 0x80
 
 // Columns is a run of dynamic records in column form, the layout a trace
-// stores: the static index and the meta byte (vector length | MetaTaken)
-// of every record, the effective address of every memory record and the
-// byte stride of every vector memory record, each column in stream order.
-// Everything else about a record (opcode, class, branch target, element
-// size and count) is a property of its static instruction.
+// stores: the meta byte (vector length | MetaTaken) of every record, the
+// effective address of every memory record and the byte stride of every
+// vector memory record, each column in stream order, and the static index
+// of the run's first record. Every control transfer is a direct branch
+// (exec moves PC to PC+1 or to the branch target), so each later record's
+// static index follows from its predecessor's and that record's taken bit
+// (trace.Flow states the rule). Everything else about a record (opcode,
+// class, branch target, element size and count) is a property of its
+// static instruction.
 type Columns struct {
-	SI     []int32
+	First  int32 // static index of the first record
 	Meta   []uint8
 	EA     []uint64
 	Stride []int64
@@ -170,15 +174,19 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 
 // Record executes up to max instructions under one fault guard, appending
 // each one's record to c unless c is nil, and returns how many it
-// executed. It stops early at the end of the program or on a fault (check
-// Err); the records before a faulting instruction stay in c. It allocates
-// nothing while c's columns have room for max more records.
+// executed; an empty c takes PC as its first static index. It stops early
+// at the end of the program or on a fault (check Err); the records before
+// a faulting instruction stay in c. It allocates nothing while c's columns
+// have room for max more records.
 func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
 	defer m.guard()
+	if c != nil && len(c.Meta) == 0 {
+		c.First = int32(m.PC)
+	}
 	insts := m.Prog.Insts
 	for ; n < max && !m.Done(); n++ {
-		pc, vl := m.PC, m.VL
-		in := &insts[pc]
+		vl := m.VL
+		in := &insts[m.PC]
 		ea, stride, taken, ok := m.exec(in)
 		if !ok {
 			break
@@ -190,7 +198,6 @@ func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
 		if taken {
 			meta |= MetaTaken
 		}
-		c.SI = append(c.SI, int32(pc))
 		c.Meta = append(c.Meta, meta)
 		switch in.Op.Info().Class {
 		case isa.ClassLoad, isa.ClassStore:

@@ -57,20 +57,31 @@ func nextRecs(src Source) []rec {
 	}
 }
 
-// batchRecs expands a batch into records, walking its sparse columns with
-// the static table, and checks that the records use every column entry.
-func batchRecs(t *testing.T, static []sinst, b Batch) []rec {
-	t.Helper()
-	if len(b.Meta) != len(b.SI) {
-		t.Fatalf("batch has %d meta bytes for %d records", len(b.Meta), len(b.SI))
+// batchSIs expands a batch's static indices by flow: one per record, and
+// next, the index flow derives from the last record (the batch's first
+// index when it is empty).
+func batchSIs(flow Flow, b Batch) (sis []int32, next int32) {
+	next = b.First
+	for _, meta := range b.Meta {
+		sis = append(sis, next)
+		next = flow.Next(next, meta)
 	}
-	out := make([]rec, len(b.SI))
+	return sis, next
+}
+
+// batchRecs expands a batch of tr's program into records, deriving their
+// static indices by its flow and walking its sparse columns with its
+// static table, and checks that the records use every column entry.
+func batchRecs(t *testing.T, tr *Trace, b Batch) []rec {
+	t.Helper()
+	out := make([]rec, len(b.Meta))
 	var ea, str int
-	for i, si := range b.SI {
+	sis, _ := batchSIs(tr.flow, b)
+	for i, si := range sis {
 		r := rec{si: int(si), vl: int(b.Meta[i] &^ MetaTaken), taken: b.Meta[i]&MetaTaken != 0}
-		if m := static[si].mem; m != memNone {
+		if m := tr.static[si].mem; m != memNone {
 			if ea == len(b.EA) || (m == memVector && str == len(b.Stride)) {
-				t.Fatalf("record %d of a %d-record batch runs past its ea/stride columns", i, len(b.SI))
+				t.Fatalf("record %d of a %d-record batch runs past its ea/stride columns", i, len(b.Meta))
 			}
 			r.ea = b.EA[ea]
 			ea++
@@ -144,17 +155,17 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			var got []rec
 			for {
 				b := r.NextBatch(max)
-				if len(b.SI) == 0 {
+				if len(b.Meta) == 0 {
 					break
 				}
-				if uint64(len(b.SI)) > max {
-					t.Fatalf("%s max %d: batch of %d records", st.name, max, len(b.SI))
+				if uint64(len(b.Meta)) > max {
+					t.Fatalf("%s max %d: batch of %d records", st.name, max, len(b.Meta))
 				}
-				end := pos + uint64(len(b.SI))
+				end := pos + uint64(len(b.Meta))
 				if pos/chunkRecords != (end-1)/chunkRecords {
 					t.Fatalf("%s max %d: batch [%d,%d) crosses a chunk boundary", st.name, max, pos, end)
 				}
-				got = append(got, batchRecs(t, tr.static, b)...)
+				got = append(got, batchRecs(t, tr, b)...)
 				pos = end
 				if r.Pos() != pos {
 					t.Fatalf("%s max %d: Pos %d after batches up to %d", st.name, max, r.Pos(), pos)
@@ -178,7 +189,7 @@ func TestNextBatchKeepsCursorsAligned(t *testing.T) {
 		for _, start := range []uint64{0, 5, chunkRecords - 100, chunkRecords + 3} {
 			batch := func() (*Reader, uint64) {
 				r := skipTo(tr, start)
-				end := start + uint64(len(r.NextBatch(max).SI))
+				end := start + uint64(len(r.NextBatch(max).Meta))
 				if r.Pos() != end {
 					t.Fatalf("start %d max %d: Pos %d after a batch ending at %d", start, max, r.Pos(), end)
 				}
@@ -230,9 +241,11 @@ func TestCursorAtSeek(t *testing.T) {
 	for _, c := range []struct{ start, max uint64 }{{5, 1000}, {chunkRecords, chunkRecords}} {
 		r := skipTo(tr, c.start)
 		b := r.NextBatch(c.max)
-		for _, k := range []int{0, 1, 777, len(b.SI) - 1, len(b.SI)} {
+		sis, next := batchSIs(tr.flow, b)
+		sis = append(sis, next)
+		for _, k := range []int{0, 1, 777, len(b.Meta) - 1, len(b.Meta)} {
 			ea, strides := 0, 0
-			for _, si := range b.SI[:k] {
+			for _, si := range sis[:k] {
 				if m := tr.static[si].mem; m != memNone {
 					ea++
 					if m == memVector {
@@ -240,7 +253,7 @@ func TestCursorAtSeek(t *testing.T) {
 					}
 				}
 			}
-			cur := r.CursorAt(b, k, ea, strides)
+			cur := r.CursorAt(b, k, ea, strides, sis[k])
 			pos := c.start + uint64(k)
 			if cur.Pos() != pos {
 				t.Fatalf("start %d max %d k %d: cursor at %d, want %d", c.start, c.max, k, cur.Pos(), pos)
@@ -267,13 +280,13 @@ func TestLiveNextBatchMatchesNext(t *testing.T) {
 		var got []rec
 		for {
 			b := live.NextBatch(max)
-			if len(b.SI) == 0 {
+			if len(b.Meta) == 0 {
 				break
 			}
-			if limit := min(max, liveBatchRecords); uint64(len(b.SI)) > limit {
-				t.Fatalf("max %d: live batch of %d records, want at most %d", max, len(b.SI), limit)
+			if limit := min(max, liveBatchRecords); uint64(len(b.Meta)) > limit {
+				t.Fatalf("max %d: live batch of %d records, want at most %d", max, len(b.Meta), limit)
 			}
-			got = append(got, batchRecs(t, tr.static, b)...)
+			got = append(got, batchRecs(t, tr, b)...)
 		}
 		if err := live.Err(); err != nil {
 			t.Fatal(err)
@@ -302,8 +315,9 @@ func TestConcurrentBatchReaders(t *testing.T) {
 		go func(max uint64) {
 			var got []rec
 			r := tr.Reader()
-			for b := r.NextBatch(max); len(b.SI) > 0; b = r.NextBatch(max) {
-				for i, si := range b.SI {
+			for b := r.NextBatch(max); len(b.Meta) > 0; b = r.NextBatch(max) {
+				sis, _ := batchSIs(r.Flow(), b)
+				for i, si := range sis {
 					got = append(got, rec{si: int(si), vl: int(b.Meta[i] &^ MetaTaken), taken: b.Meta[i]&MetaTaken != 0})
 				}
 			}

@@ -19,6 +19,13 @@ package trace
 // corruption — bit rot, truncation, a record-count lie — is caught no later
 // than the frame it occurs in.
 //
+// The si column holds every record's static index, though a trace in
+// memory keeps only each chunk's first: WriteTo regenerates the column by
+// Flow.Next, and Decode accepts a frame only if every stored index is the
+// one Flow.Next derives from its predecessor, across frames too, before it
+// drops the column. An accepted artifact therefore re-encodes to its own
+// bytes.
+//
 // The static program is deliberately NOT serialized: workload builders are
 // deterministic, so the loader rebuilds the program from (workload, ISA,
 // scale) and the fingerprint check rejects artifacts written by a different
@@ -92,26 +99,31 @@ func (t *Trace) header() string {
 	return fmt.Sprintf("%s %s %d %d\n", fileMagic, Fingerprint(t.prog), t.n, len(t.chunks))
 }
 
-// EncodedSize returns the exact number of bytes WriteTo will emit.
+// EncodedSize returns the exact number of bytes WriteTo will emit: the
+// header, and for each chunk a prelude, the four-byte si column and the
+// columns Bytes counts.
 func (t *Trace) EncodedSize() int64 {
-	return int64(len(t.header())) + int64(len(t.chunks))*frameHeaderLen + t.bytes
+	return int64(len(t.header())) + int64(len(t.chunks))*frameHeaderLen + 4*int64(t.n) + t.bytes
 }
 
 // frameSize is the payload byte count of one chunk frame.
 func frameSize(nrec, nea, nstr int) int64 {
-	return int64(nrec)*bytesPerRecord + 8*int64(nea) + 8*int64(nstr)
+	return 4*int64(nrec) + ramSize(nrec, nea, nstr)
 }
 
-// appendFrame packs one chunk as a frame (prelude + columns) onto dst.
-func appendFrame(dst []byte, c *chunk) []byte {
+// appendFrame packs one chunk as a frame (prelude + columns) onto dst,
+// deriving its si column by flow.
+func appendFrame(dst []byte, c *chunk, flow Flow) []byte {
 	payloadAt := len(dst) + frameHeaderLen
 	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(c.si)))
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(c.meta)))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.ea)))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(c.stride)))
 	dst = append(dst, hdr[:]...)
-	for _, v := range c.si {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+	si := c.first
+	for _, meta := range c.meta {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(si))
+		si = flow.Next(si, meta)
 	}
 	dst = append(dst, c.meta...)
 	for _, v := range c.ea {
@@ -137,7 +149,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	}
 	var frame []byte
 	for i := range t.chunks {
-		frame = appendFrame(frame[:0], &t.chunks[i])
+		frame = appendFrame(frame[:0], &t.chunks[i], t.flow)
 		n, err := w.Write(frame)
 		written += int64(n)
 		if err != nil {
@@ -167,12 +179,14 @@ func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, e
 	return records, chunks, nil
 }
 
-// readFrame reads and verifies one chunk frame into c. last marks the final
-// chunk, the only one allowed fewer than chunkRecords records.
-func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
+// readFrame reads and verifies one chunk frame into c, all but its first
+// static index, and returns the frame's si column, a view of *scratch.
+// last marks the final chunk, the only one allowed fewer than chunkRecords
+// records.
+func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) ([]byte, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("%w: frame prelude: %v", ErrFormat, err)
+		return nil, fmt.Errorf("%w: frame prelude: %v", ErrFormat, err)
 	}
 	nrec := int(binary.LittleEndian.Uint32(hdr[0:]))
 	nea := int(binary.LittleEndian.Uint32(hdr[4:]))
@@ -180,7 +194,7 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	crc := binary.LittleEndian.Uint32(hdr[12:])
 	if nrec <= 0 || nrec > chunkRecords || (!last && nrec != chunkRecords) ||
 		nea > nrec || nstr > nea {
-		return fmt.Errorf("%w: frame shape %d/%d/%d", ErrFormat, nrec, nea, nstr)
+		return nil, fmt.Errorf("%w: frame shape %d/%d/%d", ErrFormat, nrec, nea, nstr)
 	}
 	size := frameSize(nrec, nea, nstr)
 	if int64(cap(*scratch)) < size {
@@ -188,18 +202,14 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	}
 	buf := (*scratch)[:size]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return fmt.Errorf("%w: frame payload: %v", ErrFormat, err)
+		return nil, fmt.Errorf("%w: frame payload: %v", ErrFormat, err)
 	}
 	if crc32.ChecksumIEEE(buf) != crc {
-		return fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
+		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
 	}
-	c.si = make([]int32, nrec)
 	c.meta = make([]uint8, nrec)
 	c.ea = make([]uint64, nea)
 	c.stride = make([]int64, nstr)
-	for i := 0; i < nrec; i++ {
-		c.si[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
 	copy(c.meta, buf[4*nrec:])
 	off := 5 * nrec
 	for i := 0; i < nea; i++ {
@@ -209,18 +219,30 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	for i := 0; i < nstr; i++ {
 		c.stride[i] = int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
 	}
-	return nil
+	return buf[:4*nrec], nil
 }
 
-// checkChunk validates a decoded chunk's cross-column consistency against
-// the static table: the si column must index the table, and the ea/stride
-// population must match the memory classes it implies — otherwise replay
-// would walk the sparse columns out of step.
-func checkChunk(c *chunk, static []sinst) error {
+// checkChunk validates a decoded chunk against the static program and sets
+// its first index. Every stored static index (sis, the frame's si column)
+// must index the program, and each must be the one flow derives from its
+// predecessor; next is the index flow derives from the previous chunk's
+// last record, or -1 for the first chunk. The ea/stride population must
+// match the memory classes the indices imply. Otherwise replay would
+// derive another stream than the artifact stores, or walk the sparse
+// columns out of step. checkChunk returns the index flow derives from the
+// chunk's last record.
+func checkChunk(c *chunk, sis []byte, static []sinst, flow Flow, next int32) (int32, error) {
 	var nea, nstr int
-	for _, si := range c.si {
+	for i, meta := range c.meta {
+		si := int32(binary.LittleEndian.Uint32(sis[4*i:]))
 		if si < 0 || int(si) >= len(static) {
-			return fmt.Errorf("%w: static index %d out of range", ErrFormat, si)
+			return 0, fmt.Errorf("%w: static index %d out of range", ErrFormat, si)
+		}
+		if next >= 0 && si != next {
+			return 0, fmt.Errorf("%w: static index %d where control flow leads to %d", ErrFormat, si, next)
+		}
+		if i == 0 {
+			c.first = si
 		}
 		switch static[si].mem {
 		case memScalar:
@@ -229,12 +251,13 @@ func checkChunk(c *chunk, static []sinst) error {
 			nea++
 			nstr++
 		}
+		next = flow.Next(si, meta)
 	}
 	if nea != len(c.ea) || nstr != len(c.stride) {
-		return fmt.Errorf("%w: sparse columns %d/%d, static classes imply %d/%d",
+		return 0, fmt.Errorf("%w: sparse columns %d/%d, static classes imply %d/%d",
 			ErrFormat, len(c.ea), len(c.stride), nea, nstr)
 	}
-	return nil
+	return next, nil
 }
 
 // Decode materialises an artifact written by WriteTo back into a Trace for
@@ -248,31 +271,28 @@ func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
 	}
 	// Chunks are appended as their frames verify: the header's count is a
 	// claim, and only frames actually read may cost memory.
-	t := &Trace{prog: p, n: records}
+	t := &Trace{prog: p, n: records, static: buildStatic(p), flow: NewFlow(p)}
 	var scratch []byte
+	var got uint64
+	next := int32(-1)
 	for i := 0; i < chunks; i++ {
 		var c chunk
-		if err := readFrame(br, &c, &scratch, i == chunks-1); err != nil {
+		sis, err := readFrame(br, &c, &scratch, i == chunks-1)
+		if err != nil {
+			return nil, err
+		}
+		if next, err = checkChunk(&c, sis, t.static, t.flow, next); err != nil {
 			return nil, err
 		}
 		t.chunks = append(t.chunks, c)
-		t.bytes += frameSize(len(c.si), len(c.ea), len(c.stride))
+		t.bytes += ramSize(len(c.meta), len(c.ea), len(c.stride))
+		got += uint64(len(c.meta))
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing bytes after %d chunks", ErrFormat, chunks)
 	}
-	var got uint64
-	for i := range t.chunks {
-		got += uint64(len(t.chunks[i].si))
-	}
 	if got != records {
 		return nil, fmt.Errorf("%w: %d records decoded, header says %d", ErrFormat, got, records)
-	}
-	t.static = buildStatic(p)
-	for i := range t.chunks {
-		if err := checkChunk(&t.chunks[i], t.static); err != nil {
-			return nil, err
-		}
 	}
 	return t, nil
 }

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -182,10 +185,100 @@ func fuzzSeedProgram(name string) *isa.Program {
 	return b.Build()
 }
 
+// twoFrameProgram is the shortest kind of program whose trace fills a
+// frame and starts a second: a counted loop of two records per iteration.
+func twoFrameProgram() *isa.Program {
+	b := asm.New("frames")
+	b.Loop(isa.R(1), chunkRecords/2+1, func() {})
+	return b.Build()
+}
+
+// frameAt returns the payload of frame i of an artifact and the prelude
+// slot of its checksum, both views of blob.
+func frameAt(blob []byte, i int) (payload, crc []byte) {
+	at := bytes.IndexByte(blob, '\n') + 1
+	for {
+		hdr := blob[at : at+frameHeaderLen]
+		size := int(frameSize(int(binary.LittleEndian.Uint32(hdr[0:])),
+			int(binary.LittleEndian.Uint32(hdr[4:])), int(binary.LittleEndian.Uint32(hdr[8:]))))
+		if i == 0 {
+			return blob[at+frameHeaderLen : at+frameHeaderLen+size], hdr[12:]
+		}
+		at += frameHeaderLen + size
+		i--
+	}
+}
+
+// flowCase is an artifact of prog whose frames verify but whose stored
+// static indices break the control flow, and the check that must reject
+// it.
+type flowCase struct {
+	name, want string
+	prog       *isa.Program
+	data       []byte
+}
+
+// flowCases stores, in a copy of an artifact with its checksum redone, one
+// static index the control flow does not lead to: mid-frame, in the seed
+// program's artifact (a record repeating its predecessor's index, both ALU
+// records, so the address and stride columns still match); at the start of
+// the second frame of twoFrameProgram's artifact; and a first index past
+// the seed program's end.
+func flowCases(t testing.TB) []flowCase {
+	t.Helper()
+	artifact := func(p *isa.Program) []byte {
+		tr, err := Capture(emu.New(p), testMaxSteps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	store := func(blob []byte, frame, rec int, si uint32) []byte {
+		data := append([]byte(nil), blob...)
+		payload, crc := frameAt(data, frame)
+		binary.LittleEndian.PutUint32(payload[4*rec:], si)
+		binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
+		return data
+	}
+	p := fuzzSeedProgram("seed")
+	seed := artifact(p)
+	payload, _ := frameAt(seed, 0)
+	static := buildStatic(p)
+	if si := binary.LittleEndian.Uint32(payload[0:]); static[si].mem != memNone || si != 0 ||
+		static[binary.LittleEndian.Uint32(payload[4:])].mem != memNone {
+		t.Fatal("the seed trace does not start with two ALU records")
+	}
+	long := twoFrameProgram()
+	frames := artifact(long)
+	second, _ := frameAt(frames, 1)
+	return []flowCase{
+		{"index off the flow mid-frame", "where control flow leads to 1", p, store(seed, 0, 1, 0)},
+		{"frame start off the flow", "where control flow leads to", long,
+			store(frames, 1, 0, binary.LittleEndian.Uint32(second[4:]))},
+		{"first index out of range", "out of range", p, store(seed, 0, 0, uint32(len(p.Insts)))},
+	}
+}
+
+// TestDecodeChecksFlow: Decode rejects a stored static index that the
+// control flow does not lead to, wherever it sits, and a first index
+// outside the program, each at the check that names it.
+func TestDecodeChecksFlow(t *testing.T) {
+	for _, c := range flowCases(t) {
+		if _, err := Decode(bytes.NewReader(c.data), c.prog); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode gave %v, want ErrFormat at %q", c.name, err, c.want)
+		}
+	}
+}
+
 // FuzzDecode: Decode never crashes on any bytes, and an artifact it
-// accepts re-encodes to exactly those bytes. Seeds are the artifact of
-// fuzzSeedProgram, another program's artifact, and the damaged forms of
-// the tests above.
+// accepts re-encodes to exactly those bytes. Each input is decoded for
+// fuzzSeedProgram and for twoFrameProgram. Seeds are the artifact of
+// fuzzSeedProgram, another program's artifact, the damaged forms of the
+// tests above and flowCases.
 //
 //	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
 func FuzzDecode(f *testing.F) {
@@ -210,20 +303,26 @@ func FuzzDecode(f *testing.F) {
 	f.Add(blob[:headerLen+(len(blob)-headerLen)/2])
 	f.Add(append(append([]byte(nil), blob...), 0))
 	f.Add(bombHeader(p))
+	for _, c := range flowCases(f) {
+		f.Add(c.data)
+	}
+	progs := []*isa.Program{p, twoFrameProgram()}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Decode(bytes.NewReader(data), p)
-		if err != nil {
-			if !errors.Is(err, ErrFormat) {
-				t.Fatalf("Decode error %v does not wrap ErrFormat", err)
+		for _, p := range progs {
+			tr, err := Decode(bytes.NewReader(data), p)
+			if err != nil {
+				if !errors.Is(err, ErrFormat) {
+					t.Fatalf("Decode error %v does not wrap ErrFormat", err)
+				}
+				continue
 			}
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatalf("accepted artifact re-encodes to %d different bytes (input %d)", buf.Len(), len(data))
+			var buf bytes.Buffer
+			if _, err := tr.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data) {
+				t.Fatalf("accepted artifact re-encodes to %d different bytes (input %d)", buf.Len(), len(data))
+			}
 		}
 	})
 }

@@ -41,23 +41,59 @@ type Source interface {
 	// column form. An empty batch means the end of the stream (or a fault;
 	// check Err). The batch is read-only and valid until the next call.
 	NextBatch(max uint64) Batch
+	// Flow returns the program's control flow, which derives the static
+	// index of each batch record after the first.
+	Flow() Flow
 	// Err reports the fault that terminated the stream, if any.
 	Err() error
 }
 
 // Batch is a run of consecutive records in the chunk encoding, the column
-// form the emulator records (emu.Columns): one static index and one meta
-// byte (vector length | MetaTaken) per record, one effective address per
-// memory record and one stride per vector-memory record, both in stream
-// order.
+// form the emulator records (emu.Columns): one meta byte (vector length |
+// MetaTaken) per record, one effective address per memory record and one
+// stride per vector-memory record, both in stream order, and the static
+// index of the first record. Its length is len(Meta); the static index of
+// each later record follows from its predecessor's by Flow.Next.
 type Batch = emu.Columns
+
+// Flow is a program's control flow as replay derives it: where each static
+// instruction leads when taken, its target for a branch and the next
+// instruction for anything else. Every control transfer in the modelled
+// ISAs is a direct branch, so the record after one at static index si sits
+// at si's branch target when si was a taken branch, and at si+1 otherwise.
+// That is the one rule by which every walker of a trace or a batch derives
+// the static indices a trace does not store; a walker may therefore apply
+// it at branch records alone and count up elsewhere.
+type Flow []int32
+
+// NewFlow returns the control flow of p.
+func NewFlow(p *isa.Program) Flow {
+	f := make(Flow, len(p.Insts))
+	for i := range p.Insts {
+		f[i] = int32(i + 1)
+		if in := &p.Insts[i]; in.Op.Info().Class == isa.ClassBranch {
+			f[i] = int32(in.Target)
+		}
+	}
+	return f
+}
+
+// Next returns the static index of the record after one at static index si
+// whose meta byte is meta. It reads f only for a taken record.
+func (f Flow) Next(si int32, meta uint8) int32 {
+	if meta&MetaTaken != 0 {
+		return f[si]
+	}
+	return si + 1
+}
 
 // Live adapts a functional emulator into a Source (the interleaved
 // emulate-and-time path). It is single-use: the machine advances as the
 // timing model consumes it.
 type Live struct {
-	m   *emu.Machine
-	buf Batch // NextBatch's columns, reused by every call
+	m    *emu.Machine
+	flow Flow
+	buf  Batch // NextBatch's columns, reused by every call
 }
 
 // liveBatchRecords caps how many instructions one Live.NextBatch call
@@ -65,10 +101,13 @@ type Live struct {
 const liveBatchRecords = 256
 
 // NewLive wraps a machine as a Source.
-func NewLive(m *emu.Machine) *Live { return &Live{m: m} }
+func NewLive(m *emu.Machine) *Live { return &Live{m: m, flow: NewFlow(m.Prog)} }
 
 // Program returns the machine's program.
 func (l *Live) Program() *isa.Program { return l.m.Prog }
+
+// Flow returns the control flow of the machine's program.
+func (l *Live) Flow() Flow { return l.flow }
 
 // Next executes one instruction.
 func (l *Live) Next() (emu.Dyn, bool) { return l.m.Step() }
@@ -78,7 +117,7 @@ func (l *Live) Next() (emu.Dyn, bool) { return l.m.Step() }
 // program or on a fault.
 func (l *Live) NextBatch(max uint64) Batch {
 	b := &l.buf
-	b.SI, b.Meta, b.EA, b.Stride = b.SI[:0], b.Meta[:0], b.EA[:0], b.Stride[:0]
+	b.Meta, b.EA, b.Stride = b.Meta[:0], b.EA[:0], b.Stride[:0]
 	l.m.Record(min(max, liveBatchRecords), b)
 	return *b
 }
@@ -96,20 +135,24 @@ const chunkRecords = 1 << 15
 const MetaTaken = emu.MetaTaken
 
 // A chunk stores chunkRecords dynamic instructions as struct-of-slices
-// columns. Only the dynamic facts are stored: the static index, the vector
-// length and branch outcome (one meta byte), and — only for the records
-// that need them — the effective address and vector stride. Everything else
-// in emu.Dyn (opcode, class, branch target, element size/count) is
+// columns. Only what the static program cannot rebuild is stored: the
+// vector length and branch outcome (one meta byte), only for the records
+// that need them the effective address and vector stride, and the static
+// index of the first record, from which Flow derives the others. Everything
+// else in emu.Dyn (opcode, class, branch target, element size/count) is
 // reconstructed from the static program during replay.
 type chunk struct {
-	si     []int32  // static instruction index, per record
+	first  int32    // static instruction index of the first record
 	meta   []uint8  // VL | MetaTaken, per record
 	ea     []uint64 // effective address, per memory record
 	stride []int64  // byte stride, per vector-memory record
 }
 
-// bytesPerRecord is the fixed per-record cost (si + meta).
-const bytesPerRecord = 5
+// ramSize is the bytes a chunk's columns hold: one meta byte per record and
+// eight per effective address and per stride.
+func ramSize(nrec, nea, nstr int) int64 {
+	return int64(nrec) + 8*int64(nea) + 8*int64(nstr)
+}
 
 // Memory kind of a static instruction, for replay reconstruction.
 const (
@@ -120,11 +163,10 @@ const (
 
 // sinst is the per-static-instruction table used to rebuild emu.Dyn records.
 type sinst struct {
-	op     isa.Opcode
-	class  isa.Class
-	target int32
-	size   uint8
-	mem    uint8
+	op    isa.Opcode
+	class isa.Class
+	size  uint8
+	mem   uint8
 }
 
 // Trace is a recorded dynamic instruction stream. The recording itself is
@@ -134,9 +176,10 @@ type sinst struct {
 type Trace struct {
 	prog   *isa.Program
 	static []sinst
+	flow   Flow
 	chunks []chunk
 	n      uint64
-	bytes  int64
+	bytes  int64 // the chunks' column bytes (ramSize)
 
 	auxMu sync.Mutex
 	aux   map[any]any
@@ -172,8 +215,8 @@ func (t *Trace) SetAux(key, val any) any {
 	return val
 }
 
-// ErrTooLarge is returned by Capture when the encoded trace would exceed
-// the caller's maxBytes bound.
+// ErrTooLarge is returned by Capture when the trace would hold more than
+// the caller's maxBytes bound in memory.
 var ErrTooLarge = errors.New("trace: exceeds memory budget")
 
 // buildStatic precomputes the replay reconstruction table for a program.
@@ -183,7 +226,7 @@ func buildStatic(p *isa.Program) []sinst {
 		in := &p.Insts[i]
 		info := in.Op.Info()
 		s := &st[i]
-		s.op, s.class, s.target = in.Op, info.Class, int32(in.Target)
+		s.op, s.class = in.Op, info.Class
 		switch info.Class {
 		case isa.ClassLoad, isa.ClassStore:
 			s.mem, s.size = memScalar, uint8(in.Op.ElemSize())
@@ -196,8 +239,9 @@ func buildStatic(p *isa.Program) []sinst {
 
 // CaptureInfo describes one finished capture attempt to an observer
 // registered with SetCaptureHook: which program was recorded, when the
-// capture started and how long it ran, and — on success — the encoded
-// size and record count. Err is non-nil when the capture failed.
+// capture started and how long it ran, and — on success — the in-memory
+// size (Trace.Bytes) and record count. Err is non-nil when the capture
+// failed.
 type CaptureInfo struct {
 	Program  string
 	Start    time.Time
@@ -226,7 +270,8 @@ func SetCaptureHook(h func(CaptureInfo)) {
 
 // Capture runs the machine to completion, recording its dynamic stream.
 // It fails if the program faults, exceeds maxSteps dynamic instructions, or
-// (when maxBytes > 0) the encoding grows past maxBytes.
+// (when maxBytes > 0) the trace would hold more than maxBytes in memory
+// (Trace.Bytes).
 func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err error) {
 	if h := captureHook.Load(); h != nil {
 		start := time.Now()
@@ -248,7 +293,6 @@ func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err er
 // about 20 reallocations of each column on the way to one chunk.)
 var scratchPool = sync.Pool{New: func() any {
 	return &Batch{
-		SI:     make([]int32, 0, chunkRecords),
 		Meta:   make([]uint8, 0, chunkRecords),
 		EA:     make([]uint64, 0, chunkRecords),
 		Stride: make([]int64, 0, chunkRecords),
@@ -264,13 +308,13 @@ func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 	buf := scratchPool.Get().(*Batch)
 	defer scratchPool.Put(buf)
 	// A capture that failed mid-chunk put its scratch back unflushed.
-	buf.SI, buf.Meta, buf.EA, buf.Stride = buf.SI[:0], buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
+	buf.Meta, buf.EA, buf.Stride = buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
 	for !m.Done() && t.n < maxSteps {
-		t.n += m.Record(min(chunkRecords-uint64(len(buf.SI)), maxSteps-t.n), buf)
-		if maxBytes > 0 && t.bytes+frameSize(len(buf.SI), len(buf.EA), len(buf.Stride)) > maxBytes {
+		t.n += m.Record(min(chunkRecords-uint64(len(buf.Meta)), maxSteps-t.n), buf)
+		if maxBytes > 0 && t.bytes+ramSize(len(buf.Meta), len(buf.EA), len(buf.Stride)) > maxBytes {
 			return nil, fmt.Errorf("%w: %s needs more than %d bytes", ErrTooLarge, m.Prog.Name, maxBytes)
 		}
-		if len(buf.SI) == chunkRecords {
+		if len(buf.Meta) == chunkRecords {
 			t.closeChunk(buf)
 		}
 	}
@@ -282,10 +326,10 @@ func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 	if m.Err != nil {
 		return nil, m.Err
 	}
-	if len(buf.SI) > 0 {
+	if len(buf.Meta) > 0 {
 		t.closeChunk(buf)
 	}
-	t.static = buildStatic(m.Prog)
+	t.static, t.flow = buildStatic(m.Prog), NewFlow(m.Prog)
 	return t, nil
 }
 
@@ -294,13 +338,13 @@ func capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (*Trace, error) {
 // An empty column stays nil, so no chunk keeps the scratch alive.
 func (t *Trace) closeChunk(buf *Batch) {
 	t.chunks = append(t.chunks, chunk{
-		si:     append([]int32(nil), buf.SI...),
+		first:  buf.First,
 		meta:   append([]uint8(nil), buf.Meta...),
 		ea:     append([]uint64(nil), buf.EA...),
 		stride: append([]int64(nil), buf.Stride...),
 	})
-	t.bytes += frameSize(len(buf.SI), len(buf.EA), len(buf.Stride))
-	buf.SI, buf.Meta, buf.EA, buf.Stride = buf.SI[:0], buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
+	t.bytes += ramSize(len(buf.Meta), len(buf.EA), len(buf.Stride))
+	buf.Meta, buf.EA, buf.Stride = buf.Meta[:0], buf.EA[:0], buf.Stride[:0]
 }
 
 // Program returns the traced program.
@@ -312,40 +356,50 @@ func (t *Trace) Records() uint64 { return t.n }
 // Chunks returns the number of storage chunks.
 func (t *Trace) Chunks() int { return len(t.chunks) }
 
-// Bytes returns the approximate encoded size in memory.
+// Bytes returns what the trace holds in memory: its chunks' columns, one
+// meta byte per record and eight bytes per effective address and per
+// stride. Capture's byte budget bounds the same quantity; EncodedSize is
+// the artifact's size.
 func (t *Trace) Bytes() int64 { return t.bytes }
 
 // Reader returns a fresh replay cursor over the trace. Readers are
 // independent: many may replay the same trace concurrently.
-func (t *Trace) Reader() *Reader { return &Reader{t: t} }
+func (t *Trace) Reader() *Reader {
+	r := &Reader{t: t}
+	r.enter(0)
+	return r
+}
 
 // Cursor is an O(1) resume point for a position a Reader has already
-// reached: it carries the sparse ea/stride column offsets, so reopening
-// there walks nothing. Capture it with Reader.Cursor (or Reader.CursorAt,
-// inside the last batch) at the position of interest, and reopen any
-// number of independent readers there with ReaderAtCursor, or move one
-// with Seek.
+// reached: it carries the sparse ea/stride column offsets and the static
+// index of the record there, so reopening there walks nothing. Capture it
+// with Reader.Cursor (or Reader.CursorAt, inside the last batch) at the
+// position of interest, and reopen any number of independent readers there
+// with ReaderAtCursor, or move one with Seek.
 type Cursor struct {
 	pos       uint64
 	eaI, strI int
+	si        int32
 }
 
 // Pos returns the stream position the cursor marks.
 func (c Cursor) Pos() uint64 { return c.pos }
 
 // Cursor captures the reader's current position for ReaderAtCursor.
-func (r *Reader) Cursor() Cursor { return Cursor{pos: r.pos, eaI: r.eaI, strI: r.strI} }
+func (r *Reader) Cursor() Cursor { return Cursor{pos: r.pos, eaI: r.eaI, strI: r.strI, si: r.si} }
 
 // CursorAt returns the cursor at record k of b, the batch the reader's
-// last NextBatch call returned (0 <= k <= len(b.SI)), where ea and strides
-// count b's memory and vector-memory records before record k. A consumer
-// that walks a whole batch can so mark positions inside it without asking
-// for shorter batches.
-func (r *Reader) CursorAt(b Batch, k, ea, strides int) Cursor {
+// last NextBatch call returned (0 <= k <= len(b.Meta)), where ea and
+// strides count b's memory and vector-memory records before record k and
+// si is record k's static index, as the walker derived it. A consumer that
+// walks a whole batch can so mark positions inside it without asking for
+// shorter batches.
+func (r *Reader) CursorAt(b Batch, k, ea, strides int, si int32) Cursor {
 	return Cursor{
-		pos:  r.pos - uint64(len(b.SI)-k),
+		pos:  r.pos - uint64(len(b.Meta)-k),
 		eaI:  r.eaI - (len(b.EA) - ea),
 		strI: r.strI - (len(b.Stride) - strides),
+		si:   si,
 	}
 }
 
@@ -362,13 +416,13 @@ func (t *Trace) ReaderAtCursor(c Cursor) *Reader {
 // trace, forward or back, in O(1). Pos then reads the cursor's position;
 // Skipped does not change.
 func (r *Reader) Seek(c Cursor) {
-	r.pos, r.eaI, r.strI = c.pos, c.eaI, c.strI
+	r.pos, r.eaI, r.strI, r.si = c.pos, c.eaI, c.strI, c.si
 	r.ci = int(c.pos / chunkRecords)
 	r.ri = int(c.pos % chunkRecords)
 	if r.ri == 0 {
 		// A cursor captured at the end of a full chunk carries that chunk's
 		// column ends; the reader starts the next chunk.
-		r.eaI, r.strI = 0, 0
+		r.enter(r.ci)
 	}
 }
 
@@ -379,12 +433,25 @@ type Reader struct {
 	ri      int    // record index within chunk
 	eaI     int    // cursor into chunk.ea
 	strI    int    // cursor into chunk.stride
+	si      int32  // static index of record ri, while ri is inside the chunk
 	pos     uint64 // records consumed (Next, NextBatch, Skip, WarmNext)
 	skipped uint64 // records consumed by Skip only
 }
 
+// enter moves the reader to the first record of chunk ci, or past the end
+// when ci is the chunk count.
+func (r *Reader) enter(ci int) {
+	r.ci, r.ri, r.eaI, r.strI = ci, 0, 0, 0
+	if ci < len(r.t.chunks) {
+		r.si = r.t.chunks[ci].first
+	}
+}
+
 // Program returns the traced program.
 func (r *Reader) Program() *isa.Program { return r.t.prog }
+
+// Flow returns the control flow of the traced program.
+func (r *Reader) Flow() Flow { return r.t.flow }
 
 // Trace returns the recording this reader replays, so a consumer handed a
 // Reader can open further cursors over the same trace (see
@@ -407,36 +474,44 @@ func (r *Reader) Skipped() uint64 { return r.skipped }
 // Skip advances the cursor past up to n records without reconstructing
 // them, returning how many were actually skipped (fewer than n only at end
 // of stream). Chunk tails are skipped in O(1); a record inside a partially
-// consumed span costs one static-table lookup to keep the ea/stride
-// cursors aligned for the next reconstructed record.
+// consumed span costs one static-table lookup, to keep the ea/stride
+// cursors aligned for the next reconstructed record, and one Flow step, to
+// derive the next record's static index.
 func (r *Reader) Skip(n uint64) uint64 {
 	var done uint64
 	for done < n && r.ci < len(r.t.chunks) {
 		c := &r.t.chunks[r.ci]
-		remaining := uint64(len(c.si) - r.ri)
+		remaining := uint64(len(c.meta) - r.ri)
 		left := n - done
 		if remaining <= left {
 			done += remaining
-			r.ci++
-			r.ri, r.eaI, r.strI = 0, 0, 0
+			r.enter(r.ci + 1)
 			continue
 		}
-		static := r.t.static
-		for i := uint64(0); i < left; i++ {
-			s := &static[c.si[r.ri]]
-			r.ri++
-			if s.mem != memNone {
-				r.eaI++
-				if s.mem == memVector {
-					r.strI++
-				}
-			}
-		}
+		r.walk(r.ri + int(left))
 		done += left
 	}
 	r.pos += done
 	r.skipped += done
 	return done
+}
+
+// walk moves the reader from record ri to record hi of its chunk, counting
+// the memory records it passes into the ea/stride cursors and deriving the
+// static index at hi.
+func (r *Reader) walk(hi int) {
+	static, flow, si := r.t.static, r.t.flow, r.si
+	eaI, strI := r.eaI, r.strI
+	for _, meta := range r.t.chunks[r.ci].meta[r.ri:hi] {
+		if m := static[si].mem; m != memNone {
+			eaI++
+			if m == memVector {
+				strI++
+			}
+		}
+		si = flow.Next(si, meta)
+	}
+	r.ri, r.eaI, r.strI, r.si = hi, eaI, strI, si
 }
 
 // WarmSink receives the warming-relevant content of fast-forwarded records
@@ -461,36 +536,37 @@ type WarmSink interface {
 // end of stream).
 func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 	var done uint64
-	static := r.t.static
+	static, flow := r.t.static, r.t.flow
 	for done < n {
 		if r.ci >= len(r.t.chunks) {
 			break
 		}
 		c := &r.t.chunks[r.ci]
-		if r.ri >= len(c.si) {
-			r.ci++
-			r.ri, r.eaI, r.strI = 0, 0, 0
+		if r.ri >= len(c.meta) {
+			r.enter(r.ci + 1)
 			continue
 		}
-		take := min(n-done, uint64(len(c.si)-r.ri))
-		for k := uint64(0); k < take; k++ {
-			si := c.si[r.ri]
+		metas := c.meta[r.ri : r.ri+int(min(n-done, uint64(len(c.meta)-r.ri)))]
+		off := int(r.si) // record k of metas has static index k + off, as in the timing core
+		for k, meta := range metas {
+			si := k + off
 			s := &static[si]
 			switch {
 			case s.mem == memScalar:
 				sink.WarmScalar(c.ea[r.eaI], int(s.size), s.class == isa.ClassStore)
 				r.eaI++
 			case s.mem == memVector:
-				vl := int(c.meta[r.ri] &^ MetaTaken)
-				sink.WarmVector(c.ea[r.eaI], c.stride[r.strI], vl, s.class == isa.ClassMomStore)
+				sink.WarmVector(c.ea[r.eaI], c.stride[r.strI], int(meta&^MetaTaken), s.class == isa.ClassMomStore)
 				r.eaI++
 				r.strI++
 			case s.class == isa.ClassBranch:
-				sink.WarmBranch(int(si), c.meta[r.ri]&MetaTaken != 0)
+				sink.WarmBranch(si, meta&MetaTaken != 0)
+				off = int(flow.Next(int32(si), meta)) - k - 1
 			}
-			r.ri++
 		}
-		done += take
+		r.ri += len(metas)
+		r.si = int32(len(metas) + off)
+		done += uint64(len(metas))
 	}
 	r.pos += done
 	r.skipped += done
@@ -503,15 +579,14 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 		if r.ci >= len(r.t.chunks) {
 			return emu.Dyn{}, false
 		}
-		if r.ri < len(r.t.chunks[r.ci].si) {
+		if r.ri < len(r.t.chunks[r.ci].meta) {
 			break
 		}
-		r.ci++
-		r.ri, r.eaI, r.strI = 0, 0, 0
+		r.enter(r.ci + 1)
 	}
 	c := &r.t.chunks[r.ci]
-	si := c.si[r.ri]
-	meta := c.meta[r.ri]
+	si, meta := r.si, c.meta[r.ri]
+	r.si = r.t.flow.Next(si, meta)
 	r.ri++
 	r.pos++
 	s := &r.t.static[si]
@@ -523,7 +598,7 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 		VL:    int(meta &^ MetaTaken),
 	}
 	if s.class == isa.ClassBranch {
-		d.Target = int(s.target)
+		d.Target = int(r.t.flow[si])
 	}
 	switch s.mem {
 	case memScalar:
@@ -544,45 +619,36 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 // of the current chunk's columns: no copy, no allocation. A batch never
 // crosses a chunk boundary, and an empty batch means the end of the
 // stream. A batch that runs to the chunk's end takes the rest of its
-// ea/stride columns; a shorter one counts its memory records (one
-// static-table lookup each) to keep those cursors aligned for whatever
-// reads next. A consumer that walks the records anyway and may stop inside
-// a chunk can skip that count: it asks for the whole chunk tail (any max at
-// least the records the chunk has left) and, where it stops, seeks back
-// with Seek(CursorAt(...)), as the timing core's spans do.
+// ea/stride columns; a shorter one walks its records (one static-table
+// lookup and one Flow step each) to count its memory records and derive
+// the static index after its last, which keeps the reader aligned for
+// whatever reads next. A consumer that walks the records anyway and may
+// stop inside a chunk can skip that walk: it asks for the whole chunk tail
+// (any max at least the records the chunk has left) and, where it stops,
+// seeks back with Seek(CursorAt(...)), as the timing core's spans do.
 func (r *Reader) NextBatch(max uint64) Batch {
-	for r.ci < len(r.t.chunks) && r.ri == len(r.t.chunks[r.ci].si) {
-		r.ci++
-		r.ri, r.eaI, r.strI = 0, 0, 0
+	for r.ci < len(r.t.chunks) && r.ri == len(r.t.chunks[r.ci].meta) {
+		r.enter(r.ci + 1)
 	}
 	if r.ci >= len(r.t.chunks) || max == 0 {
 		return Batch{}
 	}
 	c := &r.t.chunks[r.ci]
-	lo, hi := r.ri, len(c.si)
+	lo, hi := r.ri, len(c.meta)
 	if uint64(hi-lo) > max {
 		hi = lo + int(max)
 	}
-	eaEnd, strEnd := len(c.ea), len(c.stride)
-	if hi < len(c.si) {
-		eaEnd, strEnd = r.eaI, r.strI
-		static := r.t.static
-		for _, si := range c.si[lo:hi] {
-			if m := static[si].mem; m != memNone {
-				eaEnd++
-				if m == memVector {
-					strEnd++
-				}
-			}
-		}
+	first, eaLo, strLo := r.si, r.eaI, r.strI
+	if hi < len(c.meta) {
+		r.walk(hi)
+	} else {
+		r.ri, r.eaI, r.strI = hi, len(c.ea), len(c.stride)
 	}
-	b := Batch{
-		SI:     c.si[lo:hi:hi],
-		Meta:   c.meta[lo:hi:hi],
-		EA:     c.ea[r.eaI:eaEnd:eaEnd],
-		Stride: c.stride[r.strI:strEnd:strEnd],
-	}
-	r.ri, r.eaI, r.strI = hi, eaEnd, strEnd
 	r.pos += uint64(hi - lo)
-	return b
+	return Batch{
+		First:  first,
+		Meta:   c.meta[lo:hi:hi],
+		EA:     c.ea[eaLo:r.eaI:r.eaI],
+		Stride: c.stride[strLo:r.strI:r.strI],
+	}
 }

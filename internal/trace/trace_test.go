@@ -280,13 +280,14 @@ func TestFaultText(t *testing.T) {
 			var got []int32
 			for {
 				b := l.NextBatch(testMaxSteps)
-				if len(b.SI) == 0 {
+				if len(b.Meta) == 0 {
 					break
 				}
-				if l.Err() != nil && len(got)+len(b.SI) != fc.before {
-					t.Fatalf("Live.NextBatch: fault set after %d records", len(got)+len(b.SI))
+				if l.Err() != nil && len(got)+len(b.Meta) != fc.before {
+					t.Fatalf("Live.NextBatch: fault set after %d records", len(got)+len(b.Meta))
 				}
-				got = append(got, b.SI...)
+				sis, _ := batchSIs(l.Flow(), b)
+				got = append(got, sis...)
 			}
 			if l.Err() == nil || l.Err().Error() != fc.want {
 				t.Fatalf("Live.NextBatch: %v, want %q", l.Err(), fc.want)
@@ -294,8 +295,8 @@ func TestFaultText(t *testing.T) {
 			if !slices.Equal(got, sis) {
 				t.Fatalf("Live.NextBatch: %d records before the fault, Step %d", len(got), len(sis))
 			}
-			if b := l.NextBatch(1); len(b.SI) != 0 {
-				t.Fatalf("Live.NextBatch after the fault: %d records", len(b.SI))
+			if b := l.NextBatch(1); len(b.Meta) != 0 {
+				t.Fatalf("Live.NextBatch after the fault: %d records", len(b.Meta))
 			}
 		})
 	}

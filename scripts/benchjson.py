@@ -8,6 +8,10 @@ ns/op, and every custom metric go's harness printed (e.g. the simulated
 cycle counts and speed-ups b.ReportMetric emits). Lines that are not
 benchmark results are ignored, so the raw `go test` stream can be piped
 straight through `tee`.
+
+`go test` appends "-<GOMAXPROCS>" to every name when GOMAXPROCS is above
+one; the record's name drops it, so names match a baseline taken on any
+number of CPUs. No benchmark's own name ends in "-<digits>".
 """
 
 import json
@@ -17,6 +21,7 @@ import sys
 # e.g. "BenchmarkFigure5-8   1   123456 ns/op   2.68 MOM-vs-Alpha-4way"
 LINE = re.compile(r"^(Benchmark\S+)\s+(\d+)\s+(.*)$")
 METRIC = re.compile(r"([0-9.eE+-]+)\s+(\S+)")
+PROCS = re.compile(r"-\d+$")
 
 
 def parse(stream):
@@ -25,7 +30,7 @@ def parse(stream):
         m = LINE.match(line.strip())
         if not m:
             continue
-        name, iters, rest = m.group(1), int(m.group(2)), m.group(3)
+        name, iters, rest = PROCS.sub("", m.group(1)), int(m.group(2)), m.group(3)
         rec = {"name": name, "iterations": iters, "metrics": {}}
         for value, unit in METRIC.findall(rest):
             try:

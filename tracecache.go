@@ -66,7 +66,7 @@ var (
 
 func init() {
 	traceMetrics.Gauge("trace_cached_traces", "Traces currently held in memory.", func() int64 { n, _ := cacheHeld(); return n })
-	traceMetrics.Gauge("trace_cached_bytes", "Trace bytes currently held in memory.", func() int64 { _, b := cacheHeld(); return b })
+	traceMetrics.Gauge("trace_cached_bytes", "Bytes the traces held in memory occupy (Trace.Bytes: their meta, address and stride columns).", func() int64 { _, b := cacheHeld(); return b })
 }
 
 // cacheHeld returns the number and bytes of the traces the cache holds.
