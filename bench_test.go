@@ -95,7 +95,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var rows []AppSpeedup
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = Figure7(context.Background(), ScaleTest)
+		rows, err = Figure7(context.Background(), ScaleTest, SampleSpec{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,30 +222,6 @@ func BenchmarkRegisterPressure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunKernel("idct", MOM, 4, PerfectMemory(1), ScaleTest); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTransposeAblation compares the two ways MOM code can transpose
-// 8x8 halfword tiles: the dedicated matrix transpose instruction
-// (MOMTRANSH, "especially useful to switch vector dimensions without using
-// pack/unpack operations" — the paper's matrix-operation argument) against
-// the classic MMX unpack network. Reported metric: cycles per block.
-func BenchmarkTransposeAblation(b *testing.B) {
-	for _, width := range []int{1, 4} {
-		for _, mode := range []string{"momtransh", "unpack-network"} {
-			mode, width := mode, width
-			b.Run(fmt.Sprintf("%s/%d-way", mode, width), func(b *testing.B) {
-				var cycles int64
-				for n := 0; n < b.N; n++ {
-					c, err := runTransposeAblation(mode == "momtransh", width)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = c
-				}
-				b.ReportMetric(float64(cycles)/256, "simcycles/block")
-			})
 		}
 	}
 }

@@ -154,16 +154,11 @@ type AppSpeedup struct {
 
 // Figure7 reruns the program-level study: the five applications on the five
 // ISA/cache configurations at 4- and 8-way issue with the detailed memory
-// hierarchy.
-func Figure7(ctx context.Context, sc Scale) ([]AppSpeedup, error) {
-	return Figure7Sampled(ctx, sc, SampleSpec{})
-}
-
-// Figure7Sampled is Figure7 under a sampling regime: every app×config×width
-// point runs sampled (detailed windows + functional fast-forward over the
-// recorded trace), turning the slowest experiment into an interactive one.
-// A disabled spec is bit-identical to Figure7.
-func Figure7Sampled(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup, error) {
+// hierarchy. A zero spec runs every point exact; an enabled one runs every
+// app×config×width point sampled (detailed windows + functional
+// fast-forward over the recorded trace), turning the slowest experiment
+// into an interactive one.
+func Figure7(ctx context.Context, sc Scale, sp SampleSpec) ([]AppSpeedup, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -236,16 +231,9 @@ type ProfileRow struct {
 // scalar and packed ISAs serialise on loads. Every row is checked against
 // the attribution identity (buckets sum to Cycles) and the memory counter
 // invariants before being returned, so a broken counter fails the study
-// rather than skewing it.
-func ProfileStudy(ctx context.Context, sc Scale, width int) ([]ProfileRow, error) {
-	return ProfileStudySampled(ctx, sc, width, SampleSpec{})
-}
-
-// ProfileStudySampled is ProfileStudy under a sampling regime; the rows'
-// profiles then cover the measured intervals only, but every attribution
-// and counter invariant still holds (and is still checked). A disabled
-// spec is bit-identical to ProfileStudy.
-func ProfileStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]ProfileRow, error) {
+// rather than skewing it. Under an enabled spec the rows' profiles cover
+// the measured intervals only, and every invariant is still checked.
+func ProfileStudy(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]ProfileRow, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}

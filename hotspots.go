@@ -118,26 +118,11 @@ func AppHotspots(app string, i ISA, width int, m MemModel, sc Scale) (HotspotRep
 	return hotspotReport(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, SampleSpec{})
 }
 
-// AppHotspotsSampled profiles an application under a sampling regime: the
-// per-PC buckets cover (and sum exactly to) the measured intervals.
-func AppHotspotsSampled(app string, i ISA, width int, m MemModel, sc Scale, sp SampleSpec) (HotspotReport, error) {
-	if err := sp.Validate(); err != nil {
-		return HotspotReport{}, err
-	}
-	return hotspotReport(traceKey{app: true, name: app, isa: i, scale: sc}, width, m, sp)
-}
-
 // HotspotStudy profiles every kernel at every ISA level on the given issue
 // width with perfect memory (the machine of the kernel study), checking the
-// attribution invariants of every report.
-func HotspotStudy(ctx context.Context, sc Scale, width int) ([]HotspotReport, error) {
-	return HotspotStudySampled(ctx, sc, width, SampleSpec{})
-}
-
-// HotspotStudySampled is HotspotStudy under a sampling regime; every
-// report's attribution invariants are still checked exactly. A disabled
-// spec is bit-identical to HotspotStudy.
-func HotspotStudySampled(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]HotspotReport, error) {
+// attribution invariants of every report. Under an enabled spec the per-PC
+// buckets cover (and sum exactly to) the measured intervals.
+func HotspotStudy(ctx context.Context, sc Scale, width int, sp SampleSpec) ([]HotspotReport, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}

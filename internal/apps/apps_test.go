@@ -2,10 +2,11 @@ package apps
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
-	"repro/internal/media"
 )
 
 // TestAllAppsAllISAsBitExact: every application, in every ISA variant,
@@ -32,7 +33,7 @@ func TestAppInstructionCounts(t *testing.T) {
 		counts := map[isa.Ext]uint64{}
 		for _, ext := range isa.AllExts {
 			p := a.Build(ext)
-			m := newMachine(p)
+			m := emu.New(p)
 			steps, err := m.Run(500_000_000)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a.Name, ext, err)
@@ -103,22 +104,41 @@ func TestJPEGAndGSMAcrossSeeds(t *testing.T) {
 	}
 }
 
+// psnr computes the peak signal-to-noise ratio (dB) between two
+// equally-sized 8-bit planes.
+func psnr(a, b []byte) float64 {
+	if len(a) != len(b) || len(a) == 0 {
+		return 0
+	}
+	var se float64
+	for i := range a {
+		d := float64(int(a[i]) - int(b[i]))
+		se += d * d
+	}
+	if se == 0 {
+		return math.Inf(1)
+	}
+	mse := se / float64(len(a))
+	return 10 * math.Log10(255*255/mse)
+}
+
 // TestCodecQuality: the reconstructed outputs must be visually faithful to
-// the originals (the paper verified "no visually perceptible losses").
+// the originals (the paper verified "no visually perceptible losses"),
+// measured as PSNR.
 func TestCodecQuality(t *testing.T) {
 	mc := mpegCfgFor(ScaleTest)
 	g := mpegEncodeGolden(mc)
 	for i := 0; i < 3; i++ {
-		if p := media.PSNR(g.frames[i], g.recon[i]); p < 30 {
+		if p := psnr(g.frames[i], g.recon[i]); p < 30 {
 			t.Errorf("mpeg2 frame %d PSNR %.1f dB < 30", i, p)
 		}
 	}
 	jc := jpegCfgFor(ScaleTest)
 	jg := jpegGoldenRun(jc)
-	if p := media.PSNR(jg.y, jg.yRec); p < 30 {
+	if p := psnr(jg.y, jg.yRec); p < 30 {
 		t.Errorf("jpeg luma PSNR %.1f dB < 30", p)
 	}
-	if p := media.PSNR(jg.r, jg.rRec); p < 24 {
+	if p := psnr(jg.r, jg.rRec); p < 24 {
 		t.Errorf("jpeg red-channel PSNR %.1f dB < 24 (chroma subsampled)", p)
 	}
 }

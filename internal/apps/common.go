@@ -152,9 +152,6 @@ func fmtErrorf(format string, args ...interface{}) error {
 	return fmt.Errorf(format, args...)
 }
 
-// newMachine builds a machine for tests.
-func newMachine(p *isa.Program) *emu.Machine { return emu.New(p) }
-
 // ---- half-pel motion refinement (shared by golden and builders) ----
 
 // Half-pel interpolation modes: the prediction is avg(ref@delta,

@@ -128,11 +128,6 @@ func (b *Builder) Op(op isa.Opcode, dst, s0, s1 isa.Reg) {
 	b.Emit(isa.Inst{Op: op, Dst: dst, Src: [3]isa.Reg{s0, s1}})
 }
 
-// Op3 emits a four-operand operation (e.g. PCMOV, MOMSTQ).
-func (b *Builder) Op3(op isa.Opcode, dst, s0, s1, s2 isa.Reg) {
-	b.Emit(isa.Inst{Op: op, Dst: dst, Src: [3]isa.Reg{s0, s1, s2}})
-}
-
 // OpI emits an operation whose second operand is an immediate.
 func (b *Builder) OpI(op isa.Opcode, dst, s0 isa.Reg, imm int64) {
 	b.Emit(isa.Inst{Op: op, Dst: dst, Src: [3]isa.Reg{s0}, Imm: imm})
@@ -185,9 +180,6 @@ func (b *Builder) Stb(val, base isa.Reg, off int64) {
 }
 func (b *Builder) Stw(val, base isa.Reg, off int64) {
 	b.Emit(isa.Inst{Op: isa.STW, Src: [3]isa.Reg{val, base}, Imm: off})
-}
-func (b *Builder) Stl(val, base isa.Reg, off int64) {
-	b.Emit(isa.Inst{Op: isa.STL, Src: [3]isa.Reg{val, base}, Imm: off})
 }
 func (b *Builder) Stq(val, base isa.Reg, off int64) {
 	b.Emit(isa.Inst{Op: isa.STQ, Src: [3]isa.Reg{val, base}, Imm: off})

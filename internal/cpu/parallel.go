@@ -180,7 +180,7 @@ func (l *sweepLog) bytes() int64 {
 	var n int64
 	for i := range l.windows {
 		w := &l.windows[i]
-		n += 48 + w.tags.Bytes() + 8*int64(len(w.br)) // 48: the cursor and br's slice header
+		n += 56 + w.tags.Bytes() + 8*int64(len(w.br)) // 56: the cursor and br's slice header
 	}
 	return n
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/emu"
@@ -236,5 +237,16 @@ func TestParallelClonesPerWorker(t *testing.T) {
 	}
 	if n := built.Load(); n != 2 {
 		t.Errorf("a 2-worker run built %d hierarchies, want 2", n)
+	}
+}
+
+// TestSweepLogBytes: bytes counts each window at its in-memory size, so a
+// field added to logWindow or trace.Cursor must be counted too.
+func TestSweepLogBytes(t *testing.T) {
+	lg := &sweepLog{windows: make([]logWindow, 3)}
+	lg.windows[1].br = make([]brEntry, 5)
+	want := 3*int64(unsafe.Sizeof(logWindow{})) + 5*int64(unsafe.Sizeof(brEntry{}))
+	if got := lg.bytes(); got != want {
+		t.Errorf("a 3-window log with 5 branch entries counts %d bytes, want %d", got, want)
 	}
 }

@@ -105,7 +105,7 @@ func TestLoadStoreWidths(t *testing.T) {
 	b.MovI(v, -2) // 0xfffe...
 	b.Stb(v, base, 0)
 	b.Stw(v, base, 2)
-	b.Stl(v, base, 4)
+	b.Emit(isa.Inst{Op: isa.STL, Src: [3]isa.Reg{v, base}, Imm: 4})
 	b.Stq(v, base, 8)
 	b.Ldbu(isa.R(10), base, 0)
 	b.Ldwu(isa.R(11), base, 2)
@@ -433,7 +433,7 @@ func TestPCMOVSelect(t *testing.T) {
 	b.Ldm(isa.M(0), base, 0)
 	b.Ldm(isa.M(1), base, 8)
 	b.Ldm(isa.M(2), base, 16)
-	b.Op3(isa.PCMOV, isa.M(3), isa.M(0), isa.M(1), isa.M(2))
+	b.Emit(isa.Inst{Op: isa.PCMOV, Dst: isa.M(3), Src: [3]isa.Reg{isa.M(0), isa.M(1), isa.M(2)}})
 	b.Op(isa.MFM, isa.R(2), isa.M(3), isa.Reg{})
 	m := emu.New(b.Build())
 	if _, err := m.Run(10); err != nil {
@@ -483,9 +483,9 @@ func TestMOMMPVH(t *testing.T) {
 	}
 }
 
-// simdPackH packs four halfword lanes (test helper).
+// simdPackH packs four halfword lanes, a in lane 0.
 func simdPackH(a, b, c, d uint16) uint64 {
-	return simd.PackH([4]uint16{a, b, c, d})
+	return uint64(a) | uint64(b)<<16 | uint64(c)<<32 | uint64(d)<<48
 }
 
 func TestVectorAccumulateSerialisesAcrossWords(t *testing.T) {

@@ -228,47 +228,6 @@ func EmitAvgBlock16(b *asm.Builder, ext isa.Ext, w int, fR, gR, oR isa.Reg) {
 	}
 }
 
-// EmitCopyBlock16 appends a 16x16 block copy with row stride w (motion
-// compensation for P blocks without interpolation).
-func EmitCopyBlock16(b *asm.Builder, ext isa.Ext, w int, sR, dR isa.Reg) {
-	switch ext {
-	case isa.ExtAlpha:
-		x, row := isa.R(11), isa.R(13)
-		sp, dp := isa.R(14), isa.R(15)
-		b.Mov(sp, sR)
-		b.Mov(dp, dR)
-		b.Loop(row, 16, func() {
-			for i := int64(0); i < 16; i += 8 {
-				b.Ldq(x, sp, i)
-				b.Stq(x, dp, i)
-			}
-			b.AddI(sp, sp, int64(w))
-			b.AddI(dp, dp, int64(w))
-		})
-	case isa.ExtMMX, isa.ExtMDMX:
-		row := isa.R(13)
-		sp, dp := isa.R(14), isa.R(15)
-		b.Mov(sp, sR)
-		b.Mov(dp, dR)
-		b.Loop(row, 16, func() {
-			for _, off := range []int64{0, 8} {
-				b.Ldm(isa.M(0), sp, off)
-				b.Stm(isa.M(0), dp, off)
-			}
-			b.AddI(sp, sp, int64(w))
-			b.AddI(dp, dp, int64(w))
-		})
-	case isa.ExtMOM:
-		stride := isa.R(28)
-		b.MovI(stride, int64(w))
-		b.SetVLI(16)
-		for _, off := range []int64{0, 8} {
-			b.MomLd(isa.V(0), sR, stride, off)
-			b.MomSt(isa.V(0), dR, stride, off)
-		}
-	}
-}
-
 // EmitAddBlock8 appends an 8x8 reconstruction: out = sat8(pred + res)
 // where pred/out have row stride w and res is an int16 block (stride 16
 // bytes). The Alpha version uses the memory clip table at symbol
@@ -415,15 +374,6 @@ func emitDiffRow(p pix, cp, pp, rp isa.Reg, strideIn, strideOut isa.Reg) {
 	p.op(isa.PSUBH, p.r(3), p.r(3), p.r(5))
 	p.st(p.r(2), rp, strideOut, 0)
 	p.st(p.r(3), rp, strideOut, 8)
-}
-
-// EmitTransposeUnpack transposes one 8x8 halfword tile (row pitch 16
-// bytes) from srcP to dstP with the packed unpack network — the MMX-style
-// fallback used by the transpose ablation (MOM's MOMTRANSH does the same in
-// one instruction).
-func EmitTransposeUnpack(b *asm.Builder, srcP, dstP isa.Reg) {
-	p := pix{b: b, vec: false}
-	emitTranspose8x8(p, srcP, dstP, isa.Reg{}, isa.M(29), 0)
 }
 
 // EmitBlockSADAvg appends a 16x16 SAD against an interpolated reference:

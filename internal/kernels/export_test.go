@@ -60,23 +60,16 @@ func TestEmitCopyAndAvgBlock(t *testing.T) {
 		src2 := media.GenFrame(w, 16, 1, 9)
 		aA := b.AllocBytes("a", src1.Pix, 8)
 		bA := b.AllocBytes("b", src2.Pix, 8)
-		cpA := b.Alloc("cp", w*16, 8)
 		avA := b.Alloc("av", w*16, 8)
 		ra, rb, rc := isa.R(8), isa.R(9), isa.R(10)
 		b.MovI(ra, int64(aA))
 		b.MovI(rb, int64(bA))
-		b.MovI(rc, int64(cpA))
-		EmitCopyBlock16(b, ext, w, ra, rc)
 		b.MovI(rc, int64(avA))
 		EmitAvgBlock16(b, ext, w, ra, rb, rc)
 		m := runProg(t, b.Build())
-		gotCp := m.Mem.Bytes(cpA, w*16)
 		gotAv := m.Mem.Bytes(avA, w*16)
 		for j := 0; j < 16; j++ {
 			for i := 0; i < 16; i++ {
-				if gotCp[j*w+i] != src1.Pix[j*w+i] {
-					t.Fatalf("%v copy (%d,%d)", ext, i, j)
-				}
 				want := byte((uint16(src1.Pix[j*w+i]) + uint16(src2.Pix[j*w+i]) + 1) >> 1)
 				if gotAv[j*w+i] != want {
 					t.Fatalf("%v avg (%d,%d) = %d want %d", ext, i, j, gotAv[j*w+i], want)
@@ -162,7 +155,7 @@ func TestEmitYCC2RGBMatchesGolden(t *testing.T) {
 	cb := make([]byte, n)
 	cr := make([]byte, n)
 	for i := 0; i < n; i++ {
-		y[i], cb[i], cr[i] = rng.Byte(), rng.Byte(), rng.Byte()
+		y[i], cb[i], cr[i] = byte(rng.Next()), byte(rng.Next()), byte(rng.Next())
 	}
 	for _, ext := range isa.AllExts {
 		b := asm.New("y2r")

@@ -107,7 +107,3 @@ func readBytes(m *emu.Machine, addr uint64, n int) []byte {
 func mismatch(what string, i int, got, want interface{}) error {
 	return fmt.Errorf("%s: index %d: got %v, want %v", what, i, got, want)
 }
-
-// newMachine is a tiny indirection so tests can build machines without
-// importing emu directly everywhere.
-func newMachine(p *isa.Program) *emu.Machine { return emu.New(p) }

@@ -3,6 +3,7 @@ package kernels
 import (
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 )
 
@@ -36,7 +37,7 @@ func TestKernelProgramsShrinkWithISA(t *testing.T) {
 		out := map[isa.Ext]uint64{}
 		for _, ext := range isa.AllExts {
 			p := k.Build(ext)
-			m := newMachine(p)
+			m := emu.New(p)
 			steps, err := m.Run(200_000_000)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, ext, err)

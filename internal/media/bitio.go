@@ -81,31 +81,6 @@ func RLEEncodeBlock(w *BitWriter, blk *[64]int16) {
 	w.WriteBits(63, 6)
 }
 
-// RLEDecodeBlock reverses RLEEncodeBlock.
-func RLEDecodeBlock(r *BitReader, blk *[64]int16) {
-	for i := range blk {
-		blk[i] = 0
-	}
-	pos := 0
-	for pos < 64 {
-		run := int(r.ReadBits(6))
-		if run == 63 {
-			return
-		}
-		pos += run
-		v := readSigned(r)
-		if pos < 64 {
-			blk[ZigZag[pos]] = int16(v)
-			pos++
-		}
-	}
-	// consume the sentinel if the block was exactly full
-	if r.ReadBits(6) != 63 {
-		// tolerated: malformed stream fills the block and stops
-		return
-	}
-}
-
 func writeSigned(w *BitWriter, v int32) {
 	neg := v < 0
 	mag := v
@@ -125,17 +100,4 @@ func writeSigned(w *BitWriter, v int32) {
 		w.WriteBits(sign, 1)
 		w.WriteBits(uint32(mag), size)
 	}
-}
-
-func readSigned(r *BitReader) int32 {
-	size := uint(r.ReadBits(4))
-	if size == 0 {
-		return 0
-	}
-	neg := r.ReadBits(1) == 1
-	mag := int32(r.ReadBits(size))
-	if neg {
-		return -mag
-	}
-	return mag
 }

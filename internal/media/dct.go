@@ -155,30 +155,3 @@ func FDCT8x8(blk *[64]int16) {
 		blk[i] = (blk[i] + 1<<(FDCTPost-1)) >> FDCTPost
 	}
 }
-
-// IDCT8x8Float is the reference floating-point inverse transform used only
-// by quality tests.
-func IDCT8x8Float(blk *[64]int16) [64]float64 {
-	var out [64]float64
-	for n := 0; n < 8; n++ {
-		for m := 0; m < 8; m++ {
-			var s float64
-			for u := 0; u < 8; u++ {
-				for v := 0; v < 8; v++ {
-					cu, cv := 0.5, 0.5
-					if u == 0 {
-						cu = math.Sqrt(1.0 / 8.0)
-					}
-					if v == 0 {
-						cv = math.Sqrt(1.0 / 8.0)
-					}
-					s += cu * cv * float64(blk[u*8+v]) *
-						math.Cos(float64(2*n+1)*float64(u)*math.Pi/16) *
-						math.Cos(float64(2*m+1)*float64(v)*math.Pi/16)
-				}
-			}
-			out[n*8+m] = s
-		}
-	}
-	return out
-}

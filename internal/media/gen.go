@@ -129,22 +129,3 @@ func mod(a, m int) int {
 	}
 	return a
 }
-
-// PSNR computes the peak signal-to-noise ratio (dB) between two
-// equally-sized 8-bit planes — the quality metric backing the paper's
-// "no visually perceptible losses in accuracy" verification.
-func PSNR(a, b []byte) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var se float64
-	for i := range a {
-		d := float64(int(a[i]) - int(b[i]))
-		se += d * d
-	}
-	if se == 0 {
-		return math.Inf(1)
-	}
-	mse := se / float64(len(a))
-	return 10 * math.Log10(255*255/mse)
-}

@@ -60,22 +60,3 @@ func SpiralOffsets(win int) [][2]int {
 	}
 	return offs
 }
-
-// FullSearch runs the spiral search around (cx,cy) in ref for the block at
-// (bx,by) in cur, returning the best offset and its SAD. Candidates falling
-// outside ref are skipped. Ties keep the earlier (spiral-order) candidate,
-// exactly as dist1<dmin does in the original code.
-func FullSearch(cur *Plane, bx, by int, ref *Plane, cx, cy, win int) (dx, dy int, best int64) {
-	best = 1 << 62
-	for _, o := range SpiralOffsets(win) {
-		x, y := cx+o[0], cy+o[1]
-		if x < 0 || y < 0 || x+16 > ref.W || y+16 > ref.H {
-			continue
-		}
-		d := SAD16(cur, bx, by, ref, x, y)
-		if d < best {
-			best, dx, dy = d, o[0], o[1]
-		}
-	}
-	return dx, dy, best
-}

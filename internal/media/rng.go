@@ -33,9 +33,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Next() % uint64(n))
 }
 
-// Byte returns a uniform byte.
-func (r *RNG) Byte() byte { return byte(r.Next()) }
-
 // I16 returns a uniform int16 in [-lim, lim].
 func (r *RNG) I16(lim int) int16 {
 	if lim <= 0 {

@@ -104,7 +104,7 @@ func TestKonataRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(out, "Kanata\t0004\n") {
 		t.Fatalf("missing Kanata header:\n%s", out)
 	}
-	st, err := ParseKonata(strings.NewReader(out))
+	st, err := parseKonata(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("self-parse: %v\n%s", err, out)
 	}
@@ -127,7 +127,7 @@ func TestKonataWindow(t *testing.T) {
 	if err := WriteKonata(&buf, r.Events, synthDisasm); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ParseKonata(bytes.NewReader(buf.Bytes()))
+	st, err := parseKonata(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestParseKonataRejectsGarbage(t *testing.T) {
 		"Kanata\t0004\nI\t0\t0\t0\nS\t0\t0\tF",               // stage still open at EOF
 		"Kanata\t0004\nI\t0\t0\t0\nS\t0\t0\tF\nE\t0\t0\tD\n", // mismatched stage close
 	} {
-		if _, err := ParseKonata(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseKonata accepted %q", bad)
+		if _, err := parseKonata(strings.NewReader(bad)); err == nil {
+			t.Errorf("parseKonata accepted %q", bad)
 		}
 	}
 }

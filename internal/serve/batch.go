@@ -29,8 +29,9 @@ const maxBodyBytes = 512 << 10
 // a job document: the largest result, a hotspots document, measures
 // 2,376,582 bytes at test scale and 2,381,022 at bench scale, so 8 MiB
 // leaves 3.5x headroom. maxPeerTraceBytes covers a trace artifact: the
-// largest, mpeg2encode/Alpha at bench scale, encodes in about 38.3 MB
-// (Trace.Bytes 38,310,474 plus a header of a few hundred bytes), so 64 MiB
+// largest, mpeg2encode/Alpha at bench scale, encodes in 38,313,250 bytes
+// (Trace.Bytes 15,937,474, a 4-byte si column for each of its 5,593,250
+// records, 171 16-byte frame preludes and a 40-byte header), so 64 MiB
 // leaves 1.75x headroom.
 const (
 	maxPeerDocBytes   = 8 << 20

@@ -18,34 +18,10 @@ func GetH(x uint64, i int) uint16 { return uint16(x >> (uint(i) * 16)) }
 // GetW returns word lane i (0..1).
 func GetW(x uint64, i int) uint32 { return uint32(x >> (uint(i) * 32)) }
 
-// SetB returns x with byte lane i replaced by v.
-func SetB(x uint64, i int, v uint8) uint64 {
-	sh := uint(i) * 8
-	return x&^(0xff<<sh) | uint64(v)<<sh
-}
-
 // SetH returns x with halfword lane i replaced by v.
 func SetH(x uint64, i int, v uint16) uint64 {
 	sh := uint(i) * 16
 	return x&^(0xffff<<sh) | uint64(v)<<sh
-}
-
-// PackB builds a word from 8 byte lanes.
-func PackB(b [8]uint8) uint64 {
-	var x uint64
-	for i, v := range b {
-		x |= uint64(v) << (uint(i) * 8)
-	}
-	return x
-}
-
-// PackH builds a word from 4 halfword lanes.
-func PackH(h [4]uint16) uint64 {
-	var x uint64
-	for i, v := range h {
-		x |= uint64(v) << (uint(i) * 16)
-	}
-	return x
 }
 
 // ---- Saturation helpers ----

@@ -36,6 +36,30 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
+// setB returns x with byte lane i replaced by v.
+func setB(x uint64, i int, v uint8) uint64 {
+	sh := uint(i) * 8
+	return x&^(0xff<<sh) | uint64(v)<<sh
+}
+
+// packB builds a word from 8 byte lanes.
+func packB(b [8]uint8) uint64 {
+	var x uint64
+	for i, v := range b {
+		x |= uint64(v) << (uint(i) * 8)
+	}
+	return x
+}
+
+// packH builds a word from 4 halfword lanes.
+func packH(h [4]uint16) uint64 {
+	var x uint64
+	for i, v := range h {
+		x |= uint64(v) << (uint(i) * 16)
+	}
+	return x
+}
+
 func TestPackedOpsAgainstScalarReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -140,27 +164,27 @@ func TestUnpackPackRoundTrip(t *testing.T) {
 }
 
 func TestUnpackInterleaving(t *testing.T) {
-	a := PackB([8]uint8{0, 1, 2, 3, 4, 5, 6, 7})
-	b := PackB([8]uint8{10, 11, 12, 13, 14, 15, 16, 17})
-	if got, want := UnpackLB(a, b), PackB([8]uint8{0, 10, 1, 11, 2, 12, 3, 13}); got != want {
+	a := packB([8]uint8{0, 1, 2, 3, 4, 5, 6, 7})
+	b := packB([8]uint8{10, 11, 12, 13, 14, 15, 16, 17})
+	if got, want := UnpackLB(a, b), packB([8]uint8{0, 10, 1, 11, 2, 12, 3, 13}); got != want {
 		t.Errorf("UnpackLB = %x, want %x", got, want)
 	}
-	if got, want := UnpackHB(a, b), PackB([8]uint8{4, 14, 5, 15, 6, 16, 7, 17}); got != want {
+	if got, want := UnpackHB(a, b), packB([8]uint8{4, 14, 5, 15, 6, 16, 7, 17}); got != want {
 		t.Errorf("UnpackHB = %x, want %x", got, want)
 	}
-	ah := PackH([4]uint16{100, 200, 300, 400})
-	bh := PackH([4]uint16{500, 600, 700, 800})
-	if got, want := UnpackLH(ah, bh), PackH([4]uint16{100, 500, 200, 600}); got != want {
+	ah := packH([4]uint16{100, 200, 300, 400})
+	bh := packH([4]uint16{500, 600, 700, 800})
+	if got, want := UnpackLH(ah, bh), packH([4]uint16{100, 500, 200, 600}); got != want {
 		t.Errorf("UnpackLH = %x, want %x", got, want)
 	}
-	if got, want := UnpackHH(ah, bh), PackH([4]uint16{300, 700, 400, 800}); got != want {
+	if got, want := UnpackHH(ah, bh), packH([4]uint16{300, 700, 400, 800}); got != want {
 		t.Errorf("UnpackHH = %x, want %x", got, want)
 	}
 }
 
 func TestMAddH(t *testing.T) {
-	a := PackH([4]uint16{uint16(0xfffd), 2, 100, uint16(0xffce)}) // -3, 2, 100, -50
-	b := PackH([4]uint16{7, 9, 3, 4})
+	a := packH([4]uint16{uint16(0xfffd), 2, 100, uint16(0xffce)}) // -3, 2, 100, -50
+	b := packH([4]uint16{7, 9, 3, 4})
 	got := MAddH(a, b)
 	w0 := int32(-3*7 + 2*9)
 	w1 := int32(100*3 - 50*4)
@@ -170,7 +194,7 @@ func TestMAddH(t *testing.T) {
 }
 
 func TestShifts(t *testing.T) {
-	x := PackH([4]uint16{0x8000, 0x0001, 0x7fff, 0x0100})
+	x := packH([4]uint16{0x8000, 0x0001, 0x7fff, 0x0100})
 	if got := SraH(x, 4); GetH(got, 0) != 0xf800 {
 		t.Errorf("SraH sign extension failed: %x", got)
 	}
@@ -241,7 +265,7 @@ func TestAccLaneIsolation(t *testing.T) {
 func TestAccWraparound(t *testing.T) {
 	var a Acc
 	a.SetLane24(3, 1<<23-1) // max positive 24-bit
-	a.AddB(SetB(0, 3, 1))   // +1 in lane 3
+	a.AddB(setB(0, 3, 1))   // +1 in lane 3
 	if got := a.Lane24(3); got != -(1 << 23) {
 		t.Errorf("24-bit lane must wrap: got %d", got)
 	}
@@ -325,7 +349,7 @@ func TestAccClearAndRestore(t *testing.T) {
 	if !a.IsZero() {
 		t.Fatal("Clear failed")
 	}
-	a.WriteH(PackH([4]uint16{0xfffb, 7, 0, 9})) // -5, 7, 0, 9
+	a.WriteH(packH([4]uint16{0xfffb, 7, 0, 9})) // -5, 7, 0, 9
 	if a.Lane48(0) != -5 || a.Lane48(1) != 7 || a.Lane48(3) != 9 {
 		t.Errorf("WriteH failed: %d %d %d", a.Lane48(0), a.Lane48(1), a.Lane48(3))
 	}
@@ -333,7 +357,7 @@ func TestAccClearAndRestore(t *testing.T) {
 
 func TestMPVH(t *testing.T) {
 	var a Acc
-	x := PackH([4]uint16{1, 2, 3, 4})
+	x := packH([4]uint16{1, 2, 3, 4})
 	a.MPVH(x, 10)
 	a.MPVH(x, -1)
 	for l := 0; l < 4; l++ {

@@ -39,19 +39,6 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(r)
 }
 
-// ParseReport decodes a report document (strict: unknown fields are
-// errors, schema must match).
-func ParseReport(b []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("sweep report: %w", err)
-	}
-	if r.Schema != mom.SchemaVersion {
-		return nil, fmt.Errorf("sweep report: schema %d, want %d", r.Schema, mom.SchemaVersion)
-	}
-	return &r, nil
-}
-
 // WriteCSV emits one row per point. Column order is part of the format;
 // rows come out in expansion order like the JSON points list.
 func (r *Report) WriteCSV(w io.Writer) error {

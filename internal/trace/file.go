@@ -96,7 +96,12 @@ func Fingerprint(p *isa.Program) string {
 
 // header renders the artifact header line for a trace.
 func (t *Trace) header() string {
-	return fmt.Sprintf("%s %s %d %d\n", fileMagic, Fingerprint(t.prog), t.n, len(t.chunks))
+	return headerLine(Fingerprint(t.prog), t.n, len(t.chunks))
+}
+
+// headerLine renders the artifact header line.
+func headerLine(fp string, records uint64, chunks int) string {
+	return fmt.Sprintf("%s %s %d %d\n", fileMagic, fp, records, chunks)
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will emit: the
@@ -166,8 +171,12 @@ func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, e
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: header: %v", ErrFormat, err)
 	}
+	// fmt.Sscanf also matches other spacing and leading zeros, which
+	// WriteTo never writes: only the canonical line is accepted, so an
+	// accepted artifact re-encodes to its own bytes.
 	var fp string
-	if _, err := fmt.Sscanf(line, fileMagic+" %16s %d %d\n", &fp, &records, &chunks); err != nil {
+	if _, err := fmt.Sscanf(line, fileMagic+" %16s %d %d\n", &fp, &records, &chunks); err != nil ||
+		line != headerLine(fp, records, chunks) {
 		return 0, 0, fmt.Errorf("%w: header %q", ErrFormat, line)
 	}
 	if chunks < 0 || uint64(chunks) != (records+chunkRecords-1)/chunkRecords {

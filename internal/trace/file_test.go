@@ -149,7 +149,7 @@ func TestArtifactCorruption(t *testing.T) {
 		if _, err := fmt.Sscanf(string(blob[:headerLen]), fileMagic+" %16s %d %d\n", &fp, &records, &chunks); err != nil {
 			t.Fatal(err)
 		}
-		hdr := []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, fp, records-1, chunks))
+		hdr := []byte(headerLine(fp, records-1, chunks))
 		check(t, append(hdr, blob[headerLen:]...))
 	})
 	t.Run("chunk count bomb", func(t *testing.T) {
@@ -159,10 +159,59 @@ func TestArtifactCorruption(t *testing.T) {
 	})
 }
 
+// headerVariant is an artifact whose header line WriteTo would render
+// differently: the same fields, spaced or written otherwise.
+type headerVariant struct {
+	name string
+	data []byte
+}
+
+// headerVariants rewrites blob's header in each form fmt.Sscanf would
+// parse as the canonical one.
+func headerVariants(t testing.TB, blob []byte) []headerVariant {
+	t.Helper()
+	end := bytes.IndexByte(blob, '\n') + 1
+	f := strings.Fields(string(blob[:end]))
+	if len(f) != 5 || f[0]+" "+f[1] != fileMagic {
+		t.Fatalf("unexpected header %q", blob[:end])
+	}
+	fp, records, chunks := f[2], f[3], f[4]
+	with := func(name, header string) headerVariant {
+		return headerVariant{name, append([]byte(header), blob[end:]...)}
+	}
+	return []headerVariant{
+		with("tab after momtrace", "momtrace\t1 "+fp+" "+records+" "+chunks+"\n"),
+		with("doubled space", fileMagic+"  "+fp+" "+records+" "+chunks+"\n"),
+		with("space before newline", fileMagic+" "+fp+" "+records+" "+chunks+" \n"),
+		with("carriage return between fields", fileMagic+" "+fp+"\r"+records+" "+chunks+"\n"),
+		with("leading zero", fileMagic+" "+fp+" 0"+records+" "+chunks+"\n"),
+	}
+}
+
+// TestDecodeRejectsNonCanonicalHeader: Decode accepts a header only in the
+// form WriteTo writes, so an accepted artifact re-encodes to its own
+// bytes.
+func TestDecodeRejectsNonCanonicalHeader(t *testing.T) {
+	p := fuzzSeedProgram("seed")
+	tr, err := Capture(emu.New(p), testMaxSteps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := encode(t, tr)
+	if _, err := Decode(bytes.NewReader(blob), p); err != nil {
+		t.Fatalf("canonical artifact: %v", err)
+	}
+	for _, v := range headerVariants(t, blob) {
+		if _, err := Decode(bytes.NewReader(v.data), p); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: Decode gave %v, want ErrFormat", v.name, err)
+		}
+	}
+}
+
 // bombHeader is a valid header for p claiming 2^45 records, with no frames.
 func bombHeader(p *isa.Program) []byte {
 	const records = 1 << 45
-	return []byte(fmt.Sprintf("%s %s %d %d\n", fileMagic, Fingerprint(p), records, records/chunkRecords))
+	return []byte(headerLine(Fingerprint(p), records, records/chunkRecords))
 }
 
 // fuzzSeedProgram is a program small enough for a seed artifact of under
@@ -278,7 +327,7 @@ func TestDecodeChecksFlow(t *testing.T) {
 // accepts re-encodes to exactly those bytes. Each input is decoded for
 // fuzzSeedProgram and for twoFrameProgram. Seeds are the artifact of
 // fuzzSeedProgram, another program's artifact, the damaged forms of the
-// tests above and flowCases.
+// tests above, flowCases and headerVariants.
 //
 //	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
 func FuzzDecode(f *testing.F) {
@@ -305,6 +354,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bombHeader(p))
 	for _, c := range flowCases(f) {
 		f.Add(c.data)
+	}
+	for _, v := range headerVariants(f, blob) {
+		f.Add(v.data)
 	}
 	progs := []*isa.Program{p, twoFrameProgram()}
 	f.Fuzz(func(t *testing.T, data []byte) {

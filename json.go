@@ -59,13 +59,6 @@ func WriteResultJSON(w io.Writer, r Result) error {
 	return json.NewEncoder(w).Encode(resultEnvelope{Schema: SchemaVersion, Result: r})
 }
 
-// WriteHotspotsJSON emits per-PC hotspot reports in the experiment
-// envelope ({"schema":v,"experiment":"hotspots","rows":[...]}); each row
-// is one HotspotReport whose per-PC profiles sum to the report profile.
-func WriteHotspotsJSON(w io.Writer, reps []HotspotReport) error {
-	return WriteExperimentJSON(w, "hotspots", reps)
-}
-
 // SpanDoc is the JSON envelope of one stage span in a job's flight
 // timeline — the serving-path counterpart of the per-instruction pipeline
 // stages the observability layer exports. Offsets are microseconds from

@@ -104,7 +104,7 @@ func TestLatencyToleranceShape(t *testing.T) {
 
 // TestFigure7Shape checks the program-level claims.
 func TestFigure7Shape(t *testing.T) {
-	rows, err := Figure7(context.Background(), ScaleTest)
+	rows, err := Figure7(context.Background(), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +211,10 @@ func TestRunKernelErrors(t *testing.T) {
 }
 
 // TestUnsupportedWidthErrors: every public entry point that times one
-// workload rejects a width the machine tables do not define with an error
-// (the one check Normalized uses), instead of panicking in cpu.NewConfig
-// or mem.NewHierarchy.
+// workload, and the sampled per-PC path behind HotspotStudy, rejects a
+// width the machine tables do not define with an error (the one check
+// Normalized uses), instead of panicking in cpu.NewConfig or
+// mem.NewHierarchy.
 func TestUnsupportedWidthErrors(t *testing.T) {
 	sp := DefaultSampleSpec
 	var sink bytes.Buffer
@@ -241,8 +242,8 @@ func TestUnsupportedWidthErrors(t *testing.T) {
 			_, err := AppHotspots("gsmencode", MOM, w, m, ScaleTest)
 			return err
 		}},
-		{"AppHotspotsSampled", func(w int, m MemModel) error {
-			_, err := AppHotspotsSampled("gsmencode", MOM, w, m, ScaleTest, sp)
+		{"hotspotReport (sampled)", func(w int, m MemModel) error {
+			_, err := hotspotReport(traceKey{app: true, name: "gsmencode", isa: MOM, scale: ScaleTest}, w, m, sp)
 			return err
 		}},
 		{"ExportKernelPipeline", func(w int, m MemModel) error {

@@ -92,7 +92,7 @@ func TestProfileMemWaitTracksLatency(t *testing.T) {
 // row must already have passed CheckInvariants inside ProfileStudy, and the
 // study must cover every kernel × ISA × both memories.
 func TestProfileStudyInvariants(t *testing.T) {
-	rows, err := ProfileStudy(context.Background(), ScaleTest, 4)
+	rows, err := ProfileStudy(context.Background(), ScaleTest, 4, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,20 +38,18 @@ var catalogue = []experiment{
 	{name: "fig5", desc: "kernel speed-ups for every kernel × ISA × width on perfect memory (Figure 5)",
 		run: func(ctx context.Context, r JobRequest) (any, error) { return Figure5(ctx, r.scale()) }},
 	{name: "fig7", desc: "application speed-ups on the detailed cache hierarchies (Figure 7)", sample: true,
-		run: func(ctx context.Context, r JobRequest) (any, error) {
-			return Figure7Sampled(ctx, r.scale(), r.Sample())
-		}},
+		run: func(ctx context.Context, r JobRequest) (any, error) { return Figure7(ctx, r.scale(), r.Sample()) }},
 	{name: "latency", desc: "kernel slow-downs when memory latency rises from 1 to 50 cycles (Section 4.1)", width: true,
 		run: func(ctx context.Context, r JobRequest) (any, error) { return LatencyStudy(ctx, r.scale(), r.Width) }},
 	{name: "profile", desc: "nine-bucket cycle attribution for every kernel × ISA at 1- and 50-cycle memory", width: true, sample: true,
 		run: func(ctx context.Context, r JobRequest) (any, error) {
-			return ProfileStudySampled(ctx, r.scale(), r.Width, r.Sample())
+			return ProfileStudy(ctx, r.scale(), r.Width, r.Sample())
 		}},
 	{name: "fetch", desc: "dynamic instruction counts and packed word-operations per instruction",
 		run: func(ctx context.Context, r JobRequest) (any, error) { return FetchPressure(ctx, r.scale()) }},
 	{name: "hotspots", desc: "per-PC cycle attribution (annotated disassembly) for every kernel × ISA", width: true, sample: true,
 		run: func(ctx context.Context, r JobRequest) (any, error) {
-			return HotspotStudySampled(ctx, r.scale(), r.Width, r.Sample())
+			return HotspotStudy(ctx, r.scale(), r.Width, r.Sample())
 		}},
 	{name: "regsweep", desc: "cycle cost versus physical matrix-register-file size for one kernel", kernel: true,
 		run: func(ctx context.Context, r JobRequest) (any, error) { return RegisterSweep(ctx, r.scale(), r.Kernel) }},

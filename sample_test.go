@@ -130,15 +130,15 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestFigure7Sampled: the sampled driver covers every Figure 7 row, each
-// carrying the Sampled block with a whole-run cycle estimate, and the
-// speed-up ratios stay close to the exact driver's.
+// TestFigure7Sampled: Figure7 under DefaultSampleSpec covers every row of
+// the exact study, each carrying the Sampled block with a whole-run cycle
+// estimate, and the speed-up ratios stay close to the exact ones.
 func TestFigure7Sampled(t *testing.T) {
-	exact, err := Figure7(context.Background(), ScaleTest)
+	exact, err := Figure7(context.Background(), ScaleTest, SampleSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Figure7Sampled(context.Background(), ScaleTest, DefaultSampleSpec)
+	sampled, err := Figure7(context.Background(), ScaleTest, DefaultSampleSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

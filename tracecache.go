@@ -28,7 +28,7 @@ import (
 //
 // The cache holds every trace it fills for the life of the process and
 // needs no byte budget: its key space is finite (8 kernels and 5 apps × 4
-// ISAs × 2 scales = 104 traces, 207.5 MB by Trace.Bytes in total).
+// ISAs × 2 scales = 104 traces, 88.4 MB by Trace.Bytes in total).
 
 // TraceStats reports the accumulated activity of the trace layer, a view of
 // the series in TraceMetrics.
