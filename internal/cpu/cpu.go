@@ -666,7 +666,7 @@ loop:
 			var ea uint64
 			var stride int64
 			if isMem {
-				ea = b.EA[eaI]
+				ea = uint64(b.EA[eaI])
 				eaI++
 				if st.mem == memVector {
 					stride = b.Stride[strI]

@@ -149,11 +149,13 @@ const (
 )
 
 // warmInst is a static instruction as functional warming sees it: what
-// warming does with it, and the access size of a scalar memory one. The
-// table is dense, two bytes a static, so the walk reads little beside the
-// batch's columns.
+// warming does with it, the access size of a scalar memory one, and for a
+// warmNone one how many consecutive statics from it are warmNone (itself
+// included, at most 65,535). The table is dense, four bytes a static, so
+// the walk reads little beside the batch's columns.
 type warmInst struct {
 	op, size uint8
+	run      uint16
 }
 
 // buildWarmTable derives the warm table from a statics table.
@@ -163,9 +165,9 @@ func buildWarmTable(statics []staticInst) []warmInst {
 		st := &statics[i]
 		switch {
 		case st.mem == memScalar && st.class == isa.ClassStore:
-			wt[i] = warmInst{warmStore, st.size}
+			wt[i] = warmInst{op: warmStore, size: st.size}
 		case st.mem == memScalar:
-			wt[i] = warmInst{warmLoad, st.size}
+			wt[i] = warmInst{op: warmLoad, size: st.size}
 		case st.mem == memVector && st.class == isa.ClassMomStore:
 			wt[i].op = warmStoreVector
 		case st.mem == memVector:
@@ -175,6 +177,15 @@ func buildWarmTable(statics []staticInst) []warmInst {
 		case st.class == isa.ClassBranch:
 			wt[i].op = warmCond
 		}
+	}
+	run := 0 // warmNone statics from i on, capped
+	for i := len(wt) - 1; i >= 0; i-- {
+		if wt[i].op != warmNone {
+			run = 0
+			continue
+		}
+		run = min(run+1, math.MaxUint16)
+		wt[i].run = uint16(run)
 	}
 	return wt
 }
@@ -210,7 +221,9 @@ func warmTableFor(src trace.Source, statics []staticInst) []warmInst {
 // static index as k plus an offset. An index carried from record to record
 // instead goes through a stack slot on every record, because the arms that
 // call out would clobber its register; the offset changes only at taken
-// branches, and the loop counter stays in a register.
+// branches, and the loop counter stays in a register. For the same reason
+// a warmNone record's run of warmNone statics is a run of records, which
+// the walk crosses in one step.
 func warmRecords(b trace.Batch, lo, hi, eaI, strI int, si int32, warm []warmInst, flow trace.Flow, pred *bimodal, targets *btb, h *mem.Hierarchy) (int, int, int32) {
 	metas := b.Meta[lo:hi]
 	off := int(si) // record k's static index is k + off
@@ -219,6 +232,7 @@ func warmRecords(b trace.Batch, lo, hi, eaI, strI int, si int32, warm []warmInst
 		wi := warm[cur]
 		switch wi.op {
 		case warmNone:
+			k = min(k+int(wi.run), len(metas)) - 1
 		case warmCond, warmJump:
 			meta := metas[k]
 			taken := meta&trace.MetaTaken != 0
@@ -232,22 +246,22 @@ func warmRecords(b trace.Batch, lo, hi, eaI, strI int, si int32, warm []warmInst
 		case warmLoad:
 			// Nearly every warm load hits the direct-mapped L1, which
 			// changes nothing: the inline test leaves WarmLoad to the rest.
-			if ea := b.EA[eaI]; h != nil && !h.L1Hit(ea, int(wi.size)) {
+			if ea := uint64(b.EA[eaI]); h != nil && !h.L1Hit(ea, int(wi.size)) {
 				h.WarmLoad(ea, int(wi.size))
 			}
 			eaI++
 		case warmStore:
 			if h != nil {
-				h.WarmStore(b.EA[eaI], int(wi.size))
+				h.WarmStore(uint64(b.EA[eaI]), int(wi.size))
 			}
 			eaI++
 		default:
 			if h != nil {
 				nelem := int(metas[k] &^ trace.MetaTaken)
 				if wi.op == warmStoreVector {
-					h.WarmStoreVector(b.EA[eaI], b.Stride[strI], nelem)
+					h.WarmStoreVector(uint64(b.EA[eaI]), b.Stride[strI], nelem)
 				} else {
-					h.WarmLoadVector(b.EA[eaI], b.Stride[strI], nelem)
+					h.WarmLoadVector(uint64(b.EA[eaI]), b.Stride[strI], nelem)
 				}
 			}
 			eaI++

@@ -7,6 +7,7 @@
 package emu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -118,20 +119,27 @@ const MetaTaken = 0x80
 
 // Columns is a run of dynamic records in column form, the layout a trace
 // stores: the meta byte (vector length | MetaTaken) of every record, the
-// effective address of every memory record and the byte stride of every
-// vector memory record, each column in stream order, and the static index
-// of the run's first record. Every control transfer is a direct branch
-// (exec moves PC to PC+1 or to the branch target), so each later record's
-// static index follows from its predecessor's and that record's taken bit
-// (trace.Flow states the rule). Everything else about a record (opcode,
-// class, branch target, element size and count) is a property of its
-// static instruction.
+// effective address of every memory record in four bytes and the byte
+// stride of every vector memory record in eight, each column in stream
+// order, and the static index of the run's first record. Every control
+// transfer is a direct branch (exec moves PC to PC+1 or to the branch
+// target), so each later record's static index follows from its
+// predecessor's and that record's taken bit (trace.Flow states the rule).
+// Everything else about a record (opcode, class, branch target, element
+// size and count) is a property of its static instruction.
 type Columns struct {
 	First  int32 // static index of the first record
 	Meta   []uint8
-	EA     []uint64
+	EA     []uint32
 	Stride []int64
 }
+
+// ErrWideAddress is the fault that stops a recording (Record into columns)
+// at an effective address the four-byte address column cannot hold. A
+// bounds-checked access cannot produce one while the memory image is at
+// most 4 GiB; a vector access at VL 0 moves no element, so nothing checks
+// its base.
+var ErrWideAddress = errors.New("effective address does not fit in 32 bits")
 
 // guard turns a memory fault raised by the instruction at PC into Err.
 // Every entry point that executes instructions defers it once, however
@@ -176,8 +184,10 @@ func (m *Machine) Step() (d Dyn, ok bool) {
 // each one's record to c unless c is nil, and returns how many it
 // executed; an empty c takes PC as its first static index. It stops early
 // at the end of the program or on a fault (check Err); the records before
-// a faulting instruction stay in c. It allocates nothing while c's columns
-// have room for max more records.
+// a faulting instruction stay in c. When c is not nil, an effective
+// address above 32 bits is such a fault (ErrWideAddress): that instruction
+// has executed, but Record neither appends nor counts its record. It
+// allocates nothing while c's columns have room for max more records.
 func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
 	defer m.guard()
 	if c != nil && len(c.Meta) == 0 {
@@ -185,14 +195,18 @@ func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
 	}
 	insts := m.Prog.Insts
 	for ; n < max && !m.Done(); n++ {
-		vl := m.VL
-		in := &insts[m.PC]
+		pc, vl := m.PC, m.VL
+		in := &insts[pc]
 		ea, stride, taken, ok := m.exec(in)
 		if !ok {
 			break
 		}
 		if c == nil {
 			continue
+		}
+		if ea > math.MaxUint32 { // exec returns 0 but for a memory access
+			m.Err = fmt.Errorf("%s: pc=%d %s: %w: %#x", m.Prog.Name, pc, in.String(), ErrWideAddress, ea)
+			return n
 		}
 		meta := uint8(vl)
 		if taken {
@@ -201,9 +215,9 @@ func (m *Machine) Record(max uint64, c *Columns) (n uint64) {
 		c.Meta = append(c.Meta, meta)
 		switch in.Op.Info().Class {
 		case isa.ClassLoad, isa.ClassStore:
-			c.EA = append(c.EA, ea)
+			c.EA = append(c.EA, uint32(ea))
 		case isa.ClassMomLoad, isa.ClassMomStore:
-			c.EA = append(c.EA, ea)
+			c.EA = append(c.EA, uint32(ea))
 			c.Stride = append(c.Stride, stride)
 		}
 	}

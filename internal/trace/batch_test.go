@@ -83,7 +83,7 @@ func batchRecs(t *testing.T, tr *Trace, b Batch) []rec {
 			if ea == len(b.EA) || (m == memVector && str == len(b.Stride)) {
 				t.Fatalf("record %d of a %d-record batch runs past its ea/stride columns", i, len(b.Meta))
 			}
-			r.ea = b.EA[ea]
+			r.ea = uint64(b.EA[ea])
 			ea++
 			if m == memVector {
 				r.stride = b.Stride[str]

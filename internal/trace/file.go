@@ -23,8 +23,10 @@ package trace
 // memory keeps only each chunk's first: WriteTo regenerates the column by
 // Flow.Next, and Decode accepts a frame only if every stored index is the
 // one Flow.Next derives from its predecessor, across frames too, before it
-// drops the column. An accepted artifact therefore re-encodes to its own
-// bytes.
+// drops the column. Likewise the ea column stores each effective address in
+// eight bytes, though a trace in memory keeps four: WriteTo widens them,
+// and Decode refuses an address of 2^32 or more before it narrows them. An
+// accepted artifact therefore re-encodes to its own bytes.
 //
 // The static program is deliberately NOT serialized: workload builders are
 // deterministic, so the loader rebuilds the program from (workload, ISA,
@@ -35,6 +37,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -42,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -105,15 +109,21 @@ func headerLine(fp string, records uint64, chunks int) string {
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will emit: the
-// header, and for each chunk a prelude, the four-byte si column and the
-// columns Bytes counts.
+// header, and for each chunk a prelude and its frame's columns.
 func (t *Trace) EncodedSize() int64 {
-	return int64(len(t.header())) + int64(len(t.chunks))*frameHeaderLen + 4*int64(t.n) + t.bytes
+	n := int64(len(t.header()))
+	for i := range t.chunks {
+		c := &t.chunks[i]
+		n += frameHeaderLen + frameSize(len(c.meta), len(c.ea), len(c.stride))
+	}
+	return n
 }
 
-// frameSize is the payload byte count of one chunk frame.
+// frameSize is the payload byte count of one chunk frame: four bytes of
+// static index and a meta byte per record, and eight bytes per effective
+// address and per stride.
 func frameSize(nrec, nea, nstr int) int64 {
-	return 4*int64(nrec) + ramSize(nrec, nea, nstr)
+	return 5*int64(nrec) + 8*int64(nea) + 8*int64(nstr)
 }
 
 // appendFrame packs one chunk as a frame (prelude + columns) onto dst,
@@ -132,7 +142,7 @@ func appendFrame(dst []byte, c *chunk, flow Flow) []byte {
 	}
 	dst = append(dst, c.meta...)
 	for _, v := range c.ea {
-		dst = binary.LittleEndian.AppendUint64(dst, v)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
 	for _, v := range c.stride {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
@@ -164,13 +174,25 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
+// maxHeaderLen bounds the header line. The canonical one is at most 69
+// bytes: the magic, a 16-digit fingerprint, two decimal counts of at most
+// 20 digits, three spaces and the newline.
+const maxHeaderLen = 80
+
 // readHeader parses and validates the artifact header against the program
-// the caller expects the trace to replay.
+// the caller expects the trace to replay. It reads at most maxHeaderLen
+// bytes looking for the line, so no error quotes more than that.
 func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, err error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
+	head, err := br.Peek(maxHeaderLen)
+	end := bytes.IndexByte(head, '\n')
+	switch {
+	case end < 0 && err == nil:
+		return 0, 0, fmt.Errorf("%w: header longer than %d bytes: %q...", ErrFormat, maxHeaderLen, head[:32])
+	case end < 0:
 		return 0, 0, fmt.Errorf("%w: header: %v", ErrFormat, err)
 	}
+	line := string(head[:end+1])
+	br.Discard(end + 1) // Peek buffered these bytes, so this cannot fail
 	// fmt.Sscanf also matches other spacing and leading zeros, which
 	// WriteTo never writes: only the canonical line is accepted, so an
 	// accepted artifact re-encodes to its own bytes.
@@ -217,12 +239,16 @@ func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) ([]byte, 
 		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
 	}
 	c.meta = make([]uint8, nrec)
-	c.ea = make([]uint64, nea)
+	c.ea = make([]uint32, nea)
 	c.stride = make([]int64, nstr)
 	copy(c.meta, buf[4*nrec:])
 	off := 5 * nrec
 	for i := 0; i < nea; i++ {
-		c.ea[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
+		v := binary.LittleEndian.Uint64(buf[off+8*i:])
+		if v > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: effective address %#x does not fit in 32 bits", ErrFormat, v)
+		}
+		c.ea[i] = uint32(v)
 	}
 	off += 8 * nea
 	for i := 0; i < nstr; i++ {
@@ -271,7 +297,8 @@ func checkChunk(c *chunk, sis []byte, static []sinst, flow Flow, next int32) (in
 
 // Decode materialises an artifact written by WriteTo back into a Trace for
 // the given program. Any mismatch — version, fingerprint, framing,
-// checksum, truncation — is an error wrapping ErrFormat.
+// checksum, truncation, an address a trace in memory cannot hold — is an
+// error wrapping ErrFormat.
 func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	records, chunks, err := readHeader(br, p)

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -208,6 +210,83 @@ func TestDecodeRejectsNonCanonicalHeader(t *testing.T) {
 	}
 }
 
+// TestDecodeBoundsHeader: Decode looks for the header line in its first
+// maxHeaderLen bytes, which hold any canonical header, so a megabyte of
+// garbage where the header belongs is refused with a short error that
+// quotes only a prefix of it.
+func TestDecodeBoundsHeader(t *testing.T) {
+	if n := len(headerLine(strings.Repeat("f", 16), math.MaxUint64, math.MaxInt64)); n > maxHeaderLen {
+		t.Fatalf("the longest canonical header is %d bytes, over maxHeaderLen %d", n, maxHeaderLen)
+	}
+	garbage := append(bytes.Repeat([]byte{0xff}, 1<<20), '\n')
+	_, err := Decode(bytes.NewReader(garbage), fuzzSeedProgram("seed"))
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("Decode gave %v, want ErrFormat", err)
+	}
+	if n := len(err.Error()); n >= 256 {
+		t.Fatalf("the error is %d bytes, want under 256: %.100s...", n, err)
+	}
+}
+
+// wideAddress returns a copy of blob, an artifact of one frame whose first
+// memory record is a vector access, with that record's effective address
+// set to 2^32 and the frame's checksum redone: a frame that verifies but
+// holds an address a trace in memory cannot.
+func wideAddress(blob []byte) []byte {
+	data := append([]byte(nil), blob...)
+	payload, crc := frameAt(data, 0)
+	nrec := int(binary.LittleEndian.Uint32(data[bytes.IndexByte(data, '\n')+1:]))
+	binary.LittleEndian.PutUint64(payload[5*nrec:], 1<<32)
+	binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
+	return data
+}
+
+// TestDecodeRefusesWideAddress: an effective address of 2^32 or more is
+// refused at the frame that holds it, so every accepted artifact fits a
+// trace in memory and re-encodes to its own bytes.
+func TestDecodeRefusesWideAddress(t *testing.T) {
+	p := fuzzSeedProgram("seed")
+	tr, err := Capture(emu.New(p), testMaxSteps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Decode(bytes.NewReader(wideAddress(encode(t, tr))), p)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "0x100000000 does not fit in 32 bits") {
+		t.Fatalf("Decode gave %v, want ErrFormat for address 0x100000000", err)
+	}
+}
+
+// TestEncodedSizeMultiChunk: EncodedSize, summed frame by frame, is the
+// byte count WriteTo writes for a trace of several frames with scalar and
+// vector memory records (mpeg2decode on MOM at test scale), and the trace
+// holds fewer bytes in memory than in its artifact.
+func TestEncodedSizeMultiChunk(t *testing.T) {
+	a, err := apps.ByName("mpeg2decode", apps.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Capture(emu.New(a.Build(isa.ExtMOM)), testMaxSteps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vector := 0
+	for r := tr.Reader(); ; {
+		d, ok := r.Next()
+		if !ok {
+			break
+		}
+		if d.Class == isa.ClassMomLoad || d.Class == isa.ClassMomStore {
+			vector++
+		}
+	}
+	if tr.Chunks() < 2 || vector == 0 {
+		t.Fatalf("the trace has %d chunks and %d vector memory records, want several and some", tr.Chunks(), vector)
+	}
+	if n := int64(len(encode(t, tr))); tr.Bytes() >= n {
+		t.Fatalf("the trace holds %d bytes in memory, its artifact %d", tr.Bytes(), n)
+	}
+}
+
 // bombHeader is a valid header for p claiming 2^45 records, with no frames.
 func bombHeader(p *isa.Program) []byte {
 	const records = 1 << 45
@@ -327,7 +406,8 @@ func TestDecodeChecksFlow(t *testing.T) {
 // accepts re-encodes to exactly those bytes. Each input is decoded for
 // fuzzSeedProgram and for twoFrameProgram. Seeds are the artifact of
 // fuzzSeedProgram, another program's artifact, the damaged forms of the
-// tests above, flowCases and headerVariants.
+// tests above, the artifact with a wide address, flowCases and
+// headerVariants.
 //
 //	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
 func FuzzDecode(f *testing.F) {
@@ -352,6 +432,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(blob[:headerLen+(len(blob)-headerLen)/2])
 	f.Add(append(append([]byte(nil), blob...), 0))
 	f.Add(bombHeader(p))
+	f.Add(wideAddress(blob))
 	for _, c := range flowCases(f) {
 		f.Add(c.data)
 	}

@@ -50,10 +50,11 @@ type Source interface {
 
 // Batch is a run of consecutive records in the chunk encoding, the column
 // form the emulator records (emu.Columns): one meta byte (vector length |
-// MetaTaken) per record, one effective address per memory record and one
-// stride per vector-memory record, both in stream order, and the static
-// index of the first record. Its length is len(Meta); the static index of
-// each later record follows from its predecessor's by Flow.Next.
+// MetaTaken) per record, one four-byte effective address per memory record
+// and one stride per vector-memory record, both in stream order, and the
+// static index of the first record. Its length is len(Meta); the static
+// index of each later record follows from its predecessor's by Flow.Next.
+// A walker widens each address to the uint64 the memory model takes.
 type Batch = emu.Columns
 
 // Flow is a program's control flow as replay derives it: where each static
@@ -144,14 +145,14 @@ const MetaTaken = emu.MetaTaken
 type chunk struct {
 	first  int32    // static instruction index of the first record
 	meta   []uint8  // VL | MetaTaken, per record
-	ea     []uint64 // effective address, per memory record
+	ea     []uint32 // effective address, per memory record
 	stride []int64  // byte stride, per vector-memory record
 }
 
-// ramSize is the bytes a chunk's columns hold: one meta byte per record and
-// eight per effective address and per stride.
+// ramSize is the bytes a chunk's columns hold: one meta byte per record,
+// four per effective address and eight per stride.
 func ramSize(nrec, nea, nstr int) int64 {
-	return int64(nrec) + 8*int64(nea) + 8*int64(nstr)
+	return int64(nrec) + 4*int64(nea) + 8*int64(nstr)
 }
 
 // Memory kind of a static instruction, for replay reconstruction.
@@ -269,7 +270,8 @@ func SetCaptureHook(h func(CaptureInfo)) {
 }
 
 // Capture runs the machine to completion, recording its dynamic stream.
-// It fails if the program faults, exceeds maxSteps dynamic instructions, or
+// It fails if the program faults (an effective address above 32 bits,
+// emu.ErrWideAddress, included), exceeds maxSteps dynamic instructions, or
 // (when maxBytes > 0) the trace would hold more than maxBytes in memory
 // (Trace.Bytes).
 func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err error) {
@@ -294,7 +296,7 @@ func Capture(m *emu.Machine, maxSteps uint64, maxBytes int64) (tr *Trace, err er
 var scratchPool = sync.Pool{New: func() any {
 	return &Batch{
 		Meta:   make([]uint8, 0, chunkRecords),
-		EA:     make([]uint64, 0, chunkRecords),
+		EA:     make([]uint32, 0, chunkRecords),
 		Stride: make([]int64, 0, chunkRecords),
 	}
 }}
@@ -340,7 +342,7 @@ func (t *Trace) closeChunk(buf *Batch) {
 	t.chunks = append(t.chunks, chunk{
 		first:  buf.First,
 		meta:   append([]uint8(nil), buf.Meta...),
-		ea:     append([]uint64(nil), buf.EA...),
+		ea:     append([]uint32(nil), buf.EA...),
 		stride: append([]int64(nil), buf.Stride...),
 	})
 	t.bytes += ramSize(len(buf.Meta), len(buf.EA), len(buf.Stride))
@@ -357,9 +359,9 @@ func (t *Trace) Records() uint64 { return t.n }
 func (t *Trace) Chunks() int { return len(t.chunks) }
 
 // Bytes returns what the trace holds in memory: its chunks' columns, one
-// meta byte per record and eight bytes per effective address and per
+// meta byte per record, four bytes per effective address and eight per
 // stride. Capture's byte budget bounds the same quantity; EncodedSize is
-// the artifact's size.
+// the artifact's size, which stores each address in eight bytes.
 func (t *Trace) Bytes() int64 { return t.bytes }
 
 // Reader returns a fresh replay cursor over the trace. Readers are
@@ -553,10 +555,10 @@ func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 			s := &static[si]
 			switch {
 			case s.mem == memScalar:
-				sink.WarmScalar(c.ea[r.eaI], int(s.size), s.class == isa.ClassStore)
+				sink.WarmScalar(uint64(c.ea[r.eaI]), int(s.size), s.class == isa.ClassStore)
 				r.eaI++
 			case s.mem == memVector:
-				sink.WarmVector(c.ea[r.eaI], c.stride[r.strI], int(meta&^MetaTaken), s.class == isa.ClassMomStore)
+				sink.WarmVector(uint64(c.ea[r.eaI]), c.stride[r.strI], int(meta&^MetaTaken), s.class == isa.ClassMomStore)
 				r.eaI++
 				r.strI++
 			case s.class == isa.ClassBranch:
@@ -602,11 +604,11 @@ func (r *Reader) Next() (emu.Dyn, bool) {
 	}
 	switch s.mem {
 	case memScalar:
-		d.EA = c.ea[r.eaI]
+		d.EA = uint64(c.ea[r.eaI])
 		r.eaI++
 		d.NElem, d.Size = 1, int(s.size)
 	case memVector:
-		d.EA = c.ea[r.eaI]
+		d.EA = uint64(c.ea[r.eaI])
 		r.eaI++
 		d.Stride = c.stride[r.strI]
 		r.strI++

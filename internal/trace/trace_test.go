@@ -302,6 +302,43 @@ func TestFaultText(t *testing.T) {
 	}
 }
 
+// wideAddressProgram runs a MOM load at VL 0 from a base above 2^32 after
+// more records than one Live batch holds. The load moves no element, so
+// nothing bounds-checks its base, and the program completes.
+func wideAddressProgram() *isa.Program {
+	b := asm.New("wide")
+	b.Loop(isa.R(2), 100, func() { b.AddI(isa.R(3), isa.R(3), 1) })
+	b.MovI(isa.R(1), 1<<33)
+	b.MovI(isa.R(4), 8)
+	b.SetVLI(0)
+	b.MomLd(isa.V(0), isa.R(1), isa.R(4), 0)
+	return b.Build()
+}
+
+// TestWideAddressStopsRecording: a recording stops at an effective address
+// that does not fit in 32 bits, with the same text from Capture and
+// Live.NextBatch and the records before it kept, while Run, which records
+// nothing, completes the program.
+func TestWideAddressStopsRecording(t *testing.T) {
+	p := wideAddressProgram()
+	n, err := emu.New(p).Run(testMaxSteps)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	const want = "wide: pc=7 momldq v0, r1, r4: effective address does not fit in 32 bits: 0x200000000"
+	if _, err := Capture(emu.New(p), testMaxSteps, 0); !errors.Is(err, emu.ErrWideAddress) || err.Error() != want {
+		t.Fatalf("Capture: %v, want %q", err, want)
+	}
+	l := NewLive(emu.New(p))
+	got := uint64(0)
+	for b := l.NextBatch(testMaxSteps); len(b.Meta) > 0; b = l.NextBatch(testMaxSteps) {
+		got += uint64(len(b.Meta))
+	}
+	if l.Err() == nil || l.Err().Error() != want || got != n-1 {
+		t.Fatalf("Live.NextBatch: %d records, %v; want %d records, %q", got, l.Err(), n-1, want)
+	}
+}
+
 // TestSkipMatchesNext: Skip(n) must land the cursor exactly where n Next
 // calls would — including the ea/stride columns — for every offset class
 // (mid-chunk, chunk boundary, past the end), and the Pos/Skipped counters
