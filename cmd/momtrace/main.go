@@ -140,20 +140,6 @@ func main() {
 			float64(tr.Records())/replayT.Seconds()/1e6,
 			captureT.Seconds()/replayT.Seconds())
 
-		// Skip-drain: move past the whole trace without reconstructing
-		// or warming records — the floor under any fast-forward. The
-		// Pos/Skipped counters confirm the cursor accounts for every
-		// record it passed.
-		t0 = time.Now()
-		sr := tr.Reader()
-		skipped := sr.Skip(tr.Records())
-		skipT := time.Since(t0)
-		fmt.Printf("  skip drain    %12v (%.1f Minsts/s, %.1fx replay; pos %d, skipped %d)\n",
-			skipT.Round(time.Microsecond),
-			float64(skipped)/max(skipT.Seconds(), 1e-9)/1e6,
-			replayT.Seconds()/max(skipT.Seconds(), 1e-9),
-			sr.Pos(), sr.Skipped())
-
 		// Checkpoint sweep: phase 1 of parallel sampled simulation — one
 		// functional-warming pass (default regime, 4-way multi-address)
 		// that logs, at every window start, the trace cursor and what the
@@ -348,8 +334,10 @@ func main() {
 // exportArtifact writes one workload's trace artifact to a file: the
 // single-file interchange form of the on-disk store (momtrace -import reads
 // it back, anywhere). The trace comes through the artifact layer, so a warm
-// -store serves it without re-capturing.
+// -store serves it without re-capturing; the trace layer's counters it
+// prints say where the trace came from.
 func exportArtifact(path string, app bool, name string, level mom.ISA) {
+	before := mom.TraceMetrics().Snapshot()
 	tr := mom.CaptureWorkloadTrace(app, name, level, mom.ScaleTest)
 	if tr == nil {
 		fmt.Fprintln(os.Stderr, "momtrace: capture failed")
@@ -369,6 +357,7 @@ func exportArtifact(path string, app bool, name string, level mom.ISA) {
 		os.Exit(1)
 	}
 	fmt.Printf("exported %s: %d records, %d bytes -> %s\n", name, tr.Records(), n, path)
+	fmt.Printf("  artifacts     %s\n", mom.TraceMetrics().Snapshot().Since(before))
 }
 
 // importArtifact reads a trace artifact file, verifies it against the named

@@ -122,7 +122,7 @@ func spanTestTrace(t *testing.T) (*trace.Trace, *isa.Program) {
 // TestSpansSeekBack: a span over a recorded trace takes whole chunk tails
 // and, where it stops inside one, seeks the reader back. Detailed and skip
 // spans of seeded lengths, run to past the end of the trace, must each
-// leave the reader where Reader()+Skip puts a fresh one: the same cursor
+// leave the reader where Next puts a reference reader: the same cursor
 // (inside a chunk, where both hold the same column offsets) and the same
 // next 2,000 records, read from the reader itself and from a reader
 // reopened at its cursor. The same spans over the live emulator, which is
@@ -136,20 +136,21 @@ func TestSpansSeekBack(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		steps := seededSpans(seed, n+5000)
-		rd := tr.Reader()
+		rd, ref := tr.Reader(), tr.Reader()
 		resR, rsR, simR := runSteps(t, rd, n, steps, func(i int, pos uint64) {
-			ref := tr.Reader()
-			ref.Skip(pos)
-			if got := rd.Cursor(); got.Pos() != pos || (pos%traceChunk != 0 && pos < n && got != ref.Cursor()) {
-				t.Fatalf("seed %d span %d: reader cursor %+v, Skip's %+v", seed, i, got, ref.Cursor())
+			for ref.Pos() < pos {
+				ref.Next()
 			}
-			want := nextDyns(ref, 2000)
-			own := *rd // the reader's own state, read without moving it
+			if got := rd.Cursor(); got.Pos() != pos || (pos%traceChunk != 0 && pos < n && got != ref.Cursor()) {
+				t.Fatalf("seed %d span %d: reader cursor %+v, Next's %+v", seed, i, got, ref.Cursor())
+			}
+			own, at := *rd, *ref // both readers' state, read without moving them
+			want := nextDyns(&at, 2000)
 			if got := nextDyns(&own, 2000); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d span %d: the reader's next records differ from Skip's at record %d", seed, i, pos)
+				t.Fatalf("seed %d span %d: the reader's next records differ from Next's at record %d", seed, i, pos)
 			}
 			if got := nextDyns(tr.ReaderAtCursor(rd.Cursor()), 2000); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d span %d: records at the reader's cursor differ from Skip's at record %d", seed, i, pos)
+				t.Fatalf("seed %d span %d: records at the reader's cursor differ from Next's at record %d", seed, i, pos)
 			}
 		})
 

@@ -29,14 +29,12 @@ const maxBodyBytes = 512 << 10
 // a job document: the largest result, a hotspots document, measures
 // 2,376,582 bytes at test scale and 2,381,022 at bench scale, so 8 MiB
 // leaves 3.5x headroom. maxPeerTraceBytes covers a trace artifact: the
-// largest, mpeg2encode/Alpha at bench scale, encodes in 38,313,250 bytes
-// (a 4-byte si column and a meta byte for each of its 5,593,250 records,
-// 8 bytes for each address and stride, 171 16-byte frame preludes and a
-// 40-byte header; in memory the trace holds 10,765,362), so 64 MiB leaves
-// 1.75x headroom.
+// largest, mpeg2encode/Alpha at bench scale, encodes in 10,768,822 bytes
+// (the 10,765,362 its 5,593,250 records hold in memory, 171 20-byte frame
+// preludes and a 40-byte header), so 16 MiB leaves 1.56x headroom.
 const (
 	maxPeerDocBytes   = 8 << 20
-	maxPeerTraceBytes = 64 << 20
+	maxPeerTraceBytes = 16 << 20
 )
 
 // Per-item error strings of refused admissions. They are part of the

@@ -256,7 +256,8 @@ func (b *syncBuffer) String() string {
 
 // TestPeerOwnerUnreachable: a submission whose key a dead peer owns fails
 // cleanly — no hang past the peer client timeout, the peer-error counter
-// moves, and the structured log names the peer, key and operation.
+// moves, the structured log names the peer, key and operation, and the
+// local runner never runs.
 func TestPeerOwnerUnreachable(t *testing.T) {
 	var lns [2]net.Listener
 	var urls [2]string
@@ -277,7 +278,8 @@ func TestPeerOwnerUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	logBuf := &syncBuffer{}
-	srv := New(Config{Workers: 1, QueueCap: 4, Peers: ps, Runner: countingRunner(new(int32), nil),
+	var calls int32
+	srv := New(Config{Workers: 1, QueueCap: 4, Peers: ps, Runner: countingRunner(&calls, nil),
 		Logger: slog.New(slog.NewJSONHandler(logBuf, nil))})
 	hs := httptest.NewUnstartedServer(srv)
 	hs.Listener.Close()
@@ -306,6 +308,9 @@ func TestPeerOwnerUnreachable(t *testing.T) {
 		if !strings.Contains(logged, want) {
 			t.Errorf("peer-failure log lacks %q:\n%s", want, logged)
 		}
+	}
+	if n := atomic.LoadInt32(&calls); n != 0 {
+		t.Fatalf("local runner ran %d times for a key the dead peer owns", n)
 	}
 }
 

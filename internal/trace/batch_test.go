@@ -98,12 +98,15 @@ func batchRecs(t *testing.T, tr *Trace, b Batch) []rec {
 	return out
 }
 
-// skipTo opens a reader over tr and fast-forwards it past the first pos
-// records with Skip, which walks the consumed prefix of the chunk it stops
-// in to align the ea/stride cursors.
-func skipTo(tr *Trace, pos uint64) *Reader {
+// readTo opens a reader over tr and moves it past the first pos records
+// (or to the end of the trace) with Next.
+func readTo(tr *Trace, pos uint64) *Reader {
 	r := tr.Reader()
-	r.Skip(pos)
+	for r.Pos() < pos {
+		if _, ok := r.Next(); !ok {
+			break
+		}
+	}
 	return r
 }
 
@@ -121,10 +124,9 @@ func sameRecs(t *testing.T, what string, got, want []rec) {
 
 // TestNextBatchMatchesNext: for every batch size — single records, the
 // sampled windows' 100 and 150, sizes around a chunk, the whole trace —
-// and from the start, after Skip and from ReaderAtCursor at mid-chunk
+// and from the start, after Next and from ReaderAtCursor at mid-chunk
 // positions, the batches concatenate to Next's stream, stay within max
-// and within one chunk, advance Pos by their length and count nothing as
-// skipped.
+// and within one chunk, and advance Pos by their length.
 func TestNextBatchMatchesNext(t *testing.T) {
 	tr, _ := batchTestTrace(t)
 	want := nextRecs(tr.Reader())
@@ -132,7 +134,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	if uint64(len(want)) != n {
 		t.Fatalf("Next produced %d records, trace holds %d", len(want), n)
 	}
-	skipPos := uint64(chunkRecords + 12345)
+	nextPos := uint64(chunkRecords + 12345)
 	curPos := uint64(2*chunkRecords + 777)
 	starts := []struct {
 		name string
@@ -140,17 +142,12 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		open func() *Reader
 	}{
 		{"Reader", 0, tr.Reader},
-		{"Skip", skipPos, func() *Reader { return skipTo(tr, skipPos) }},
-		{"ReaderAtCursor", curPos, func() *Reader {
-			r := tr.Reader()
-			r.Skip(curPos)
-			return tr.ReaderAtCursor(r.Cursor())
-		}},
+		{"Next", nextPos, func() *Reader { return readTo(tr, nextPos) }},
+		{"ReaderAtCursor", curPos, func() *Reader { return tr.ReaderAtCursor(readTo(tr, curPos).Cursor()) }},
 	}
 	for _, st := range starts {
 		for _, max := range []uint64{1, 7, 100, 150, chunkRecords - 1, chunkRecords, chunkRecords + 1, n} {
 			r := st.open()
-			skipped := r.Skipped()
 			pos := st.pos
 			var got []rec
 			for {
@@ -172,9 +169,6 @@ func TestNextBatchMatchesNext(t *testing.T) {
 				}
 			}
 			sameRecs(t, st.name, got, want[st.pos:])
-			if r.Skipped() != skipped {
-				t.Errorf("%s max %d: NextBatch counted %d records as skipped", st.name, max, r.Skipped()-skipped)
-			}
 		}
 	}
 }
@@ -188,7 +182,7 @@ func TestNextBatchKeepsCursorsAligned(t *testing.T) {
 	for _, max := range []uint64{100, 150, chunkRecords - 1, chunkRecords} {
 		for _, start := range []uint64{0, 5, chunkRecords - 100, chunkRecords + 3} {
 			batch := func() (*Reader, uint64) {
-				r := skipTo(tr, start)
+				r := readTo(tr, start)
 				end := start + uint64(len(r.NextBatch(max).Meta))
 				if r.Pos() != end {
 					t.Fatalf("start %d max %d: Pos %d after a batch ending at %d", start, max, r.Pos(), end)
@@ -197,15 +191,15 @@ func TestNextBatchKeepsCursorsAligned(t *testing.T) {
 			}
 
 			r, end := batch()
-			sameRecs(t, "Next after NextBatch", nextRecs(r), nextRecs(skipTo(tr, end)))
+			sameRecs(t, "Next after NextBatch", nextRecs(r), nextRecs(readTo(tr, end)))
 
 			r, end = batch()
-			sameRecs(t, "ReaderAtCursor after NextBatch", nextRecs(tr.ReaderAtCursor(r.Cursor())), nextRecs(skipTo(tr, end)))
+			sameRecs(t, "ReaderAtCursor after NextBatch", nextRecs(tr.ReaderAtCursor(r.Cursor())), nextRecs(readTo(tr, end)))
 
 			r, end = batch()
 			got, ref := &recordingSink{}, &recordingSink{}
 			r.WarmNext(3000, got)
-			skipTo(tr, end).WarmNext(3000, ref)
+			readTo(tr, end).WarmNext(3000, ref)
 			if len(got.recs) != len(ref.recs) {
 				t.Fatalf("start %d max %d: WarmNext after NextBatch delivered %d records, want %d", start, max, len(got.recs), len(ref.recs))
 			}
@@ -222,7 +216,7 @@ func TestNextBatchKeepsCursorsAligned(t *testing.T) {
 // end of a full chunk reopens at the next chunk's first record.
 func TestCursorAtChunkEnd(t *testing.T) {
 	tr, _ := batchTestTrace(t)
-	want := nextRecs(skipTo(tr, chunkRecords))
+	want := nextRecs(readTo(tr, chunkRecords))
 	r := tr.Reader()
 	r.WarmNext(chunkRecords, &recordingSink{})
 	sameRecs(t, "after WarmNext", nextRecs(tr.ReaderAtCursor(r.Cursor())), want)
@@ -239,7 +233,7 @@ func TestCursorAtSeek(t *testing.T) {
 	tr, _ := batchTestTrace(t)
 	want := nextRecs(tr.Reader())
 	for _, c := range []struct{ start, max uint64 }{{5, 1000}, {chunkRecords, chunkRecords}} {
-		r := skipTo(tr, c.start)
+		r := readTo(tr, c.start)
 		b := r.NextBatch(c.max)
 		sis, next := batchSIs(tr.flow, b)
 		sis = append(sis, next)
@@ -259,8 +253,7 @@ func TestCursorAtSeek(t *testing.T) {
 				t.Fatalf("start %d max %d k %d: cursor at %d, want %d", c.start, c.max, k, cur.Pos(), pos)
 			}
 			sameRecs(t, "ReaderAtCursor at CursorAt", nextRecs(tr.ReaderAtCursor(cur)), want[pos:])
-			back := tr.Reader()
-			back.Skip(tr.Records())
+			back := readTo(tr, tr.Records())
 			back.Seek(cur)
 			if back.Pos() != pos {
 				t.Fatalf("start %d max %d k %d: Pos %d after Seek, want %d", c.start, c.max, k, back.Pos(), pos)

@@ -4,29 +4,27 @@ package trace
 // self-verifying byte stream so momserver restarts, momsim invocations and
 // CI runs replay yesterday's capture instead of re-emulating:
 //
-//	momtrace 1 <fingerprint> <records> <chunks>\n
+//	momtrace 2 <fingerprint> <records> <chunks>\n
 //	chunk frame 0
 //	chunk frame 1
 //	...
 //
 // The header names the format version, a fingerprint of the static program
-// the dynamic stream belongs to, and the exact record/chunk counts. Each
-// chunk frame is a 16-byte little-endian prelude — record count, effective-
-// address count, stride count, CRC32 of the frame payload — followed by the
-// chunk's columns (si, meta, ea, stride) packed little-endian. Per-frame
-// checksums instead of one trailing digest let the decoder verify each
-// frame as it reads it, through one frame of scratch memory, so any
-// corruption — bit rot, truncation, a record-count lie — is caught no later
-// than the frame it occurs in.
+// the dynamic stream belongs to, and the exact record/chunk counts. A frame
+// holds its chunk as memory does: a 20-byte prelude (record, effective-
+// address and stride counts, the first record's static index, a CRC32 of
+// the rest of the frame), then the columns: a meta byte per record, four
+// bytes per address and eight per stride, all little-endian. Per-frame
+// checksums let the decoder verify each frame as it reads it, through one
+// frame of scratch memory, so any corruption — bit rot, truncation, a
+// record-count lie — is caught no later than the frame it occurs in.
 //
-// The si column holds every record's static index, though a trace in
-// memory keeps only each chunk's first: WriteTo regenerates the column by
-// Flow.Next, and Decode accepts a frame only if every stored index is the
-// one Flow.Next derives from its predecessor, across frames too, before it
-// drops the column. Likewise the ea column stores each effective address in
-// eight bytes, though a trace in memory keeps four: WriteTo widens them,
-// and Decode refuses an address of 2^32 or more before it narrows them. An
-// accepted artifact therefore re-encodes to its own bytes.
+// Decode derives every later static index by Flow.Next, the rule every
+// walker applies, and accepts a frame only if each index lies in the
+// program, the frame starts where the previous frame's flow leads, and the
+// address and stride counts match the static classes along that path. So
+// replay walks an accepted frame in step, and an accepted artifact
+// re-encodes to its own bytes.
 //
 // The static program is deliberately NOT serialized: workload builders are
 // deterministic, so the loader rebuilds the program from (workload, ISA,
@@ -45,7 +43,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"repro/internal/isa"
 )
@@ -53,18 +50,19 @@ import (
 // FormatVersion is the trace artifact encoding version. It participates in
 // the artifact content address, so a format change simply misses on every
 // old key rather than misreading old bytes.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // fileMagic heads every artifact; the trailing digit is FormatVersion.
-const fileMagic = "momtrace 1"
+const fileMagic = "momtrace 2"
 
 // ErrFormat reports an artifact that is not a valid trace encoding for the
 // expected program: wrong magic or version, fingerprint mismatch, bad
-// framing, checksum failure, truncation. Callers treat it as a miss.
+// framing, checksum failure, truncation, a frame off the program's control
+// flow. Callers treat it as a miss.
 var ErrFormat = errors.New("trace: bad artifact")
 
-// frameHeaderLen is the per-chunk prelude: nrec, nea, nstride, crc32.
-const frameHeaderLen = 16
+// frameHeaderLen is the per-chunk prelude: nrec, nea, nstride, first, crc32.
+const frameHeaderLen = 20
 
 // Fingerprint digests the replay-relevant identity of a program — name,
 // instruction stream, data image, layout — to 16 hex characters. Two
@@ -109,46 +107,33 @@ func headerLine(fp string, records uint64, chunks int) string {
 }
 
 // EncodedSize returns the exact number of bytes WriteTo will emit: the
-// header, and for each chunk a prelude and its frame's columns.
+// header, a prelude per chunk and the chunks' columns, which Bytes counts.
 func (t *Trace) EncodedSize() int64 {
-	n := int64(len(t.header()))
-	for i := range t.chunks {
-		c := &t.chunks[i]
-		n += frameHeaderLen + frameSize(len(c.meta), len(c.ea), len(c.stride))
-	}
-	return n
+	return int64(len(t.header())) + frameHeaderLen*int64(len(t.chunks)) + t.bytes
 }
 
-// frameSize is the payload byte count of one chunk frame: four bytes of
-// static index and a meta byte per record, and eight bytes per effective
-// address and per stride.
-func frameSize(nrec, nea, nstr int) int64 {
-	return 5*int64(nrec) + 8*int64(nea) + 8*int64(nstr)
+// frameCRC is a frame's checksum: the CRC32 of the rest of its prelude and
+// its payload.
+func frameCRC(prelude, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(prelude[:16]), crc32.IEEETable, payload)
 }
 
-// appendFrame packs one chunk as a frame (prelude + columns) onto dst,
-// deriving its si column by flow.
-func appendFrame(dst []byte, c *chunk, flow Flow) []byte {
-	payloadAt := len(dst) + frameHeaderLen
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(c.meta)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.ea)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(c.stride)))
-	dst = append(dst, hdr[:]...)
-	si := c.first
-	for _, meta := range c.meta {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(si))
-		si = flow.Next(si, meta)
-	}
+// appendFrame packs one chunk as a frame (prelude + columns) onto dst.
+func appendFrame(dst []byte, c *chunk) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.meta)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.ea)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.stride)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.first))
+	dst = append(dst, 0, 0, 0, 0) // the checksum, once the payload is in
 	dst = append(dst, c.meta...)
 	for _, v := range c.ea {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		dst = binary.LittleEndian.AppendUint32(dst, v)
 	}
 	for _, v := range c.stride {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	crc := crc32.ChecksumIEEE(dst[payloadAt:])
-	binary.LittleEndian.PutUint32(dst[payloadAt-4:payloadAt], crc)
+	binary.LittleEndian.PutUint32(dst[at+16:], frameCRC(dst[at:], dst[at+frameHeaderLen:]))
 	return dst
 }
 
@@ -164,7 +149,7 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	}
 	var frame []byte
 	for i := range t.chunks {
-		frame = appendFrame(frame[:0], &t.chunks[i], t.flow)
+		frame = appendFrame(frame[:0], &t.chunks[i])
 		n, err := w.Write(frame)
 		written += int64(n)
 		if err != nil {
@@ -210,74 +195,59 @@ func readHeader(br *bufio.Reader, p *isa.Program) (records uint64, chunks int, e
 	return records, chunks, nil
 }
 
-// readFrame reads and verifies one chunk frame into c, all but its first
-// static index, and returns the frame's si column, a view of *scratch.
-// last marks the final chunk, the only one allowed fewer than chunkRecords
-// records.
-func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) ([]byte, error) {
+// readFrame reads and verifies one chunk frame into c. last marks the
+// final chunk, the only one allowed fewer than chunkRecords records.
+func readFrame(br *bufio.Reader, c *chunk, scratch *[]byte, last bool) error {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: frame prelude: %v", ErrFormat, err)
+		return fmt.Errorf("%w: frame prelude: %v", ErrFormat, err)
 	}
 	nrec := int(binary.LittleEndian.Uint32(hdr[0:]))
 	nea := int(binary.LittleEndian.Uint32(hdr[4:]))
 	nstr := int(binary.LittleEndian.Uint32(hdr[8:]))
-	crc := binary.LittleEndian.Uint32(hdr[12:])
 	if nrec <= 0 || nrec > chunkRecords || (!last && nrec != chunkRecords) ||
 		nea > nrec || nstr > nea {
-		return nil, fmt.Errorf("%w: frame shape %d/%d/%d", ErrFormat, nrec, nea, nstr)
+		return fmt.Errorf("%w: frame shape %d/%d/%d", ErrFormat, nrec, nea, nstr)
 	}
-	size := frameSize(nrec, nea, nstr)
+	size := ramSize(nrec, nea, nstr)
 	if int64(cap(*scratch)) < size {
 		*scratch = make([]byte, size)
 	}
 	buf := (*scratch)[:size]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("%w: frame payload: %v", ErrFormat, err)
+		return fmt.Errorf("%w: frame payload: %v", ErrFormat, err)
 	}
-	if crc32.ChecksumIEEE(buf) != crc {
-		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
+	if frameCRC(hdr[:], buf) != binary.LittleEndian.Uint32(hdr[16:]) {
+		return fmt.Errorf("%w: frame checksum mismatch", ErrFormat)
 	}
-	c.meta = make([]uint8, nrec)
+	c.first = int32(binary.LittleEndian.Uint32(hdr[12:]))
+	c.meta = append([]uint8(nil), buf[:nrec]...)
 	c.ea = make([]uint32, nea)
+	for i := range c.ea {
+		c.ea[i] = binary.LittleEndian.Uint32(buf[nrec+4*i:])
+	}
 	c.stride = make([]int64, nstr)
-	copy(c.meta, buf[4*nrec:])
-	off := 5 * nrec
-	for i := 0; i < nea; i++ {
-		v := binary.LittleEndian.Uint64(buf[off+8*i:])
-		if v > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: effective address %#x does not fit in 32 bits", ErrFormat, v)
-		}
-		c.ea[i] = uint32(v)
+	for i := range c.stride {
+		c.stride[i] = int64(binary.LittleEndian.Uint64(buf[nrec+4*nea+8*i:]))
 	}
-	off += 8 * nea
-	for i := 0; i < nstr; i++ {
-		c.stride[i] = int64(binary.LittleEndian.Uint64(buf[off+8*i:]))
-	}
-	return buf[:4*nrec], nil
+	return nil
 }
 
-// checkChunk validates a decoded chunk against the static program and sets
-// its first index. Every stored static index (sis, the frame's si column)
-// must index the program, and each must be the one flow derives from its
-// predecessor; next is the index flow derives from the previous chunk's
-// last record, or -1 for the first chunk. The ea/stride population must
-// match the memory classes the indices imply. Otherwise replay would
-// derive another stream than the artifact stores, or walk the sparse
-// columns out of step. checkChunk returns the index flow derives from the
-// chunk's last record.
-func checkChunk(c *chunk, sis []byte, static []sinst, flow Flow, next int32) (int32, error) {
+// checkChunk validates a decoded chunk against the static program, so that
+// replay neither indexes past the static table nor walks the sparse columns
+// out of step: each static index flow derives from the chunk's first must
+// index the program, each vector length must be at most isa.MaxVL, and the
+// ea/stride counts must match the memory classes along that path. It
+// returns the index flow derives from the last record.
+func checkChunk(c *chunk, static []sinst, flow Flow) (int32, error) {
 	var nea, nstr int
-	for i, meta := range c.meta {
-		si := int32(binary.LittleEndian.Uint32(sis[4*i:]))
+	si := c.first
+	for _, meta := range c.meta {
 		if si < 0 || int(si) >= len(static) {
 			return 0, fmt.Errorf("%w: static index %d out of range", ErrFormat, si)
 		}
-		if next >= 0 && si != next {
-			return 0, fmt.Errorf("%w: static index %d where control flow leads to %d", ErrFormat, si, next)
-		}
-		if i == 0 {
-			c.first = si
+		if vl := meta &^ MetaTaken; vl > isa.MaxVL {
+			return 0, fmt.Errorf("%w: vector length %d over %d", ErrFormat, vl, isa.MaxVL)
 		}
 		switch static[si].mem {
 		case memScalar:
@@ -286,18 +256,18 @@ func checkChunk(c *chunk, sis []byte, static []sinst, flow Flow, next int32) (in
 			nea++
 			nstr++
 		}
-		next = flow.Next(si, meta)
+		si = flow.Next(si, meta)
 	}
 	if nea != len(c.ea) || nstr != len(c.stride) {
 		return 0, fmt.Errorf("%w: sparse columns %d/%d, static classes imply %d/%d",
 			ErrFormat, len(c.ea), len(c.stride), nea, nstr)
 	}
-	return next, nil
+	return si, nil
 }
 
 // Decode materialises an artifact written by WriteTo back into a Trace for
 // the given program. Any mismatch — version, fingerprint, framing,
-// checksum, truncation, an address a trace in memory cannot hold — is an
+// checksum, truncation, a frame off the program's control flow — is an
 // error wrapping ErrFormat.
 func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
@@ -310,14 +280,17 @@ func Decode(r io.Reader, p *isa.Program) (*Trace, error) {
 	t := &Trace{prog: p, n: records, static: buildStatic(p), flow: NewFlow(p)}
 	var scratch []byte
 	var got uint64
-	next := int32(-1)
+	var next int32
 	for i := 0; i < chunks; i++ {
 		var c chunk
-		sis, err := readFrame(br, &c, &scratch, i == chunks-1)
-		if err != nil {
+		if err := readFrame(br, &c, &scratch, i == chunks-1); err != nil {
 			return nil, err
 		}
-		if next, err = checkChunk(&c, sis, t.static, t.flow, next); err != nil {
+		if i > 0 && c.first != next {
+			return nil, fmt.Errorf("%w: frame %d starts at static index %d where control flow leads to %d",
+				ErrFormat, i, c.first, next)
+		}
+		if next, err = checkChunk(&c, t.static, t.flow); err != nil {
 			return nil, err
 		}
 		t.chunks = append(t.chunks, c)

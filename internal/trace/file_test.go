@@ -142,6 +142,15 @@ func TestArtifactCorruption(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		check(t, append(append([]byte(nil), blob...), 0))
 	})
+	t.Run("flipped first static index", func(t *testing.T) {
+		// The checksum covers the prelude as well as the payload, so damage
+		// to a frame's first index reads as damage, whatever index results.
+		data := append([]byte(nil), blob...)
+		data[headerLen+12] ^= 1
+		if _, err := Decode(bytes.NewReader(data), p); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("Decode gave %v, want a checksum mismatch", err)
+		}
+	})
 	t.Run("record count lie", func(t *testing.T) {
 		// Rewrite the header to claim one record fewer; framing no longer
 		// adds up and the decoder must notice.
@@ -182,7 +191,7 @@ func headerVariants(t testing.TB, blob []byte) []headerVariant {
 		return headerVariant{name, append([]byte(header), blob[end:]...)}
 	}
 	return []headerVariant{
-		with("tab after momtrace", "momtrace\t1 "+fp+" "+records+" "+chunks+"\n"),
+		with("tab after momtrace", strings.Replace(fileMagic, " ", "\t", 1)+" "+fp+" "+records+" "+chunks+"\n"),
 		with("doubled space", fileMagic+"  "+fp+" "+records+" "+chunks+"\n"),
 		with("space before newline", fileMagic+" "+fp+" "+records+" "+chunks+" \n"),
 		with("carriage return between fields", fileMagic+" "+fp+"\r"+records+" "+chunks+"\n"),
@@ -228,38 +237,11 @@ func TestDecodeBoundsHeader(t *testing.T) {
 	}
 }
 
-// wideAddress returns a copy of blob, an artifact of one frame whose first
-// memory record is a vector access, with that record's effective address
-// set to 2^32 and the frame's checksum redone: a frame that verifies but
-// holds an address a trace in memory cannot.
-func wideAddress(blob []byte) []byte {
-	data := append([]byte(nil), blob...)
-	payload, crc := frameAt(data, 0)
-	nrec := int(binary.LittleEndian.Uint32(data[bytes.IndexByte(data, '\n')+1:]))
-	binary.LittleEndian.PutUint64(payload[5*nrec:], 1<<32)
-	binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
-	return data
-}
-
-// TestDecodeRefusesWideAddress: an effective address of 2^32 or more is
-// refused at the frame that holds it, so every accepted artifact fits a
-// trace in memory and re-encodes to its own bytes.
-func TestDecodeRefusesWideAddress(t *testing.T) {
-	p := fuzzSeedProgram("seed")
-	tr, err := Capture(emu.New(p), testMaxSteps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Decode(bytes.NewReader(wideAddress(encode(t, tr))), p)
-	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "0x100000000 does not fit in 32 bits") {
-		t.Fatalf("Decode gave %v, want ErrFormat for address 0x100000000", err)
-	}
-}
-
-// TestEncodedSizeMultiChunk: EncodedSize, summed frame by frame, is the
-// byte count WriteTo writes for a trace of several frames with scalar and
-// vector memory records (mpeg2decode on MOM at test scale), and the trace
-// holds fewer bytes in memory than in its artifact.
+// TestEncodedSizeMultiChunk: an artifact is its header, a 20-byte prelude
+// per chunk and the columns the trace holds in memory, so WriteTo writes
+// and EncodedSize counts len(header) + 20·Chunks + Bytes bytes for a trace
+// of several frames with scalar and vector memory records (mpeg2decode on
+// MOM at test scale).
 func TestEncodedSizeMultiChunk(t *testing.T) {
 	a, err := apps.ByName("mpeg2decode", apps.ScaleTest)
 	if err != nil {
@@ -282,8 +264,10 @@ func TestEncodedSizeMultiChunk(t *testing.T) {
 	if tr.Chunks() < 2 || vector == 0 {
 		t.Fatalf("the trace has %d chunks and %d vector memory records, want several and some", tr.Chunks(), vector)
 	}
-	if n := int64(len(encode(t, tr))); tr.Bytes() >= n {
-		t.Fatalf("the trace holds %d bytes in memory, its artifact %d", tr.Bytes(), n)
+	want := int64(len(tr.header())) + 20*int64(tr.Chunks()) + tr.Bytes()
+	if n := int64(len(encode(t, tr))); n != want {
+		t.Fatalf("the artifact is %d bytes, want %d: a %d-byte header, %d chunks and %d bytes in memory",
+			n, want, len(tr.header()), tr.Chunks(), tr.Bytes())
 	}
 }
 
@@ -321,81 +305,115 @@ func twoFrameProgram() *isa.Program {
 	return b.Build()
 }
 
-// frameAt returns the payload of frame i of an artifact and the prelude
-// slot of its checksum, both views of blob.
-func frameAt(blob []byte, i int) (payload, crc []byte) {
-	at := bytes.IndexByte(blob, '\n') + 1
-	for {
-		hdr := blob[at : at+frameHeaderLen]
-		size := int(frameSize(int(binary.LittleEndian.Uint32(hdr[0:])),
-			int(binary.LittleEndian.Uint32(hdr[4:])), int(binary.LittleEndian.Uint32(hdr[8:]))))
-		if i == 0 {
-			return blob[at+frameHeaderLen : at+frameHeaderLen+size], hdr[12:]
+// encodeV1 renders tr in the momtrace 1 layout that momtrace 2 replaced:
+// the same header under that magic, then per chunk a 16-byte prelude
+// (record, address and stride counts, CRC32 of the payload) and a payload
+// of every record's static index in four bytes, the meta bytes, and each
+// address and stride in eight.
+func encodeV1(tr *Trace) []byte {
+	out := []byte(strings.Replace(tr.header(), fileMagic, "momtrace 1", 1))
+	for i := range tr.chunks {
+		c := &tr.chunks[i]
+		at := len(out)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.meta)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.ea)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.stride)))
+		out = append(out, 0, 0, 0, 0)
+		si := c.first
+		for _, meta := range c.meta {
+			out = binary.LittleEndian.AppendUint32(out, uint32(si))
+			si = tr.flow.Next(si, meta)
 		}
-		at += frameHeaderLen + size
-		i--
+		out = append(out, c.meta...)
+		for _, v := range c.ea {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+		for _, v := range c.stride {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+		binary.LittleEndian.PutUint32(out[at+12:], crc32.ChecksumIEEE(out[at+16:]))
 	}
+	return out
 }
 
-// flowCase is an artifact of prog whose frames verify but whose stored
-// static indices break the control flow, and the check that must reject
-// it.
-type flowCase struct {
+// decodeCase is an artifact of prog whose frames verify but that Decode
+// must refuse, and the text of the check that refuses it.
+type decodeCase struct {
 	name, want string
 	prog       *isa.Program
 	data       []byte
 }
 
-// flowCases stores, in a copy of an artifact with its checksum redone, one
-// static index the control flow does not lead to: mid-frame, in the seed
-// program's artifact (a record repeating its predecessor's index, both ALU
-// records, so the address and stride columns still match); at the start of
-// the second frame of twoFrameProgram's artifact; and a first index past
-// the seed program's end.
-func flowCases(t testing.TB) []flowCase {
+// decodeCases edits a fresh capture of the seed program or of
+// twoFrameProgram and encodes it with WriteTo, so every frame's checksum
+// holds: the seed program's artifact in the momtrace 1 layout; the second
+// frame of twoFrameProgram's artifact starting one record late; a first
+// index past the seed program's end; the seed trace's one taken branch
+// marked not taken, so the flow falls through the final NOP and past the
+// program's end with records left in the (last) frame; an address column
+// one entry short of what the static classes along the flow imply; and a
+// vector length past isa.MaxVL, which would overrun the memory model's
+// element buffers in replay.
+func decodeCases(t testing.TB) []decodeCase {
 	t.Helper()
-	artifact := func(p *isa.Program) []byte {
+	capture := func(p *isa.Program) *Trace {
 		tr, err := Capture(emu.New(p), testMaxSteps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return tr
+	}
+	artifact := func(tr *Trace) []byte {
 		var buf bytes.Buffer
 		if _, err := tr.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	store := func(blob []byte, frame, rec int, si uint32) []byte {
-		data := append([]byte(nil), blob...)
-		payload, crc := frameAt(data, frame)
-		binary.LittleEndian.PutUint32(payload[4*rec:], si)
-		binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
-		return data
+	p, long := fuzzSeedProgram("seed"), twoFrameProgram()
+
+	late := capture(long)
+	c := &late.chunks[1]
+	c.first = late.flow.Next(c.first, c.meta[0])
+
+	outside := capture(p)
+	outside.chunks[0].first = 1 << 20
+
+	fallThrough := capture(p)
+	var taken []int
+	for k, meta := range fallThrough.chunks[0].meta {
+		if meta&MetaTaken != 0 {
+			taken = append(taken, k)
+		}
 	}
-	p := fuzzSeedProgram("seed")
-	seed := artifact(p)
-	payload, _ := frameAt(seed, 0)
-	static := buildStatic(p)
-	if si := binary.LittleEndian.Uint32(payload[0:]); static[si].mem != memNone || si != 0 ||
-		static[binary.LittleEndian.Uint32(payload[4:])].mem != memNone {
-		t.Fatal("the seed trace does not start with two ALU records")
+	if len(taken) != 1 {
+		t.Fatalf("the seed trace holds %d taken branches, want 1", len(taken))
 	}
-	long := twoFrameProgram()
-	frames := artifact(long)
-	second, _ := frameAt(frames, 1)
-	return []flowCase{
-		{"index off the flow mid-frame", "where control flow leads to 1", p, store(seed, 0, 1, 0)},
-		{"frame start off the flow", "where control flow leads to", long,
-			store(frames, 1, 0, binary.LittleEndian.Uint32(second[4:]))},
-		{"first index out of range", "out of range", p, store(seed, 0, 0, uint32(len(p.Insts)))},
+	fallThrough.chunks[0].meta[taken[0]] &^= MetaTaken
+
+	short := capture(p)
+	short.chunks[0].ea = short.chunks[0].ea[1:]
+
+	overVL := capture(p)
+	overVL.chunks[0].meta[0] = isa.MaxVL + 1
+
+	return []decodeCase{
+		{"momtrace 1 artifact", `header "momtrace 1 `, p, encodeV1(capture(p))},
+		{"frame start off the flow", "frame 1 starts at static index", long, artifact(late)},
+		{"first index out of range", "static index 1048576 out of range", p, artifact(outside)},
+		{"flow past the program's end", fmt.Sprintf("static index %d out of range", len(p.Insts)), p, artifact(fallThrough)},
+		{"column count mismatch", "sparse columns", p, artifact(short)},
+		{"vector length over MaxVL", fmt.Sprintf("vector length %d over", isa.MaxVL+1), p, artifact(overVL)},
 	}
 }
 
-// TestDecodeChecksFlow: Decode rejects a stored static index that the
-// control flow does not lead to, wherever it sits, and a first index
-// outside the program, each at the check that names it.
+// TestDecodeChecksFlow: Decode refuses, each at the check that names it,
+// an artifact of the replaced layout, a frame that does not start where the
+// previous frame's flow leads, a static index outside the program, first
+// or derived, address and stride columns that do not match the static
+// classes along the flow, and a vector length no machine has.
 func TestDecodeChecksFlow(t *testing.T) {
-	for _, c := range flowCases(t) {
+	for _, c := range decodeCases(t) {
 		if _, err := Decode(bytes.NewReader(c.data), c.prog); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Decode gave %v, want ErrFormat at %q", c.name, err, c.want)
 		}
@@ -406,8 +424,7 @@ func TestDecodeChecksFlow(t *testing.T) {
 // accepts re-encodes to exactly those bytes. Each input is decoded for
 // fuzzSeedProgram and for twoFrameProgram. Seeds are the artifact of
 // fuzzSeedProgram, another program's artifact, the damaged forms of the
-// tests above, the artifact with a wide address, flowCases and
-// headerVariants.
+// tests above, decodeCases and headerVariants.
 //
 //	go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 20s ./internal/trace/
 func FuzzDecode(f *testing.F) {
@@ -432,8 +449,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(blob[:headerLen+(len(blob)-headerLen)/2])
 	f.Add(append(append([]byte(nil), blob...), 0))
 	f.Add(bombHeader(p))
-	f.Add(wideAddress(blob))
-	for _, c := range flowCases(f) {
+	for _, c := range decodeCases(f) {
 		f.Add(c.data)
 	}
 	for _, v := range headerVariants(f, blob) {

@@ -149,8 +149,9 @@ type chunk struct {
 	stride []int64  // byte stride, per vector-memory record
 }
 
-// ramSize is the bytes a chunk's columns hold: one meta byte per record,
-// four per effective address and eight per stride.
+// ramSize is the bytes a chunk's columns hold, in memory and in an artifact
+// frame's payload: one meta byte per record, four per effective address
+// and eight per stride.
 func ramSize(nrec, nea, nstr int) int64 {
 	return int64(nrec) + 4*int64(nea) + 8*int64(nstr)
 }
@@ -360,8 +361,8 @@ func (t *Trace) Chunks() int { return len(t.chunks) }
 
 // Bytes returns what the trace holds in memory: its chunks' columns, one
 // meta byte per record, four bytes per effective address and eight per
-// stride. Capture's byte budget bounds the same quantity; EncodedSize is
-// the artifact's size, which stores each address in eight bytes.
+// stride. Capture's byte budget bounds the same quantity, and the artifact
+// stores the same columns (EncodedSize).
 func (t *Trace) Bytes() int64 { return t.bytes }
 
 // Reader returns a fresh replay cursor over the trace. Readers are
@@ -415,8 +416,7 @@ func (t *Trace) ReaderAtCursor(c Cursor) *Reader {
 }
 
 // Seek moves the reader to a cursor captured from a reader over the same
-// trace, forward or back, in O(1). Pos then reads the cursor's position;
-// Skipped does not change.
+// trace, forward or back, in O(1). Pos then reads the cursor's position.
 func (r *Reader) Seek(c Cursor) {
 	r.pos, r.eaI, r.strI, r.si = c.pos, c.eaI, c.strI, c.si
 	r.ci = int(c.pos / chunkRecords)
@@ -430,14 +430,13 @@ func (r *Reader) Seek(c Cursor) {
 
 // Reader replays a recorded trace as a Source.
 type Reader struct {
-	t       *Trace
-	ci      int    // chunk index
-	ri      int    // record index within chunk
-	eaI     int    // cursor into chunk.ea
-	strI    int    // cursor into chunk.stride
-	si      int32  // static index of record ri, while ri is inside the chunk
-	pos     uint64 // records consumed (Next, NextBatch, Skip, WarmNext)
-	skipped uint64 // records consumed by Skip only
+	t    *Trace
+	ci   int    // chunk index
+	ri   int    // record index within chunk
+	eaI  int    // cursor into chunk.ea
+	strI int    // cursor into chunk.stride
+	si   int32  // static index of record ri, while ri is inside the chunk
+	pos  uint64 // records consumed (Next, NextBatch, WarmNext)
 }
 
 // enter moves the reader to the first record of chunk ci, or past the end
@@ -464,39 +463,8 @@ func (r *Reader) Trace() *Trace { return r.t }
 func (r *Reader) Err() error { return nil }
 
 // Pos returns how many records have been consumed so far, whether by Next,
-// NextBatch, Skip or WarmNext.
+// NextBatch or WarmNext.
 func (r *Reader) Pos() uint64 { return r.pos }
-
-// Skipped returns how many of the consumed records were fast-forwarded by
-// Skip or WarmNext rather than reconstructed by Next — the span of the
-// trace the consumer never timed (momtrace -stats reports it; it is zero
-// for full replays).
-func (r *Reader) Skipped() uint64 { return r.skipped }
-
-// Skip advances the cursor past up to n records without reconstructing
-// them, returning how many were actually skipped (fewer than n only at end
-// of stream). Chunk tails are skipped in O(1); a record inside a partially
-// consumed span costs one static-table lookup, to keep the ea/stride
-// cursors aligned for the next reconstructed record, and one Flow step, to
-// derive the next record's static index.
-func (r *Reader) Skip(n uint64) uint64 {
-	var done uint64
-	for done < n && r.ci < len(r.t.chunks) {
-		c := &r.t.chunks[r.ci]
-		remaining := uint64(len(c.meta) - r.ri)
-		left := n - done
-		if remaining <= left {
-			done += remaining
-			r.enter(r.ci + 1)
-			continue
-		}
-		r.walk(r.ri + int(left))
-		done += left
-	}
-	r.pos += done
-	r.skipped += done
-	return done
-}
 
 // walk moves the reader from record ri to record hi of its chunk, counting
 // the memory records it passes into the ea/stride cursors and deriving the
@@ -532,10 +500,8 @@ type WarmSink interface {
 // WarmNext advances up to n records, feeding each branch and memory record
 // to sink and discarding the rest after a single static-table class check.
 // Sampled simulation fast-forwards through NextBatch instead; WarmNext is
-// kept for perfbench's drain and memory-touch probes. Like Skip, the
-// consumed records count as skipped: they were never reconstructed for
-// timing. It returns how many records were consumed (fewer than n only at
-// end of stream).
+// kept for perfbench's drain and memory-touch probes. It returns how many
+// records were consumed (fewer than n only at end of stream).
 func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 	var done uint64
 	static, flow := r.t.static, r.t.flow
@@ -571,7 +537,6 @@ func (r *Reader) WarmNext(n uint64, sink WarmSink) uint64 {
 		done += uint64(len(metas))
 	}
 	r.pos += done
-	r.skipped += done
 	return done
 }
 

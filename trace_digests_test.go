@@ -28,7 +28,9 @@ type traceDigest struct {
 // TestTraceDigests captures every test-scale workload on every ISA straight
 // from the emulator, bypassing the trace cache and the artifact store, and
 // compares each encoding with the manifest. On a mismatch it lists each
-// moved entry and prints the regenerated manifest.
+// moved entry and prints the regenerated manifest. Each encoding must also
+// be one layout with the trace in memory: its header line, a 20-byte
+// prelude per chunk and the trace's Bytes, as EncodedSize says.
 func TestTraceDigests(t *testing.T) {
 	var keys []traceKey
 	for _, k := range KernelNames() {
@@ -59,6 +61,11 @@ func TestTraceDigests(t *testing.T) {
 		var enc bytes.Buffer
 		if _, err := tr.WriteTo(&enc); err != nil {
 			t.Fatalf("%s: %v", id, err)
+		}
+		header := bytes.IndexByte(enc.Bytes(), '\n') + 1
+		if n := int64(enc.Len()); n != int64(header)+20*int64(tr.Chunks())+tr.Bytes() || n != tr.EncodedSize() {
+			t.Errorf("%s: %d artifact bytes, EncodedSize %d, from a %d-byte header, %d chunks and %d bytes in memory",
+				id, n, tr.EncodedSize(), header, tr.Chunks(), tr.Bytes())
 		}
 		got = append(got, traceDigest{ID: id, Records: tr.Records(), Bytes: tr.Bytes(), SHA256: digest(enc.Bytes())})
 	}
